@@ -1,0 +1,121 @@
+"""Frozen reference values.
+
+Each number below was recorded from the code before the step kernel, the
+replica engine and the Girsanov weight were consolidated, and the tests pin
+them, so a refactor of the scheme or of the Monte Carlo plumbing that moves
+any result shows up here. Tolerances are relative 1e-12 for floats (room
+for a reordered floating-point sum, nothing more) and exact for counts.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spdelab.action import ActionOptions, minimize_action
+from spdelab.coeffs import make_coefficients
+from spdelab.experiments import (
+    ExperimentConfig,
+    galerkin_coupled_errors,
+    run_eps_scaling,
+    run_experiment,
+)
+from spdelab.lattice import eigenfunction, make_field, make_grid
+from spdelab.mild_solver import SolverConfig, solve_spde
+
+RTOL = 1e-12
+DATA = Path(__file__).parent / "data"
+BURGERS = make_coefficients("burgers", sigma0=1.0, sigma1=0.2)
+
+
+def close(actual, expected, rtol=RTOL):
+    np.testing.assert_allclose(np.asarray(actual, dtype=float), expected, rtol=rtol, atol=0.0)
+
+
+def test_golden_scaling_rows(tmp_path):
+    out = run_experiment(DATA / "golden_mc_scaling.cfg", out_dir=tmp_path / "g")
+    lines = (out / "scaling.csv").read_text().splitlines()
+    assert lines[0] == "eps,p_hat,stderr,eps_log_p,censored,deviation,blown"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [r[0] for r in rows] == [0.4, 0.2, 0.1]
+    close([r[1] for r in rows],
+          [0.46808487509377761, 0.080482987912420881, 0.021751609527914627])
+    close([r[2] for r in rows],
+          [0.069499813546836958, 0.005392655606008441, 0.0016200098831023028])
+    close([r[3] for r in rows],
+          [-0.30364225698788144, -0.50394188943429918, -0.38280675229019728])
+    assert [r[4] for r in rows] == [0, 0, 0] and [r[6] for r in rows] == [0, 0, 0]
+
+
+def test_burgers_galerkin_path_terminal():
+    g = make_grid(32, 32, 0.25)
+    sol = solve_spde(eigenfunction(g, 1, amplitude=1.0), BURGERS, 0.1, seed=17, grid=g,
+                     config=SolverConfig(k_modes=8))
+    close(sol.terminal.values, [
+        -0.0015764673046582591, -0.0033244422204510796, -0.005091672570815622,
+        -0.006244343509651628, -0.005766306261067493, -0.0025907177577280216,
+        0.003965006305658744, 0.0138375625770223, 0.026077924526487762,
+        0.03899333292434467, 0.05052313950026522, 0.05871890689120677,
+        0.06217428434802714, 0.060285039775496894, 0.05329190143289866,
+        0.042134239521209975, 0.02819180207529983, 0.013002419493512695,
+        -0.0019775226049244406, -0.015537744623373956, -0.02680170091709566,
+        -0.03525053704274123, -0.040699133011471565, -0.04323706873732791,
+        -0.043146473657221185, -0.04081181871383389, -0.03664006846169818,
+        -0.031007843402454136, -0.024243138174820007, -0.016635945245308602,
+        -0.008461725954960682,
+    ])
+
+
+def test_cutoff_path_terminal():
+    # |u|_rho peaks at 1.2, inside the bridge (R, R+1) of the cutoff.
+    g = make_grid(32, 32, 0.25)
+    cf = make_coefficients("reaction", f_slope=2.0, g1_slope=0.5, g2_quad=0.2,
+                           sigma0=1.0, sigma1=0.3)
+    sol = solve_spde(eigenfunction(g, 1, amplitude=1.0), cf, 0.2, seed=5, grid=g,
+                     config=SolverConfig(k_modes=8, cutoff_radius=0.8))
+    close(sol.sup_rho_norm, 1.2026029287589226)
+    close(sol.terminal.values, [
+        0.03594322060281224, 0.07206295041755303, 0.10843083802570232,
+        0.14496091977157266, 0.18142735938112112, 0.21752410569235353,
+        0.2529070447197926, 0.28716571512529593, 0.3197157854832394,
+        0.3496630688029387, 0.375731182261202, 0.3963407881601777,
+        0.40987332317737024, 0.4150674743175962, 0.4114212598815606,
+        0.39944448289950896, 0.3806439455722914, 0.3572159967024634,
+        0.33153105427102925, 0.30557660173902146, 0.280543824449065,
+        0.2566901090183026, 0.23350660381912886, 0.21010866789678015,
+        0.18569121974939465, 0.1598787008677668, 0.13285212927838497,
+        0.10522956785943711, 0.07777282398780029, 0.051055244531369656,
+        0.025231390146293803,
+    ])
+
+
+def test_galerkin_coupled_error_means():
+    g = make_grid(32, 32, 0.25)
+    errors = galerkin_coupled_errors(eigenfunction(g, 1, amplitude=1.0), BURGERS, 0.1, g,
+                                     master=321, replicas=24, k_list=(2, 4, 8), k_modes=8)
+    assert errors.shape == (24, 3)
+    close(errors.mean(axis=0),
+          [0.0560744957101011, 0.013059282105038053, 0.0003270742991920244])
+
+
+def test_minimize_action_small_burgers():
+    g = make_grid(32, 16, 0.5)
+    res = minimize_action(eigenfunction(g, 1, amplitude=0.5), make_field(g, np.zeros(31)),
+                          BURGERS, g, ActionOptions(k_modes=8))
+    close(res.action, 2.1865171554000122)
+    close(res.residual, 0.0008140788245196012)
+    assert res.iterations == 279 and res.converged
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mc_scaling_with_blowups():
+    raw = {
+        "kind": "mc-scaling", "master_seed": "7", "family": "burgers", "sigma0": "1.0",
+        "sigma1": "6.0", "k_modes": "8", "nx": "32", "nt": "64", "T": "0.25",
+        "eta_amp": "1.0", "eps_list": "1.2, 1.0, 0.1", "replicas": "60",
+        "tilt": "none", "event_threshold": "1.0",
+    }
+    table = run_eps_scaling(ExperimentConfig.from_raw(raw))
+    assert [r.blown for r in table.rows] == [13, 8, 0]
+    close([r.p_hat for r in table.rows], [0.0425531914893617, 0.057692307692307696, 0.0])
+    close([r.stderr for r in table.rows], [0.029760791752350448, 0.03264902644719867, 0.0])
