@@ -59,9 +59,7 @@ from .mild_solver import (
     SolverConfig,
     estimate_moments,
     picard_solve,
-    solve_galerkin_noise,
     solve_spde,
-    solve_truncated,
     step_mild,
 )
 from .noise import (

@@ -28,15 +28,8 @@ import numpy as np
 
 from .coeffs import CoefficientSet
 from .control import Control, rate_functional
-from .lattice import (
-    Field,
-    GridSpec,
-    cos_analysis,
-    cos_synthesis,
-    from_modes,
-    to_modes,
-)
-from .mild_solver import _Ops, _require_dealiasing
+from .lattice import Field, GridSpec, cos_synthesis, from_modes, to_modes
+from .mild_solver import _Ops
 
 __all__ = [
     "ActionOptions",
@@ -58,7 +51,6 @@ class ActionOptions:
     armijo: float = 1e-4
     k_modes: int | None = None
     coupling: str = "direct"
-    sigma_min: float = 1e-8
 
 
 @dataclass
@@ -79,8 +71,7 @@ class _AdjointProblem:
         self.grid = grid
         self.cf = cf
         self.opts = opts
-        self.ops = _Ops(grid, grid.dt, opts.k_modes)
-        _require_dealiasing(cf, grid, self.ops.k_modes)
+        self.ops = _Ops(cf, grid, opts.k_modes, coupling=opts.coupling)
         self.eta = self.ops.project(np.asarray(eta.values, dtype=float))
         self.target = np.asarray(phi_target.values, dtype=float)
         self.x = grid.x
@@ -94,29 +85,14 @@ class _AdjointProblem:
         Non-finite states raise FloatingPointError so the optimizer's line
         search can reject an overlong step instead of propagating NaNs.
         """
-        grid, cf, ops = self.grid, self.cf, self.ops
+        grid, ops = self.grid, self.ops
         v = np.empty((grid.nt + 1, grid.n_interior))
         v[0] = self.eta
         for m in range(grid.nt):
-            t = m * self.dt
-            u = v[m]
-            ctrl = self._control_field(t, u, psi[m])
-            drift = u if cf.f_is_zero else u + self.dt * cf.f(t, self.x, u)
-            modes = to_modes(drift, grid) * ops.decay
-            if not cf.g_is_zero:
-                modes -= cos_analysis(cf.g1(t, self.x, u) + cf.g2(t, u), grid) * ops.ed
-            modes += to_modes(ctrl, grid) * ops.ed
-            v[m + 1] = from_modes(modes, grid)
+            v[m + 1] = from_modes(ops.step(v[m], m * self.dt, psi=psi[m]), grid)
         if not np.all(np.isfinite(v)):
             raise FloatingPointError("controlled flow blew up during optimization")
         return v
-
-    def _control_field(self, t, u, psi_m):
-        cf = self.cf
-        sig = cf.sigma_const if cf.sigma_const is not None else cf.sigma(t, self.x, u)
-        if self.opts.coupling == "direct":
-            return sig * psi_m
-        return sig * (self.dx * np.cumsum(psi_m, axis=-1))
 
     def objective(self, psi: np.ndarray, mu: float):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -275,7 +251,7 @@ def path_rate_function(
         raise ValueError(
             f"path shape {values.shape} does not match grid ({grid.nt + 1}, {nxm})"
         )
-    ops = _Ops(grid, grid.dt, k_modes)
+    ops = _Ops(cf, grid, k_modes)
     x = grid.x
     psi = np.empty((grid.nt, nxm))
     k_act = ops.k_modes
@@ -288,9 +264,8 @@ def path_rate_function(
             raise ValueError(
                 f"sigma degenerate at step {m}: |sigma| < {sigma_min} on the path"
             )
-        pred = to_modes(u + grid.dt * cf.f(t, x, u), grid) * ops.decay
-        pred -= cos_analysis(cf.g1(t, x, u) + cf.g2(t, u), grid) * ops.ed
-        resid = to_modes(values[m + 1], grid) - pred
+        # The scheme's step without noise or control predicts u(t_{m+1}).
+        resid = to_modes(values[m + 1], grid) - ops.step(u, t)
         w_modes = np.zeros(nxm)
         w_modes[:k_act] = resid[:k_act] / ed_act
         w = from_modes(w_modes, grid)

@@ -118,34 +118,27 @@ class CoefficientSet:
     def g(self, t, x, r):
         return self.g1(t, x, r) + self.g2(t, r)
 
-    # Central differences back any evaluator without an analytic derivative;
-    # step scales with |r| to keep the quotient well conditioned.
-    def _fd(self, fn, t, x, r):
-        h = 1e-6 * (1.0 + np.abs(r))
-        return (fn(t, x, r + h) - fn(t, x, r - h)) / (2.0 * h)
-
     def f_r(self, t, x, r):
-        if self.df_dr is not None:
-            return self.df_dr(t, x, r)
-        return self._fd(self.f, t, x, r)
+        return _derivative(self.df_dr, self.f, t, x, r)
 
     def g_r(self, t, x, r):
-        g1r = (
-            self.dg1_dr(t, x, r)
-            if self.dg1_dr is not None
-            else self._fd(self.g1, t, x, r)
+        return _derivative(self.dg1_dr, self.g1, t, x, r) + _derivative(
+            self.dg2_dr, self.g2, t, r
         )
-        if self.dg2_dr is not None:
-            g2r = self.dg2_dr(t, r)
-        else:
-            h = 1e-6 * (1.0 + np.abs(r))
-            g2r = (self.g2(t, r + h) - self.g2(t, r - h)) / (2.0 * h)
-        return g1r + g2r
 
     def sigma_r(self, t, x, r):
-        if self.dsigma_dr is not None:
-            return self.dsigma_dr(t, x, r)
-        return self._fd(self.sigma, t, x, r)
+        return _derivative(self.dsigma_dr, self.sigma, t, x, r)
+
+
+def _derivative(dfn, fn, *args):
+    """d/dr of fn at args = (..., r): the analytic dfn when given, else a
+    central difference whose step scales with |r| to keep the quotient well
+    conditioned."""
+    if dfn is not None:
+        return dfn(*args)
+    *head, r = args
+    h = 1e-6 * (1.0 + np.abs(r))
+    return (fn(*head, r + h) - fn(*head, r - h)) / (2.0 * h)
 
 
 def _zero(t, x, r):
@@ -255,59 +248,36 @@ def truncate_coefficients(cset: CoefficientSet, n: int) -> CoefficientSet:
         raise ValueError("truncation level must be >= 1")
     n = int(n)
 
-    def wrap3(fn):
-        def fn_n(t, x, r, _fn=fn):
-            return _fn(t, x, r) * chi_R(r, n)
+    def cut(fn, dfn):
+        # fn * chi_n(r) and its r-derivative, for evaluators taking (..., r).
+        def fn_n(*args):
+            return fn(*args) * chi_R(args[-1], n)
 
-        return fn_n
+        def dfn_n(*args):
+            r = args[-1]
+            return _derivative(dfn, fn, *args) * chi_R(r, n) + fn(*args) * chi_R_prime(r, n)
 
-    def g2_n(t, r, _fn=cset.g2):
-        return _fn(t, r) * chi_R(r, n)
+        return fn_n, dfn_n
 
-    def dwrap3(fn, dfn):
-        def dfn_n(t, x, r, _fn=fn, _dfn=dfn):
-            return _dfn(t, x, r) * chi_R(r, n) + _fn(t, x, r) * chi_R_prime(r, n)
-
-        return dfn_n
-
-    def _dg1(t, x, r, _c=cset):
-        if _c.dg1_dr is not None:
-            return _c.dg1_dr(t, x, r)
-        return _c._fd(_c.g1, t, x, r)
-
-    df = dwrap3(cset.f, cset.f_r)
-    dg1 = dwrap3(cset.g1, _dg1)
-    dsig = dwrap3(cset.sigma, cset.sigma_r)
-
-    def dg2_n(t, r, _g2=cset.g2, _dg2=_dg2_of(cset)):
-        return _dg2(t, r) * chi_R(r, n) + _g2(t, r) * chi_R_prime(r, n)
-
+    f, df = cut(cset.f, cset.df_dr)
+    g1, dg1 = cut(cset.g1, cset.dg1_dr)
+    g2, dg2 = cut(cset.g2, cset.dg2_dr)
+    sigma, dsig = cut(cset.sigma, cset.dsigma_dr)
     return replace(
         cset,
-        f=wrap3(cset.f),
-        g1=wrap3(cset.g1),
-        g2=g2_n,
-        sigma=wrap3(cset.sigma),
+        f=f,
+        g1=g1,
+        g2=g2,
+        sigma=sigma,
         L=cset.L + CHI_MAX_SLOPE * cset.K,
         L_sigma=cset.L_sigma + CHI_MAX_SLOPE * cset.K * (n + 2.0),
         family=f"{cset.family}|trunc{n}",
         df_dr=df,
         dg1_dr=dg1,
-        dg2_dr=dg2_n,
+        dg2_dr=dg2,
         dsigma_dr=dsig,
         sigma_const=None,
     )
-
-
-def _dg2_of(cset: CoefficientSet):
-    if cset.dg2_dr is not None:
-        return cset.dg2_dr
-
-    def fd(t, r, _g2=cset.g2):
-        h = 1e-6 * (1.0 + np.abs(r))
-        return (_g2(t, r + h) - _g2(t, r - h)) / (2.0 * h)
-
-    return fd
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ A control is a deterministic field psi(s, y) on the time-space cells. It
 enters the dynamics as the extra mild-form term built from sigma(s,y,v) psi
 (the "direct" coupling); the literal alternative where sigma multiplies the
 cumulative integral int_0^y psi(s,y') dy' is available behind the
-control_coupling switch for comparison. The discrete control contribution is
-integrated exactly in time per mode, so in the linear-additive case the
-Duhamel integral of a mode-control is reproduced without time-stepping bias.
+control_coupling switch for comparison. Both flows run the one scheme step of
+mild_solver, whose control contribution is integrated exactly in time per
+mode, so in the linear-additive case the Duhamel integral of a mode-control
+is reproduced without time-stepping bias.
 
 The tilt weight for one driving realization is
 
@@ -15,6 +16,8 @@ The tilt weight for one driving realization is
 
 whose exponential has unit mean: the pairing uses the same cells as the
 white increments, so the discrete identity is exact in distribution.
+girsanov_log_weight is the only implementation of this formula; the tilted
+Monte Carlo of the experiments module calls it on whole replica batches.
 """
 
 from __future__ import annotations
@@ -25,13 +28,7 @@ import numpy as np
 
 from .coeffs import CoefficientSet
 from .lattice import Field, GridSpec
-from .mild_solver import (
-    PathSolution,
-    SolverConfig,
-    _apply_truncation,
-    _integrate,
-    _path_solution,
-)
+from .mild_solver import PathSolution, SolverConfig, _solve_path
 from .noise import NoiseRealization, sample_sheet_expansion
 
 __all__ = [
@@ -127,21 +124,7 @@ def solve_skeleton(
     config: SolverConfig | None = None,
 ) -> PathSolution:
     """Deterministic controlled flow (the eps = 0 limiting dynamics)."""
-    config = config or SolverConfig()
-    cf = _apply_truncation(cf, config)
-    path = _integrate(
-        eta.values,
-        cf,
-        grid,
-        0.0,
-        xi=None,
-        psi=_psi_array(psi, grid),
-        k_modes=config.k_modes,
-        cutoff_radius=config.cutoff_radius,
-        coupling=config.control_coupling,
-        record="path",
-    )
-    return _path_solution(path, grid, 0.0, cf, None, config)
+    return _solve_path(eta, cf, 0.0, grid, config, psi=_psi_array(psi, grid))
 
 
 def solve_controlled(
@@ -161,41 +144,38 @@ def solve_controlled(
     (shared integrator, identical arithmetic).
     """
     config = config or SolverConfig()
-    cf = _apply_truncation(cf, config)
-    k_noise = grid.n_interior if config.k_noise is None else config.k_noise
     noise = None
-    xi = None
     if eps > 0:
-        noise = sample_sheet_expansion(grid, k_noise, seed, replica, stream)
-        xi = noise.spatial_density
-    path = _integrate(
-        eta.values,
-        cf,
-        grid,
-        eps,
-        xi=xi,
-        psi=_psi_array(psi, grid),
-        k_modes=config.k_modes,
-        cutoff_radius=config.cutoff_radius,
-        coupling=config.control_coupling,
-        record="path",
-    )
-    seed_info = noise.seed_info if noise is not None else None
-    return _path_solution(path, grid, eps, cf, seed_info, config)
+        noise = sample_sheet_expansion(
+            grid, config.noise_modes(grid), seed, replica, stream
+        )
+    return _solve_path(eta, cf, eps, grid, config, noise=noise, psi=_psi_array(psi, grid))
 
 
 def girsanov_log_weight(
-    psi: Control | np.ndarray, noise: NoiseRealization, eps: float
-) -> float:
-    """log dP/dP-hat for one realization: the reweighting factor that makes
-    controlled-equation sampling an unbiased estimator under the base measure.
+    psi: Control | np.ndarray, noise: NoiseRealization | np.ndarray, eps: float
+):
+    """log dP/dP-hat: the reweighting factor that makes controlled-equation
+    sampling an unbiased estimator under the base measure.
+
+    noise is one realization, or a batch of spatial noise densities
+    xi = dW/dx of shape (..., nt, nx-1) on psi's grid (psi must then be a
+    Control); the weight is a float, or an array over the batch axes. The
+    pairing is a contraction over the (nt, nx-1) cells, so a batch costs no
+    block-sized temporary.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    grid = noise.grid
+    if isinstance(noise, NoiseRealization):
+        grid, xi = noise.grid, noise.spatial_density
+    elif isinstance(psi, Control):
+        grid, xi = psi.grid, noise
+    else:
+        raise TypeError("a batch of noise densities needs psi as a Control")
     values = psi.values if isinstance(psi, Control) else np.asarray(psi, dtype=float)
-    if values.shape != (grid.nt, grid.n_interior):
+    if values.shape != (grid.nt, grid.n_interior) or xi.shape[-2:] != values.shape:
         raise ValueError("control and noise realization live on different grids")
-    pairing = float(np.sum(values * noise.white_increments))
-    norm_sq = float(grid.dt * grid.dx * np.sum(values**2))
-    return -pairing / np.sqrt(eps) - norm_sq / (2.0 * eps)
+    pairing = np.einsum("...ms,ms->...", xi, values) * grid.dx
+    norm_sq = grid.dt * grid.dx * float(np.sum(values**2))
+    logw = -pairing / np.sqrt(eps) - norm_sq / (2.0 * eps)
+    return float(logw) if logw.ndim == 0 else logw

@@ -5,7 +5,12 @@ Every experiment is reproducible from its config plus the master seed: replica
 r of the study using stream s draws its noise from the derived stream
 (master_seed, r, s), chunk results land in replica-indexed arrays, and
 reductions run in fixed index order, so outputs are byte-identical across
-re-runs regardless of threading.
+re-runs regardless of threading. All replica Monte Carlo (the tilted and
+plain event studies, the Galerkin coupled errors, the moment estimates) runs
+through the one chunked replica engine of mild_solver, which draws each
+chunk's noise once and masks blow-ups per replica: a replica whose state
+turns non-finite is frozen and reported with its first bad step, and the
+studies count it as blown.
 
 Stream allocation: eps-scaling assigns stream i to the i-th entry of the eps
 list; importance sampling uses stream 0 for both the plain and tilted passes
@@ -18,7 +23,6 @@ L^rho norm, a single sine-mode coefficient, or a point value.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +31,7 @@ import numpy as np
 from . import __version__
 from .action import ActionOptions, minimize_action
 from .coeffs import CoefficientSet, make_coefficients, validate_assumptions
-from .control import Control, solve_controlled, solve_skeleton
+from .control import Control, girsanov_log_weight, solve_controlled, solve_skeleton
 from .lattice import (
     Field,
     GridSpec,
@@ -39,15 +43,16 @@ from .lattice import (
     to_modes,
 )
 from .mild_solver import (
-    BlowUpError,
     SolverConfig,
+    _density,
     _integrate,
-    _noise_block,
-    default_chunk_size,
+    _Ops,
+    _raise_first_blowup,
+    _replica_engine,
     estimate_moments,
     solve_spde,
 )
-from .noise import SeedDerivation, draw_mode_increments, sample_sheet_expansion
+from .noise import sample_sheet_expansion
 from .storage import (
     ConfigError,
     parse_config_file,
@@ -201,7 +206,7 @@ class ExperimentConfig:
             T=_conv(raw, "T", float, 0.5),
             family=raw.get("family", "linear"),
             family_params={
-                k: float(raw[k]) for k in _FAMILY_KEYS if k in raw
+                k: _conv(raw, k, float) for k in _FAMILY_KEYS if k in raw
             },
             rho=_conv(raw, "rho", float, 8.0),
             eps=_conv(raw, "eps", float, 0.1),
@@ -247,6 +252,10 @@ class ExperimentConfig:
             raise ConfigError("replica count must be >= 1")
         if self.tilt not in ("none", "optimal"):
             raise ConfigError(f"unknown tilt '{self.tilt}' (none | optimal)")
+        for key in ("k_modes", "k_noise"):
+            k = getattr(self, key)
+            if k is not None and not 0 <= k <= self.nx - 1:
+                raise ConfigError(f"config key '{key}': {k} outside 0..{self.nx - 1}")
         if self.control_coupling not in ("direct", "integrated"):
             raise ConfigError(
                 f"unknown control_coupling '{self.control_coupling}' (direct | integrated)"
@@ -275,6 +284,14 @@ class ExperimentConfig:
             k_modes=self.k_modes,
             k_noise=self.k_noise,
             control_coupling=self.control_coupling,
+        )
+
+    def action_options(self) -> ActionOptions:
+        return ActionOptions(
+            residual_tol=self.residual_tol,
+            max_iters=self.max_iters,
+            k_modes=self.k_modes,
+            coupling=self.control_coupling,
         )
 
     def eta_field(self, grid: GridSpec) -> Field:
@@ -362,68 +379,47 @@ def _mc_terminals(
     scfg: SolverConfig,
     psi: np.ndarray | None,
     threads: int = 1,
+    chunk_size: int | None = None,
 ):
-    """Terminal fields plus (for tilted runs) per-replica Girsanov log weights.
+    """Terminal fields, per-replica Girsanov log weights (tilted runs only) and
+    each replica's blow-up step (0 if it stayed finite).
 
     A tilt shifts the white increments themselves, dW -> dW + dt dx psi /
     sqrt(eps), before the plain dynamics are integrated; paired with the log
     weight computed from the unshifted increments this is the exact discrete
     change of measure, so the reweighted estimator is unbiased for any sigma
-    (psi = 0 reproduces plain sampling bit for bit). Blown-up replicas are
-    returned as NaN rows with their indices collected; the caller decides
+    (psi = 0 reproduces plain sampling bit for bit). Blown replicas are
+    masked inside their batch and come back as NaN rows; the caller decides
     whether partial loss is acceptable.
     """
     nxm = grid.n_interior
-    k_noise = nxm if scfg.k_noise is None else scfg.k_noise
-    if psi is not None and k_noise < nxm:
-        # The tilt must live in the span of the driving noise modes for the
-        # change of measure to be exact.
-        pm = to_modes(psi, grid)
-        pm[:, k_noise:] = 0.0
-        psi = from_modes(pm, grid)
-    chunk = default_chunk_size(grid)
-    terminals = np.full((replicas, nxm), np.nan)
-    logw = np.zeros(replicas) if psi is not None else None
-    blown: list[int] = []
+    k_noise = scfg.noise_modes(grid)
+    tilt = None
+    if psi is not None:
+        if k_noise < nxm:
+            # The tilt must live in the span of the driving noise modes for the
+            # change of measure to be exact.
+            pm = to_modes(psi, grid)
+            pm[:, k_noise:] = 0.0
+            psi = from_modes(pm, grid)
+        tilt = Control(psi, grid)
+    ops = _Ops(cf, grid, scfg.k_modes, eps, scfg.cutoff_radius)
+    terminals = np.empty((replicas, nxm))
+    logw = np.zeros(replicas) if tilt is not None else None
 
-    def integrate_block(xi, u0):
-        return _integrate(
-            u0,
-            cf,
-            grid,
-            eps,
-            xi=xi if eps > 0 else None,
-            k_modes=scfg.k_modes,
-            cutoff_radius=scfg.cutoff_radius,
-            record="terminal",
+    def work(rows: range, modes: np.ndarray) -> np.ndarray:
+        xi = _density(modes, grid, k_noise)
+        if tilt is not None:
+            logw[rows.start : rows.stop] = girsanov_log_weight(tilt, xi, eps)
+            xi += (grid.dt / np.sqrt(eps)) * psi
+        u0 = np.broadcast_to(eta.values, (len(rows), nxm))
+        terminals[rows.start : rows.stop], blown = _integrate(
+            u0, ops, xi if eps > 0 else None, record="terminal"
         )
+        return blown
 
-    def run_chunk(start: int):
-        stop = min(start + chunk, replicas)
-        xi = _noise_block(grid, master, range(start, stop), stream, k_noise)
-        if logw is not None:
-            pairing = np.einsum("rms,ms->r", xi, psi) * grid.dx
-            norm_sq = grid.dt * grid.dx * float(np.sum(psi**2))
-            logw[start:stop] = -pairing / np.sqrt(eps) - norm_sq / (2.0 * eps)
-            xi = xi + (grid.dt / np.sqrt(eps)) * psi
-        u0 = np.broadcast_to(eta.values, (stop - start, nxm))
-        try:
-            terminals[start:stop] = integrate_block(xi, u0)
-        except BlowUpError:
-            for i in range(stop - start):
-                try:
-                    terminals[start + i] = integrate_block(xi[i], eta.values.copy())
-                except BlowUpError:
-                    blown.append(start + i)
-
-    starts = list(range(0, replicas, chunk))
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, starts))
-    else:
-        for s in starts:
-            run_chunk(s)
-    return terminals, logw, sorted(blown)
+    blown = _replica_engine(grid, master, replicas, stream, work, threads, chunk_size)
+    return terminals, logw, blown
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +469,7 @@ def _tilt_control(cfg: ExperimentConfig, grid: GridSpec, cf: CoefficientSet) -> 
             "supply psi_file for point events"
         )
     target = eigenfunction(grid, mode, amplitude=float(amp))
-    result = minimize_action(
-        target,
-        cfg.eta_field(grid),
-        cf,
-        grid,
-        ActionOptions(
-            residual_tol=cfg.residual_tol,
-            max_iters=cfg.max_iters,
-            k_modes=cfg.k_modes,
-            coupling=cfg.control_coupling,
-        ),
-    )
-    return result.psi_star
+    return minimize_action(target, cfg.eta_field(grid), cf, grid, cfg.action_options()).psi_star
 
 
 def run_eps_scaling(cfg: ExperimentConfig, psi_star: Control | None = None) -> ScalingTable:
@@ -509,11 +493,9 @@ def run_eps_scaling(cfg: ExperimentConfig, psi_star: Control | None = None) -> S
             eta, cf, eps, grid, cfg.master_seed, cfg.replicas, i, scfg, psi,
             threads=cfg.threads,
         )
-        valid = np.ones(cfg.replicas, dtype=bool)
-        valid[blown] = False
+        valid = blown == 0
         if not np.any(valid):
-            raise BlowUpError(step=grid.nt, replica=blown[0],
-                              seed=SeedDerivation(cfg.master_seed, blown[0], i))
+            _raise_first_blowup(blown, cfg.master_seed, i)
         hits = cfg.event.hits(terminals[valid], grid, cfg.rho)
         if logw is not None:
             terms = np.exp(logw[valid]) * hits
@@ -528,7 +510,7 @@ def run_eps_scaling(cfg: ExperimentConfig, psi_star: Control | None = None) -> S
         if cfg.reference_action is not None and not censored:
             deviation = abs(eps_log_p + cfg.reference_action)
         rows.append(
-            ScalingRow(eps, p_hat, stderr, eps_log_p, censored, deviation, len(blown))
+            ScalingRow(eps, p_hat, stderr, eps_log_p, censored, deviation, cfg.replicas - n)
         )
     return ScalingTable(rows, cfg.reference_action)
 
@@ -602,12 +584,11 @@ def run_importance_sampling(cfg: ExperimentConfig, psi_star: Control | None = No
     else:
         term_tilt, logw, blown_t = term_plain, np.zeros(cfg.replicas), blown_p
 
-    valid = np.ones(cfg.replicas, dtype=bool)
-    valid[blown_p] = False
-    valid[blown_t] = False
+    valid = (blown_p == 0) & (blown_t == 0)
     if not np.any(valid):
-        raise BlowUpError(step=grid.nt, replica=0,
-                          seed=SeedDerivation(cfg.master_seed, 0, 0))
+        # Both passes use stream 0; name the first blown replica with the
+        # step of the pass it blew up in (the plain one if both did).
+        _raise_first_blowup(np.where(blown_p > 0, blown_p, blown_t), cfg.master_seed, 0)
     n = int(np.sum(valid))
     weights = np.exp(logw[valid])
     terms = weights * cfg.event.hits(term_tilt[valid], grid, cfg.rho)
@@ -660,32 +641,39 @@ def galerkin_coupled_errors(
     k_list,
     stream: int = 0,
     k_modes: int | None = None,
+    threads: int = 1,
 ) -> np.ndarray:
     """(replicas, len(k_list)) pathwise sup-in-time L^rho coupled errors.
 
     Each replica couples the white-noise path against its k-mode truncations
-    on the shared stream.
+    on the shared stream. The white run and the truncations of a chunk step
+    in lockstep as one stacked batch, and the sup-in-time error accumulates
+    step by step, so no path is stored.
     """
     nxm = grid.n_interior
-    modes = np.empty((replicas, grid.nt, nxm))
-    for i in range(replicas):
-        modes[i] = draw_mode_increments(
-            grid, SeedDerivation(master, i, stream).generator()
-        )
-
-    def solve_with(k: int) -> np.ndarray:
-        cut = modes.copy()
-        cut[:, :, k:] = 0.0
-        xi = from_modes(cut, grid)
-        u0 = np.broadcast_to(eta.values, (replicas, nxm))
-        return _integrate(u0, cf, grid, eps, xi=xi, k_modes=k_modes, record="path")
-
-    white = solve_with(nxm)
+    ops = _Ops(cf, grid, k_modes, eps)
+    # Stack row 0 keeps every noise mode, row j+1 the first k_list[j].
+    keep = np.array([nxm] + [int(k) for k in k_list])
+    masks = (np.arange(nxm) < keep[:, None]).astype(float)[:, None, :]
     errors = np.empty((replicas, len(k_list)))
-    for j, k in enumerate(k_list):
-        degen = solve_with(int(k))
-        diff = lp_norm_values(white - degen, grid.dx, cf.rho)  # (nt+1, replicas)
-        errors[:, j] = np.max(diff, axis=0)
+
+    def work(rows: range, modes: np.ndarray) -> np.ndarray:
+        sup = np.zeros((len(k_list), len(rows)))
+
+        def observe(u):
+            np.maximum(sup, lp_norm_values(u[0] - u[1:], grid.dx, cf.rho), out=sup)
+
+        u0 = np.broadcast_to(eta.values, (len(keep), len(rows), nxm))
+        _, blown = _integrate(
+            u0, ops, lambda m: from_modes(masks * modes[:, m, :], grid), record=observe
+        )
+        errors[rows.start : rows.stop] = sup.T
+        # A replica blew up at the first step any of its stacked runs did.
+        first = np.where(blown > 0, blown, grid.nt + 1).min(axis=0)
+        return np.where(first > grid.nt, 0, first)
+
+    blown = _replica_engine(grid, master, replicas, stream, work, threads)
+    _raise_first_blowup(blown, master, stream)
     return errors
 
 
@@ -700,7 +688,7 @@ def run_convergence_studies(cfg: ExperimentConfig) -> ConvergenceReport:
     # (i) Galerkin-noise coupled error vs k.
     errors = galerkin_coupled_errors(
         eta, cf, cfg.eps, grid, cfg.master_seed, cfg.replicas, cfg.k_list,
-        stream=0, k_modes=cfg.k_modes,
+        stream=0, k_modes=cfg.k_modes, threads=cfg.threads,
     )
     means = errors.mean(axis=0)
     stderrs = errors.std(axis=0, ddof=1) / np.sqrt(cfg.replicas) if cfg.replicas > 1 else 0 * means
@@ -809,26 +797,14 @@ def run_experiment(
         sol = solve_spde(cfg.eta_field(grid), cf, cfg.eps, cfg.master_seed, grid, scfg)
         _write_path_outputs(out, sol, grid)
         if cfg.dump_noise:
-            k_noise = grid.n_interior if cfg.k_noise is None else cfg.k_noise
-            nz = sample_sheet_expansion(grid, k_noise, cfg.master_seed)
+            nz = sample_sheet_expansion(grid, scfg.noise_modes(grid), cfg.master_seed)
             write_snapshot(out / "noise.spdefld", nz.white_increments, grid.nx, grid.T)
     elif cfg.kind == "skeleton":
         sol = solve_skeleton(cfg.eta_field(grid), cf, cfg.psi_control(grid), grid, scfg)
         _write_path_outputs(out, sol, grid)
     elif cfg.kind == "minimize-action":
         target = eigenfunction(grid, cfg.target_mode, amplitude=cfg.target_amp)
-        res = minimize_action(
-            target,
-            cfg.eta_field(grid),
-            cf,
-            grid,
-            ActionOptions(
-                residual_tol=cfg.residual_tol,
-                max_iters=cfg.max_iters,
-                k_modes=cfg.k_modes,
-                coupling=cfg.control_coupling,
-            ),
-        )
+        res = minimize_action(target, cfg.eta_field(grid), cf, grid, cfg.action_options())
         write_snapshot(out / "psi_star.spdefld", res.psi_star.values, grid.nx, grid.T)
         write_csv(
             out / "trace.csv",

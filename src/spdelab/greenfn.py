@@ -56,8 +56,8 @@ def _check_time(t) -> np.ndarray:
     return t
 
 
-def green_image(t, x, y, n_images: int = DEFAULT_N_IMAGES):
-    """Image-sum partial evaluation of the Dirichlet heat kernel."""
+def _image_sum(t, x, y, n_images: int, kernel):
+    """(4 pi t)^(-1/2) sum_{|n| <= n_images} [kernel(y-x-2n) - kernel(y+x-2n)]."""
     t = _check_time(t)
     if n_images < 0:
         raise ValueError("n_images must be >= 0")
@@ -65,40 +65,31 @@ def green_image(t, x, y, n_images: int = DEFAULT_N_IMAGES):
     y = np.asarray(y, dtype=float)
     total = 0.0
     for n in range(-n_images, n_images + 1):
-        u = y - x - 2.0 * n
-        v = y + x - 2.0 * n
-        total = total + np.exp(-u * u / (4.0 * t)) - np.exp(-v * v / (4.0 * t))
+        total = total + kernel(y - x - 2.0 * n, t) - kernel(y + x - 2.0 * n, t)
     return total / np.sqrt(4.0 * np.pi * t)
+
+
+def green_image(t, x, y, n_images: int = DEFAULT_N_IMAGES):
+    """Image-sum partial evaluation of the Dirichlet heat kernel."""
+    return _image_sum(t, x, y, n_images, lambda u, t: np.exp(-u * u / (4.0 * t)))
 
 
 def green_image_dy(t, x, y, n_images: int = DEFAULT_N_IMAGES):
     """d/dy of the image-sum kernel."""
-    t = _check_time(t)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    total = 0.0
-    for n in range(-n_images, n_images + 1):
-        u = y - x - 2.0 * n
-        v = y + x - 2.0 * n
-        total = total + (-u / (2.0 * t)) * np.exp(-u * u / (4.0 * t)) - (
-            -v / (2.0 * t)
-        ) * np.exp(-v * v / (4.0 * t))
-    return total / np.sqrt(4.0 * np.pi * t)
+    return _image_sum(
+        t, x, y, n_images, lambda u, t: (-u / (2.0 * t)) * np.exp(-u * u / (4.0 * t))
+    )
 
 
 def green_image_dxdy(t, x, y, n_images: int = DEFAULT_N_IMAGES):
     """Mixed second derivative d^2/dx dy of the image-sum kernel."""
-    t = _check_time(t)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    total = 0.0
-    for n in range(-n_images, n_images + 1):
-        u = y - x - 2.0 * n
-        v = y + x - 2.0 * n
-        gu = (u * u / (4.0 * t * t) - 1.0 / (2.0 * t)) * np.exp(-u * u / (4.0 * t))
-        gv = (v * v / (4.0 * t * t) - 1.0 / (2.0 * t)) * np.exp(-v * v / (4.0 * t))
-        total = total + gu - gv
-    return total / np.sqrt(4.0 * np.pi * t)
+    return _image_sum(
+        t,
+        x,
+        y,
+        n_images,
+        lambda u, t: (u * u / (4.0 * t * t) - 1.0 / (2.0 * t)) * np.exp(-u * u / (4.0 * t)),
+    )
 
 
 def green_spectral(t, x, y, k_modes: int = DEFAULT_K_MODES):

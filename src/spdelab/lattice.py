@@ -163,13 +163,18 @@ def to_modes(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return sfft.dst(values, type=1, axis=-1) * (grid.dx / _SQRT2)
 
 
-def from_modes(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Synthesis u_j = sum_k u_hat_k phi_k(x_j) along the last axis."""
+def from_modes(coeffs: np.ndarray, grid: GridSpec, overwrite: bool = False) -> np.ndarray:
+    """Synthesis u_j = sum_k u_hat_k phi_k(x_j) along the last axis.
+
+    overwrite=True may reuse the memory of coeffs for the result.
+    """
     if coeffs.shape[-1] != grid.n_interior:
         raise ValueError(
             f"length mismatch: got {coeffs.shape[-1]}, grid has {grid.n_interior}"
         )
-    return sfft.dst(coeffs, type=1, axis=-1) / _SQRT2
+    out = sfft.dst(coeffs, type=1, axis=-1, overwrite_x=overwrite)
+    out /= _SQRT2
+    return out
 
 
 def cos_analysis(values: np.ndarray, grid: GridSpec) -> np.ndarray:

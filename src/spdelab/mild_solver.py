@@ -1,4 +1,4 @@
-"""Exponential time integrators for the mild formulation of the semilinear SPDE
+"""Exponential time integrator for the mild formulation of the semilinear SPDE
 
     du = u_xx dt + d_x g(t,x,u) dt + f(t,x,u) dt + sqrt(eps) sigma(t,x,u) dW/dxdt
 
@@ -11,16 +11,26 @@ and D_dt integrates the divergence term exactly in time per mode: mode k picks
 up -(1 - exp(-lambda_k dt))/lambda_k <phi_k', g(u_m)>. Exact per-mode time
 integration tames the 1/t kernel-derivative singularity that defeats naive
 quadrature. The noise rides inside S_dt so high modes stay damped, matching
-the G_{t-s} factor of the mild form.
+the G_{t-s} factor of the mild form. A control psi adds
+(1 - exp(-lambda_k dt))/lambda_k <phi_k, sigma psi_m> per mode.
 
-Cutoff runs multiply the three non-initial terms by chi_R(|u(t_m)|_rho)
-evaluated explicitly at the current step (an O(dt) lag against the
-simultaneous cutoff). Galerkin-noise runs drive the same scheme with the
-first k noise modes only, nested-coupled to the white realization of the
-same seed so convergence is measurable pathwise.
+The step is written once, as _Ops.step, which every solver calls (paths,
+Picard sweeps, skeleton and controlled flows, the adjoint forward sweep and
+the path-rate prediction); _Ops also holds what is fixed for a whole solve.
+
+Cutoff runs multiply the drift, noise and divergence terms by
+chi_R(|u(t_m)|_rho) evaluated explicitly at the current step (an O(dt) lag
+against the simultaneous cutoff). Galerkin-noise runs (SolverConfig.k_noise)
+keep the first k noise modes of the same seed's white realization, so
+convergence is measurable pathwise.
 
 All stepping broadcasts over leading axes, so replica batches integrate in
-lockstep; a single path is the batch of one.
+lockstep; a single path is the batch of one. Replica Monte Carlo runs through
+one engine, _replica_engine, which draws each chunk's mode increments once
+and runs the chunks in order or on worker threads. Blow-ups are masked per
+replica: a row that turns non-finite is frozen, its first bad step recorded,
+and the other rows step on unchanged, with no floating-point warning; the
+result does not depend on chunk size or thread count.
 """
 
 from __future__ import annotations
@@ -55,8 +65,6 @@ __all__ = [
     "PicardError",
     "step_mild",
     "solve_spde",
-    "solve_truncated",
-    "solve_galerkin_noise",
     "picard_solve",
     "estimate_moments",
 ]
@@ -87,35 +95,34 @@ class PicardError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Scheme and resolution knobs shared by all solvers.
+    """Resolution, noise and cutoff knobs shared by all solvers.
 
-    k_modes / k_noise default to the full interior count nx-1 ("white").
-    delta weighs the exponential diagnostic norm max_m e^{-delta t_m}|u|_rho.
+    k_modes / k_noise default to the full interior count nx-1 ("white");
+    k_noise < nx-1 drives the Galerkin-noise equation, cutoff_radius the
+    cutoff dynamics.
     """
 
-    scheme: str = "etd"
     k_modes: int | None = None
     k_noise: int | None = None
     cutoff_radius: float | None = None
     truncation_level: int | None = None
-    delta: float = 50.0
-    picard_tol: float = 1e-10
-    picard_max_iter: int = 60
     control_coupling: str = "direct"
 
     def __post_init__(self):
-        if self.scheme not in ("etd", "picard"):
-            raise ValueError(f"unknown scheme '{self.scheme}'")
         if self.control_coupling not in ("direct", "integrated"):
             raise ValueError(f"unknown control coupling '{self.control_coupling}'")
-        if not self.picard_tol > 0:
-            raise ValueError("picard_tol must be positive")
-        if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be >= 1")
         if self.cutoff_radius is not None and self.cutoff_radius <= 0:
             raise ValueError("cutoff radius must be positive")
         if self.truncation_level is not None and self.truncation_level < 1:
             raise ValueError("truncation level must be >= 1")
+
+    def noise_modes(self, grid: GridSpec) -> int:
+        """Active noise mode count on grid, checked against 0..nx-1."""
+        nxm = grid.n_interior
+        k = nxm if self.k_noise is None else int(self.k_noise)
+        if not 0 <= k <= nxm:
+            raise ValueError(f"k_noise={k} outside 0..{nxm}")
+        return k
 
 
 @dataclass
@@ -164,36 +171,8 @@ class MomentEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Spectral step machinery
+# The step
 # ---------------------------------------------------------------------------
-
-
-class _Ops:
-    """Per-solve cache of mode factors at fixed (grid, dt, k_modes)."""
-
-    def __init__(self, grid: GridSpec, dt: float, k_modes: int | None):
-        nxm = grid.n_interior
-        self.grid = grid
-        self.dt = dt
-        self.k_modes = nxm if k_modes is None else int(k_modes)
-        if not 1 <= self.k_modes <= nxm:
-            raise ValueError(f"k_modes={self.k_modes} outside 1..{nxm}")
-        lam = eigen_values(np.arange(1, nxm + 1))
-        self.decay = np.exp(-lam * dt)
-        self.ed = (1.0 - self.decay) / lam
-        if self.k_modes < nxm:
-            self.decay = self.decay.copy()
-            self.ed = self.ed.copy()
-            self.decay[self.k_modes :] = 0.0
-            self.ed[self.k_modes :] = 0.0
-
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """Galerkin projection onto the active modes."""
-        if self.k_modes == self.grid.n_interior:
-            return values
-        m = to_modes(values, self.grid)
-        m[..., self.k_modes :] = 0.0
-        return from_modes(m, self.grid)
 
 
 def _require_dealiasing(cf: CoefficientSet, grid: GridSpec, k_modes: int) -> None:
@@ -207,123 +186,175 @@ def _require_dealiasing(cf: CoefficientSet, grid: GridSpec, k_modes: int) -> Non
         )
 
 
-def _etd_step(
-    u: np.ndarray,
-    t: float,
-    cf: CoefficientSet,
-    ops: _Ops,
-    xi_slice: np.ndarray | None,
-    sqrt_eps: float,
-    cutoff_radius: float | None,
-    rho: float,
-    psi_field: np.ndarray | None,
-) -> np.ndarray:
-    grid = ops.grid
-    x = grid.x
-    if cutoff_radius is not None:
-        chi = chi_R(lp_norm_values(u, grid.dx, rho), cutoff_radius)
-        chi = np.asarray(chi)[..., None]
-    else:
-        chi = None
-
-    v = u
-    if not cf.f_is_zero:
-        v = v + ops.dt * _apply_chi(cf.f(t, x, u), chi)
-    if xi_slice is not None and sqrt_eps != 0.0:
-        sig = cf.sigma_const if cf.sigma_const is not None else cf.sigma(t, x, u)
-        v = v + sqrt_eps * _apply_chi(sig * xi_slice, chi)
-    modes = to_modes(v, grid) * ops.decay
-
-    if not cf.g_is_zero:
-        gv = _apply_chi(cf.g1(t, x, u) + cf.g2(t, u), chi)
-        modes = modes - cos_analysis(gv, grid) * ops.ed
-
-    if psi_field is not None:
-        modes = modes + to_modes(psi_field, grid) * ops.ed
-
-    return from_modes(modes, grid)
-
-
 def _apply_chi(values: np.ndarray, chi: np.ndarray | None) -> np.ndarray:
     return values if chi is None else chi * values
 
 
-def _control_field(
-    cf: CoefficientSet,
-    t: float,
-    x: np.ndarray,
-    u: np.ndarray,
-    psi_slice: np.ndarray,
-    coupling: str,
-    dx: float,
-) -> np.ndarray:
-    sig = cf.sigma_const if cf.sigma_const is not None else cf.sigma(t, x, u)
-    if coupling == "direct":
-        return sig * psi_slice
-    # Literal integrated form: sigma(u) * int_0^y psi(s, y') dy'.
-    return sig * (dx * np.cumsum(psi_slice, axis=-1))
+class _Ops:
+    """One solve's fixed data and the scheme's step.
 
-
-def _integrate(
-    u0: np.ndarray,
-    cf: CoefficientSet,
-    grid: GridSpec,
-    eps: float,
-    xi: np.ndarray | None = None,
-    psi: np.ndarray | None = None,
-    k_modes: int | None = None,
-    cutoff_radius: float | None = None,
-    coupling: str = "direct",
-    record: str = "path",
-):
-    """Advance the scheme over all nt steps.
-
-    u0: (..., nx-1); xi: (..., nt, nx-1) spatial noise density; psi: (nt, nx-1).
-    record = "path" returns the (nt+1, ...) time-major history, "terminal"
-    the final state, "sup_rho" the running max of |u|_rho^rho.
+    Holds the coefficients, the nodes, the mode factors at (grid, k_modes)
+    (checked for dealiasing once), sqrt(eps), the cutoff radius and the
+    control coupling.
     """
-    if eps < 0:
-        raise ValueError("noise intensity must be >= 0")
-    ops = _Ops(grid, grid.dt, k_modes)
-    _require_dealiasing(cf, grid, ops.k_modes)
-    u = ops.project(np.asarray(u0, dtype=float))
-    sqrt_eps = float(np.sqrt(eps))
-    rho = cf.rho
-    x = grid.x
-    dx = grid.dx
 
+    def __init__(
+        self,
+        cf: CoefficientSet,
+        grid: GridSpec,
+        k_modes: int | None = None,
+        eps: float = 0.0,
+        cutoff_radius: float | None = None,
+        coupling: str = "direct",
+    ):
+        if eps < 0:
+            raise ValueError("noise intensity must be >= 0")
+        nxm = grid.n_interior
+        self.k_modes = nxm if k_modes is None else int(k_modes)
+        if not 1 <= self.k_modes <= nxm:
+            raise ValueError(f"k_modes={self.k_modes} outside 1..{nxm}")
+        _require_dealiasing(cf, grid, self.k_modes)
+        self.cf = cf
+        self.grid = grid
+        self.x = grid.x
+        self.dt = grid.dt
+        self.sqrt_eps = float(np.sqrt(eps))
+        self.cutoff_radius = cutoff_radius
+        self.coupling = coupling
+        lam = eigen_values(np.arange(1, nxm + 1))
+        self.decay = np.exp(-lam * self.dt)
+        self.ed = (1.0 - self.decay) / lam
+        self.decay[self.k_modes :] = 0.0
+        self.ed[self.k_modes :] = 0.0
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Galerkin projection onto the active modes."""
+        if self.k_modes == self.grid.n_interior:
+            return values
+        m = to_modes(values, self.grid)
+        m[..., self.k_modes :] = 0.0
+        return from_modes(m, self.grid)
+
+    def cutoff(self, u: np.ndarray) -> np.ndarray | None:
+        """chi_R(|u|_rho) per row, shaped to broadcast over nodes; None without a cutoff."""
+        if self.cutoff_radius is None:
+            return None
+        norms = lp_norm_values(u, self.grid.dx, self.cf.rho)
+        return np.asarray(chi_R(norms, self.cutoff_radius))[..., None]
+
+    def sigma(self, t: float, u: np.ndarray):
+        cf = self.cf
+        return cf.sigma_const if cf.sigma_const is not None else cf.sigma(t, self.x, u)
+
+    def control_field(self, t: float, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """sigma(u) psi (direct), or sigma(u) int_0^y psi dy' (integrated)."""
+        if self.coupling == "direct":
+            return self.sigma(t, u) * psi
+        return self.sigma(t, u) * (self.grid.dx * np.cumsum(psi, axis=-1))
+
+    def step(
+        self,
+        u: np.ndarray,
+        t: float,
+        xi: np.ndarray | None = None,
+        psi: np.ndarray | None = None,
+        chi: np.ndarray | None = None,
+        at: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """One step from the state u at time t, returned as sine modes.
+
+        xi is the step's spatial noise density, psi the control slice
+        psi(t, .), chi the cutoff weight of the drift, noise and divergence
+        terms. The coefficients are evaluated at u, or at `at` when given
+        (picard_solve passes its frozen iterate).
+        """
+        cf, grid, x = self.cf, self.grid, self.x
+        w = u if at is None else at
+        v = u
+        if not cf.f_is_zero:
+            v = v + self.dt * _apply_chi(cf.f(t, x, w), chi)
+        if xi is not None and self.sqrt_eps != 0.0:
+            v = v + self.sqrt_eps * _apply_chi(self.sigma(t, w) * xi, chi)
+        if psi is None:
+            v_hat = to_modes(v, grid)
+        else:
+            # One transform call for the state and the control field.
+            both = np.empty((2,) + v.shape)
+            both[0], both[1] = v, self.control_field(t, w, psi)
+            v_hat, c_hat = to_modes(both, grid)
+        modes = v_hat * self.decay
+        if not cf.g_is_zero:
+            gv = _apply_chi(cf.g1(t, x, w) + cf.g2(t, w), chi)
+            modes -= cos_analysis(gv, grid) * self.ed
+        if psi is not None:
+            modes += c_hat * self.ed
+        return modes
+
+
+def _integrate(u0: np.ndarray, ops: _Ops, xi=None, psi=None, record="path"):
+    """Advance u0 (..., nx-1) over all nt steps, masking blow-ups per row.
+
+    xi: (..., nt, nx-1) spatial noise density, or a callable m -> the density
+    of step m; psi: (nt, nx-1) control. record = "path" returns the (nt+1, ...)
+    time-major history, "terminal" the final state, "sup_rho" the running max
+    of |u|_rho^rho; a callable record is called with the state before the
+    first step and after every step, and None is returned for it.
+
+    Returns (out, blown): blown, shaped u0.shape[:-1], holds each row's first
+    non-finite step (0 if the row stayed finite). A blown row is frozen at its
+    last finite state and reads NaN in a terminal or sup_rho record; stepping
+    stops once every row has blown, so a blown path is incomplete.
+    """
+    grid = ops.grid
+    dx, rho = grid.dx, ops.cf.rho
+    noise = xi if xi is None or callable(xi) else (lambda m: xi[..., m, :])
+    u = ops.project(np.asarray(u0, dtype=float))
+    blown = np.zeros(u.shape[:-1], dtype=int)
+    alive = np.ones(u.shape[:-1], dtype=bool)
+
+    out = None
     if record == "path":
-        path = np.empty((grid.nt + 1,) + u.shape)
-        path[0] = u
+        out = np.empty((grid.nt + 1,) + u.shape)
+        out[0] = u
     elif record == "sup_rho":
-        sup = lp_norm_values(u, dx, rho) ** rho
+        out = lp_norm_values(u, dx, rho) ** rho
+    elif callable(record):
+        record(u)
     elif record != "terminal":
         raise ValueError(f"unknown record mode '{record}'")
 
-    for m in range(grid.nt):
-        t = m * grid.dt
-        xi_slice = None if xi is None else xi[..., m, :]
-        psi_field = None
-        if psi is not None:
-            psi_field = _control_field(cf, t, x, u, psi[..., m, :], coupling, dx)
-        u = _etd_step(
-            u, t, cf, ops, xi_slice, sqrt_eps, cutoff_radius, rho, psi_field
-        )
-        if not np.all(np.isfinite(u)):
-            replica = None
-            if u.ndim > 1:
-                replica = int(np.argwhere(~np.isfinite(u).all(axis=-1))[0][0])
-            raise BlowUpError(step=m + 1, replica=replica)
-        if record == "path":
-            path[m + 1] = u
-        elif record == "sup_rho":
-            sup = np.maximum(sup, lp_norm_values(u, dx, rho) ** rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(grid.nt):
+            t = m * grid.dt
+            modes = ops.step(
+                u,
+                t,
+                xi=None if noise is None else noise(m),
+                psi=None if psi is None else psi[..., m, :],
+                chi=ops.cutoff(u),
+            )
+            new = from_modes(modes, grid)
+            bad = alive & ~np.isfinite(new).all(axis=-1)
+            if bad.any():
+                blown[bad] = m + 1
+                alive &= ~bad
+                if not alive.any():
+                    break
+            if not alive.all():
+                new = np.where(alive[..., None], new, u)
+            u = new
+            if record == "path":
+                out[m + 1] = u
+            elif record == "sup_rho":
+                out = np.maximum(out, lp_norm_values(u, dx, rho) ** rho)
+            elif callable(record):
+                record(u)
 
-    if record == "path":
-        return path
-    if record == "sup_rho":
-        return sup
-    return u
+    if record == "terminal":
+        out = u if alive.all() else np.where(alive[..., None], u, np.nan)
+    elif record == "sup_rho" and not alive.all():
+        out = np.where(alive, out, np.nan)
+    return out, blown
 
 
 def _path_solution(path, grid, eps, cf, seed_info, config) -> PathSolution:
@@ -347,6 +378,31 @@ def _apply_truncation(cf: CoefficientSet, config: SolverConfig) -> CoefficientSe
     return cf
 
 
+def _solve_path(
+    eta: Field,
+    cf: CoefficientSet,
+    eps: float,
+    grid: GridSpec,
+    config: SolverConfig | None,
+    noise: NoiseRealization | None = None,
+    psi: np.ndarray | None = None,
+) -> PathSolution:
+    """One whole path of the (controlled) scheme; raises BlowUpError on blow-up."""
+    config = config or SolverConfig()
+    cf = _apply_truncation(cf, config)
+    ops = _Ops(
+        cf, grid, config.k_modes, eps, config.cutoff_radius, config.control_coupling
+    )
+    xi = None
+    if noise is not None and eps > 0 and noise.k_active > 0:
+        xi = noise.spatial_density
+    path, blown = _integrate(eta.values, ops, xi, psi)
+    if blown:
+        raise BlowUpError(step=int(blown))
+    seed_info = noise.seed_info if noise is not None else None
+    return _path_solution(path, grid, eps, cf, seed_info, config)
+
+
 # ---------------------------------------------------------------------------
 # Public solvers
 # ---------------------------------------------------------------------------
@@ -365,22 +421,11 @@ def step_mild(
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = state.grid
-    one_step = GridSpec(grid.nx, 1, dt)
-    ops = _Ops(one_step, dt, k_modes)
+    ops = _Ops(cf, GridSpec(grid.nx, 1, dt), k_modes, eps)
     xi = None
     if white_slice is not None:
         xi = np.asarray(white_slice, dtype=float) / grid.dx
-    out = _etd_step(
-        state.values,
-        t,
-        cf,
-        ops,
-        xi,
-        float(np.sqrt(eps)),
-        None,
-        cf.rho,
-        None,
-    )
+    out = from_modes(ops.step(state.values, t, xi), grid)
     if not np.all(np.isfinite(out)):
         raise BlowUpError(step=1)
     return Field(out, grid)
@@ -396,68 +441,17 @@ def solve_spde(
     replica: int = 0,
     stream: int = 0,
 ) -> PathSolution:
-    """Full SPDE path driven by white noise; deterministic given (seed, config)."""
+    """Full SPDE path driven by noise; deterministic given (seed, config).
+
+    config.k_noise < nx-1 keeps the first k noise modes of the seed's stream
+    (the Galerkin-noise equation); config.cutoff_radius runs the cutoff
+    dynamics.
+    """
     config = config or SolverConfig()
-    cf = _apply_truncation(cf, config)
-    k_noise = grid.n_interior if config.k_noise is None else config.k_noise
-    noise = sample_sheet_expansion(grid, k_noise, seed, replica, stream)
-    xi = noise.spatial_density if eps > 0 else None
-    path = _integrate(
-        eta.values,
-        cf,
-        grid,
-        eps,
-        xi=xi,
-        k_modes=config.k_modes,
-        cutoff_radius=config.cutoff_radius,
-        record="path",
+    noise = sample_sheet_expansion(
+        grid, config.noise_modes(grid), seed, replica, stream
     )
-    return _path_solution(path, grid, eps, cf, noise.seed_info, config)
-
-
-def solve_truncated(
-    eta: Field,
-    cf: CoefficientSet,
-    R: float,
-    eps: float,
-    seed: int,
-    grid: GridSpec,
-    config: SolverConfig | None = None,
-) -> PathSolution:
-    """Cutoff dynamics: nonlinear and noise terms weighted by chi_R(|u|_rho)."""
-    if not R > 0:
-        raise ValueError("cutoff radius R must be positive")
-    config = replace(config or SolverConfig(), cutoff_radius=float(R))
-    return solve_spde(eta, cf, eps, seed, grid, config)
-
-
-def solve_galerkin_noise(
-    eta: Field,
-    cf: CoefficientSet,
-    k: int,
-    eps: float,
-    seed: int,
-    grid: GridSpec,
-    config: SolverConfig | None = None,
-) -> PathSolution:
-    """Degenerate equation driven by the first k noise modes of the seed's stream."""
-    if not 0 <= k <= grid.n_interior:
-        raise ValueError(f"noise mode count {k} outside 0..{grid.n_interior}")
-    config = config or SolverConfig()
-    cf = _apply_truncation(cf, config)
-    noise = sample_sheet_expansion(grid, k, seed)
-    xi = noise.spatial_density if (eps > 0 and k > 0) else None
-    path = _integrate(
-        eta.values,
-        cf,
-        grid,
-        eps,
-        xi=xi,
-        k_modes=config.k_modes,
-        cutoff_radius=config.cutoff_radius,
-        record="path",
-    )
-    return _path_solution(path, grid, eps, cf, noise.seed_info, config)
+    return _solve_path(eta, cf, eps, grid, config, noise=noise)
 
 
 def picard_solve(
@@ -479,58 +473,39 @@ def picard_solve(
     scheme's path. Successive distances are measured in the exponentially
     weighted norm max_m e^{-delta t_m} |.|_rho and returned as the trace.
     """
-    config = SolverConfig(
-        scheme="picard",
-        k_modes=k_modes,
-        cutoff_radius=cutoff_radius,
-        delta=delta,
-        picard_tol=tol,
-        picard_max_iter=max_iter,
-    )
-    ops = _Ops(grid, grid.dt, k_modes)
-    _require_dealiasing(cf, grid, ops.k_modes)
-    nxm = grid.n_interior
-    sqrt_eps = float(np.sqrt(eps))
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    config = SolverConfig(k_modes=k_modes, cutoff_radius=cutoff_radius)
+    ops = _Ops(cf, grid, k_modes, eps, cutoff_radius)
     xi = None
     if noise is not None and eps > 0:
         xi = noise.spatial_density
-    rho = cf.rho
-    dx = grid.dx
-    x = grid.x
     weights = np.exp(-delta * grid.t)
 
     eta_v = ops.project(eta.values)
     # Zeroth iterate: pure heat flow of the initial field.
-    eta_modes = to_modes(eta_v, grid)
-    lam = eigen_values(np.arange(1, nxm + 1))
-    U = from_modes(np.exp(-np.outer(grid.t, lam)) * eta_modes, grid)
+    lam = eigen_values(np.arange(1, grid.n_interior + 1))
+    U = from_modes(np.exp(-np.outer(grid.t, lam)) * to_modes(eta_v, grid), grid)
 
     trace = []
     for _ in range(max_iter):
         V = np.empty_like(U)
         V[0] = eta_v
-        if cutoff_radius is not None:
-            chis = chi_R(lp_norm_values(U, dx, rho), cutoff_radius)
+        chis = ops.cutoff(U)
         for m in range(grid.nt):
-            t = m * grid.dt
-            u_m = U[m]
-            chi = None
-            if cutoff_radius is not None:
-                chi = np.asarray(chis[m])[..., None]
-            v = V[m]
-            if not cf.f_is_zero:
-                v = v + grid.dt * _apply_chi(cf.f(t, x, u_m), chi)
-            if xi is not None and sqrt_eps != 0.0:
-                sig = cf.sigma_const if cf.sigma_const is not None else cf.sigma(t, x, u_m)
-                v = v + sqrt_eps * _apply_chi(sig * xi[m], chi)
-            modes = to_modes(v, grid) * ops.decay
-            if not cf.g_is_zero:
-                gv = _apply_chi(cf.g1(t, x, u_m) + cf.g2(t, u_m), chi)
-                modes = modes - cos_analysis(gv, grid) * ops.ed
+            modes = ops.step(
+                V[m],
+                m * grid.dt,
+                xi=None if xi is None else xi[m],
+                chi=None if chis is None else chis[m],
+                at=U[m],
+            )
             V[m + 1] = from_modes(modes, grid)
         if not np.all(np.isfinite(V)):
             raise BlowUpError(step=int(np.argwhere(~np.isfinite(V).all(axis=-1))[0][0]))
-        dist = float(np.max(weights * lp_norm_values(V - U, dx, rho)))
+        dist = float(np.max(weights * lp_norm_values(V - U, grid.dx, cf.rho)))
         trace.append(dist)
         U = V
         if dist <= tol:
@@ -544,27 +519,77 @@ def picard_solve(
 
 
 # ---------------------------------------------------------------------------
-# Replica-parallel Monte Carlo
+# The replica engine
 # ---------------------------------------------------------------------------
 
 
-def _noise_block(
-    grid: GridSpec, master: int, replicas: range, stream: int, k_noise: int
-) -> np.ndarray:
-    """(len(replicas), nt, nx-1) spatial noise density from derived streams."""
+def _noise_block(grid: GridSpec, master: int, replicas: range, stream: int) -> np.ndarray:
+    """(len(replicas), nt, nx-1) mode increments of the derived streams."""
     block = np.empty((len(replicas), grid.nt, grid.n_interior))
     for i, r in enumerate(replicas):
         block[i] = draw_mode_increments(
             grid, SeedDerivation(master, r, stream).generator()
         )
+    return block
+
+
+def _density(modes: np.ndarray, grid: GridSpec, k_noise: int) -> np.ndarray:
+    """Spatial noise density of the first k_noise modes, computed in the memory
+    of the mode block (which it consumes), so a chunk holds one block."""
     if k_noise < grid.n_interior:
-        block[:, :, k_noise:] = 0.0
-    return from_modes(block, grid)
+        modes[..., k_noise:] = 0.0
+    return from_modes(modes, grid, overwrite=True)
 
 
 def default_chunk_size(grid: GridSpec, budget_doubles: float = 1.2e7) -> int:
     per_replica = grid.nt * grid.n_interior
     return max(1, int(budget_doubles / max(per_replica, 1)))
+
+
+def _replica_engine(
+    grid: GridSpec,
+    master: int,
+    replicas: int,
+    stream: int,
+    work,
+    threads: int = 1,
+    chunk_size: int | None = None,
+) -> np.ndarray:
+    """Run work(rows, modes) over consecutive chunks of replicas 0..replicas-1.
+
+    modes is the chunk's (len(rows), nt, nx-1) block of mode increments on
+    the streams (master, r, stream), drawn once; work integrates and reduces
+    it, writes only its own rows of its outputs, and returns each row's first
+    non-finite step (0 if none). Chunks run in order, or on `threads` worker
+    threads. Returns the blow-up steps of all replicas.
+    """
+    chunk = chunk_size or default_chunk_size(grid)
+    blown = np.zeros(replicas, dtype=int)
+
+    def run_chunk(start: int) -> None:
+        rows = range(start, min(start + chunk, replicas))
+        blown[rows.start : rows.stop] = work(rows, _noise_block(grid, master, rows, stream))
+
+    starts = range(0, replicas, chunk)
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_chunk, starts))
+    else:
+        for s in starts:
+            run_chunk(s)
+    return blown
+
+
+def _raise_first_blowup(blown: np.ndarray, master: int, stream: int) -> None:
+    """Raise BlowUpError for the lowest-index blown replica, if any.
+
+    The error carries that replica's own first non-finite step and its seed
+    triple (master, replica, stream).
+    """
+    hit = np.flatnonzero(blown)
+    if hit.size:
+        r = int(hit[0])
+        raise BlowUpError(int(blown[r]), replica=r, seed=SeedDerivation(master, r, stream))
 
 
 def run_replicas(
@@ -584,47 +609,26 @@ def run_replicas(
 
     Returns an array whose leading axis is the replica index: terminal fields
     for record="terminal", sup-in-time |u|_rho^rho for record="sup_rho".
+    Raises BlowUpError for the lowest-index replica that blew up.
     """
     config = config or SolverConfig()
-    cf_run = _apply_truncation(cf, config)
-    k_noise = grid.n_interior if config.k_noise is None else config.k_noise
-    chunk = chunk_size or default_chunk_size(grid)
-    nxm = grid.n_interior
-    if record == "terminal":
-        out = np.empty((replicas, nxm))
-    elif record == "sup_rho":
-        out = np.empty(replicas)
-    else:
+    if record not in ("terminal", "sup_rho"):
         raise ValueError(f"record mode '{record}' not supported for replicas")
+    ops = _Ops(
+        _apply_truncation(cf, config), grid, config.k_modes, eps, config.cutoff_radius
+    )
+    k_noise = config.noise_modes(grid)
+    nxm = grid.n_interior
+    out = np.empty((replicas, nxm) if record == "terminal" else replicas)
 
-    def run_chunk(start: int) -> None:
-        stop = min(start + chunk, replicas)
-        xi = _noise_block(grid, master_seed, range(start, stop), stream, k_noise)
-        u0 = np.broadcast_to(eta.values, (stop - start, nxm))
-        try:
-            out[start:stop] = _integrate(
-                u0,
-                cf_run,
-                grid,
-                eps,
-                xi=xi if eps > 0 else None,
-                k_modes=config.k_modes,
-                cutoff_radius=config.cutoff_radius,
-                record=record,
-            )
-        except BlowUpError as err:
-            rep = start + (err.replica or 0)
-            raise BlowUpError(
-                err.step, replica=rep, seed=SeedDerivation(master_seed, rep, stream)
-            ) from None
+    def work(rows: range, modes: np.ndarray) -> np.ndarray:
+        xi = _density(modes, grid, k_noise) if eps > 0 else None
+        u0 = np.broadcast_to(eta.values, (len(rows), nxm))
+        out[rows.start : rows.stop], blown = _integrate(u0, ops, xi, record=record)
+        return blown
 
-    starts = list(range(0, replicas, chunk))
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, starts))
-    else:
-        for s in starts:
-            run_chunk(s)
+    blown = _replica_engine(grid, master_seed, replicas, stream, work, threads, chunk_size)
+    _raise_first_blowup(blown, master_seed, stream)
     return out
 
 
@@ -643,8 +647,7 @@ def estimate_moments(
     """Monte Carlo estimate of E sup_t |u(t)|_rho^rho over derived seed streams."""
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    config = config or SolverConfig()
-    cf = cf if cf.rho == rho else _with_rho(cf, rho)
+    cf = cf if cf.rho == rho else replace(cf, rho=float(rho))
     sup = run_replicas(
         eta,
         cf,
@@ -666,7 +669,3 @@ def estimate_moments(
         ratio=estimate / (1.0 + float(norm_eta)),
         replicas=replicas,
     )
-
-
-def _with_rho(cf: CoefficientSet, rho: float) -> CoefficientSet:
-    return replace(cf, rho=float(rho))

@@ -142,9 +142,9 @@ def sample_sheet_expansion(
     k_noise = 0 yields the zero realization; k_noise = nx-1 coincides with
     sample_white_increments for the same stream key.
     """
-    if k_noise < 0:
-        raise ValueError("k_noise must be >= 0")
-    k_noise = min(int(k_noise), grid.n_interior)
+    k_noise = int(k_noise)
+    if not 0 <= k_noise <= grid.n_interior:
+        raise ValueError(f"k_noise={k_noise} outside 0..{grid.n_interior}")
     info = SeedDerivation(seed, replica, stream)
     block = draw_mode_increments(grid, info.generator())
     return NoiseRealization(grid, info, block, k_noise)

@@ -179,6 +179,18 @@ def test_girsanov_requires_positive_eps():
         girsanov_log_weight(zero_control(g), nz, 0.0)
 
 
+def test_girsanov_batch_matches_single_realizations():
+    g = make_grid(16, 16, 0.25)
+    psi = make_control(g, np.random.default_rng(6).standard_normal((16, 15)))
+    noises = [sample_white_increments(g, 8, replica=r) for r in range(5)]
+    batch = girsanov_log_weight(psi, np.stack([nz.spatial_density for nz in noises]), 0.3)
+    single = [girsanov_log_weight(psi, nz, 0.3) for nz in noises]
+    assert batch.shape == (5,)
+    np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0.0)
+    with pytest.raises(TypeError, match="Control"):
+        girsanov_log_weight(psi.values, noises[0].spatial_density, 0.3)
+
+
 def test_girsanov_martingale_mean():
     g = make_grid(16, 32, 0.25)
     psi = phi1_control(g, 0.3)

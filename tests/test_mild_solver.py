@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,7 @@ from spdelab.mild_solver import (
     estimate_moments,
     picard_solve,
     run_replicas,
-    solve_galerkin_noise,
     solve_spde,
-    solve_truncated,
     step_mild,
 )
 from spdelab.noise import sample_sheet_expansion, sample_white_increments
@@ -110,7 +110,8 @@ def test_truncated_far_radius_identical():
                            sigma0=0.5, sigma1=0.1)
     scfg = SolverConfig(k_modes=8)
     plain = solve_spde(eigenfunction(g, 1), cf, 0.1, seed=4, grid=g, config=scfg)
-    cut = solve_truncated(eigenfunction(g, 1), cf, 1e6, 0.1, seed=4, grid=g, config=scfg)
+    cut = solve_spde(eigenfunction(g, 1), cf, 0.1, seed=4, grid=g,
+                     config=replace(scfg, cutoff_radius=1e6))
     assert np.array_equal(plain.fields, cut.fields)
 
 
@@ -120,7 +121,8 @@ def test_truncated_initial_above_radius_pure_heat():
                            sigma0=1.0, sigma1=0.0)
     eta = eigenfunction(g, 1, amplitude=10.0)
     R = 0.5  # |eta|_rho ~ 10 >= R + 1
-    sol = solve_truncated(eta, cf, R, 0.4, seed=2, grid=g, config=SolverConfig(k_modes=8))
+    sol = solve_spde(eta, cf, 0.4, seed=2, grid=g,
+                     config=SolverConfig(k_modes=8, cutoff_radius=R))
     heat = apply_semigroup(eta, g.dt)
     assert np.max(np.abs(sol.fields[1] - heat.values)) <= 1e-12
 
@@ -134,7 +136,8 @@ def test_truncated_crossing_freezes_dynamics():
                            sigma0=1.0, sigma1=0.0)
     eta = eigenfunction(g, 1, amplitude=1.0)
     R = 2.0
-    sol = solve_truncated(eta, cf, R, 0.0, seed=0, grid=g, config=SolverConfig(k_modes=8))
+    sol = solve_spde(eta, cf, 0.0, seed=0, grid=g,
+                     config=SolverConfig(k_modes=8, cutoff_radius=R))
     norms = sol.rho_norms
     above = np.nonzero(norms >= R + 1.0)[0]
     assert above.size > 0, "fixture never crossed the cutoff"
@@ -148,7 +151,7 @@ def test_galerkin_zero_modes_is_deterministic_flow():
     g = make_grid(32, 32, 0.25)
     cf = make_coefficients("linear", f_slope=0.5, sigma0=1.0)
     eta = eigenfunction(g, 1)
-    k0 = solve_galerkin_noise(eta, cf, 0, 0.3, seed=5, grid=g)
+    k0 = solve_spde(eta, cf, 0.3, seed=5, grid=g, config=SolverConfig(k_noise=0))
     det = solve_spde(eta, cf, 0.0, seed=5, grid=g)
     assert np.array_equal(k0.fields, det.fields)
 
@@ -157,7 +160,8 @@ def test_galerkin_full_modes_matches_white():
     g = make_grid(32, 32, 0.25)
     cf = make_coefficients("linear", f_slope=0.5, sigma0=1.0)
     eta = eigenfunction(g, 1)
-    full = solve_galerkin_noise(eta, cf, g.n_interior, 0.3, seed=5, grid=g)
+    full = solve_spde(eta, cf, 0.3, seed=5, grid=g,
+                      config=SolverConfig(k_noise=g.n_interior))
     white = solve_spde(eta, cf, 0.3, seed=5, grid=g)
     assert np.array_equal(full.fields, white.fields)
 
@@ -167,11 +171,21 @@ def test_galerkin_single_mode_structure():
     g = make_grid(32, 8, 0.25)
     eta = make_field(g, np.zeros(g.n_interior))
     eps = 0.3
-    sol = solve_galerkin_noise(eta, LINEAR, 1, eps, seed=7, grid=g)
+    sol = solve_spde(eta, LINEAR, eps, seed=7, grid=g, config=SolverConfig(k_noise=1))
     nz = sample_sheet_expansion(g, 1, 7)
     dw1 = nz.active_modes[0, 0]
     expected = np.sqrt(eps) * np.exp(-np.pi**2 * g.dt) * np.sqrt(2) * np.sin(np.pi * g.x) * dw1
     assert np.max(np.abs(sol.fields[1] - expected)) <= 1e-14
+
+
+def test_k_noise_out_of_range_rejected():
+    g = make_grid(16, 8, 0.25)
+    eta = make_field(g, np.zeros(g.n_interior))
+    for k in (-1, g.n_interior + 1):
+        with pytest.raises(ValueError, match="k_noise"):
+            solve_spde(eta, LINEAR, 0.1, seed=0, grid=g, config=SolverConfig(k_noise=k))
+        with pytest.raises(ValueError, match="k_noise"):
+            sample_sheet_expansion(g, k, 0)
 
 
 def test_galerkin_coupled_error_decreases():
@@ -181,7 +195,7 @@ def test_galerkin_coupled_error_decreases():
     white = solve_spde(eta, cf, 0.1, seed=11, grid=g)
     errs = []
     for k in (4, 16, 64):
-        deg = solve_galerkin_noise(eta, cf, k, 0.1, seed=11, grid=g)
+        deg = solve_spde(eta, cf, 0.1, seed=11, grid=g, config=SolverConfig(k_noise=k))
         errs.append(white.distance_to(deg))
     assert errs[0] > errs[1] > errs[2]
 
