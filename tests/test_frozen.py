@@ -119,3 +119,175 @@ def test_mc_scaling_with_blowups():
     assert [r.blown for r in table.rows] == [13, 8, 0]
     close([r.p_hat for r in table.rows], [0.0425531914893617, 0.057692307692307696, 0.0])
     close([r.stderr for r in table.rows], [0.029760791752350448, 0.03264902644719867, 0.0])
+
+
+# The manifest echo and CSV header of three configs, recorded before the
+# config keys were read from the dataclass fields. Between them they set
+# every optional key: family parameters, k_noise, k_modes = 0 (all modes),
+# eta_amp = 0, dump_noise, reference_action, a mode_coeff event and the
+# integrated coupling.
+SIMULATE_CFG = """\
+kind = simulate
+master_seed = 3
+nx = 16
+nt = 8
+T = 0.25
+family = reaction
+f_slope = 0.5
+g1_slope = 0.1
+g2_quad = 0.0
+sigma0 = 1.0
+sigma1 = 0.1
+eps = 0.1
+k_modes = 0
+k_noise = 6
+eta_amp = 0
+dump_noise = 1
+control_coupling = integrated
+"""
+
+IMPORTANCE_CFG = """\
+kind = importance
+master_seed = 11
+nx = 16
+nt = 16
+T = 0.25
+family = linear
+sigma0 = 1.0
+eps = 0.2
+replicas = 40
+k_modes = 4
+eta_amp = 0.4
+psi_mode = 1
+psi_amp = 0.5
+event_kind = mode_coeff
+event_param = 1
+event_threshold = 0.3
+reference_action = 0.5
+"""
+
+MANIFEST_HEAD = "# spdelab experiment manifest (re-runnable as a config file)\nversion = 0.1.0\n"
+
+SIMULATE_MANIFEST = MANIFEST_HEAD + """\
+T = 0.25
+box_r = 100
+control_coupling = integrated
+dump_noise = 1
+eps = 0.10000000000000001
+eta_amp = 0
+eta_mode = 1
+eta_scales = 1, 2, 4
+f_slope = 0.5
+family = reaction
+g1_slope = 0.10000000000000001
+g2_quad = 0
+k_list = 4, 16, 64
+k_noise = 6
+kind = simulate
+master_seed = 3
+max_iters = 3000
+n_samples = 20000
+nt = 8
+nx = 16
+psi_amp = 0
+psi_mode = 1
+replicas = 1000
+residual_tol = 0.001
+rho = 8
+sigma0 = 1
+sigma1 = 0.10000000000000001
+target_amp = 1
+target_mode = 1
+threads = 1
+tilt = none
+"""
+
+IMPORTANCE_MANIFEST = MANIFEST_HEAD + """\
+T = 0.25
+box_r = 100
+control_coupling = direct
+eps = 0.20000000000000001
+eta_amp = 0.40000000000000002
+eta_mode = 1
+eta_scales = 1, 2, 4
+event_kind = mode_coeff
+event_param = 1
+event_threshold = 0.29999999999999999
+family = linear
+k_list = 4, 16, 64
+k_modes = 4
+kind = importance
+master_seed = 11
+max_iters = 3000
+n_samples = 20000
+nt = 16
+nx = 16
+psi_amp = 0.5
+psi_mode = 1
+reference_action = 0.5
+replicas = 40
+residual_tol = 0.001
+rho = 8
+sigma0 = 1
+target_amp = 1
+target_mode = 1
+threads = 1
+tilt = none
+"""
+
+GOLDEN_MANIFEST = MANIFEST_HEAD + """\
+T = 0.25
+box_r = 100
+control_coupling = direct
+eps = 0.10000000000000001
+eps_list = 0.40000000000000002, 0.20000000000000001, 0.10000000000000001
+eta_amp = 0
+eta_mode = 1
+eta_scales = 1, 2, 4
+event_kind = l2_norm
+event_param = 1
+event_threshold = 0.14999999999999999
+f_slope = 0
+family = linear
+k_list = 4, 16, 64
+kind = mc-scaling
+master_seed = 424242
+max_iters = 3000
+n_samples = 20000
+nt = 64
+nx = 16
+psi_amp = 0
+psi_mode = 1
+reference_action = 0.22239999999999999
+replicas = 400
+residual_tol = 0.001
+rho = 8
+sigma0 = 1
+target_amp = 1
+target_mode = 1
+threads = 1
+tilt = optimal
+"""
+
+
+@pytest.mark.parametrize(
+    "config,csv_name,header,manifest",
+    [
+        (None, "scaling.csv", "eps,p_hat,stderr,eps_log_p,censored,deviation,blown",
+         GOLDEN_MANIFEST),
+        (SIMULATE_CFG, "diagnostics.csv", "step,t,rho_norm,linf_norm", SIMULATE_MANIFEST),
+        (IMPORTANCE_CFG, "importance.csv",
+         "estimate,stderr,mean_weight,mean_weight_stderr,plain_estimate,plain_stderr,"
+         "variance_reduction,replicas",
+         IMPORTANCE_MANIFEST),
+    ],
+    ids=["golden", "simulate", "importance"],
+)
+def test_manifest_and_csv_header(tmp_path, config, csv_name, header, manifest):
+    path = DATA / "golden_mc_scaling.cfg"
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+    out = run_experiment(path, out_dir=tmp_path / "out")
+    assert (out / "manifest.txt").read_text() == manifest
+    assert (out / csv_name).read_text().splitlines()[0] == header
