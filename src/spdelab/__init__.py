@@ -30,7 +30,6 @@ from .control import (
 )
 from .greenfn import (
     KernelBoundReport,
-    SmoothingParams,
     apply_divergence_smoothing,
     apply_semigroup,
     green_image,
@@ -41,12 +40,10 @@ from .greenfn import (
 from .lattice import (
     Field,
     GridSpec,
-    SpectralBasis,
     eigenfunction,
     field_from_function,
     inverse_sine_transform,
     lp_norm,
-    make_basis,
     make_field,
     make_grid,
     sine_transform,

@@ -40,15 +40,15 @@ __all__ = [
 ]
 
 GRADIENT_FLOOR = 1e-12
+MU0 = 10.0  # initial penalty weight
+STALL_WINDOW = 25  # iterations above tolerance before mu doubles
+ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 
 
 @dataclass(frozen=True)
 class ActionOptions:
     residual_tol: float = 1e-3
     max_iters: int = 3000
-    mu0: float = 10.0
-    stall_window: int = 25
-    armijo: float = 1e-4
     k_modes: int | None = None
     coupling: str = "direct"
 
@@ -153,7 +153,7 @@ def minimize_action(
     opts = opts or ActionOptions()
     prob = _AdjointProblem(phi_target, eta, cf, grid, opts)
     psi = np.zeros((grid.nt, grid.n_interior))
-    mu = opts.mu0
+    mu = MU0
 
     J, v, residual = prob.objective(psi, mu)
     grad = prob.gradient(psi, v, mu)
@@ -183,7 +183,7 @@ def minimize_action(
             except FloatingPointError:
                 step *= 0.5
                 continue
-            if J_c <= J - opts.armijo * step * g_sq:
+            if J_c <= J - ARMIJO * step * g_sq:
                 accepted = True
                 break
             step *= 0.5
@@ -199,7 +199,7 @@ def minimize_action(
             return _result(psi, grid, residual, True, it, mu, trace)
         if residual > opts.residual_tol:
             stall += 1
-            if stall >= opts.stall_window or not accepted:
+            if stall >= STALL_WINDOW or not accepted:
                 mu *= 2.0
                 J, v, residual = prob.objective(psi, mu)
                 grad = prob.gradient(psi, v, mu)

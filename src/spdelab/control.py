@@ -16,8 +16,8 @@ The tilt weight for one driving realization is
 
 whose exponential has unit mean: the pairing uses the same cells as the
 white increments, so the discrete identity is exact in distribution.
-girsanov_log_weight is the only implementation of this formula; the tilted
-Monte Carlo of the experiments module calls it on whole replica batches.
+girsanov_log_weight is the only implementation of this formula; the replica
+sampler of mild_solver calls it on whole replica batches.
 """
 
 from __future__ import annotations

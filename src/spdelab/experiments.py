@@ -7,10 +7,10 @@ r of the study using stream s draws its noise from the derived stream
 reductions run in fixed index order, so outputs are byte-identical across
 re-runs regardless of threading. All replica Monte Carlo (the tilted and
 plain event studies, the Galerkin coupled errors, the moment estimates) runs
-through the one chunked replica engine of mild_solver, which draws each
-chunk's noise once and masks blow-ups per replica: a replica whose state
-turns non-finite is frozen and reported with its first bad step, and the
-studies count it as blown.
+through mild_solver's replica sampler and its one chunked engine, which
+draws each chunk's noise once and masks blow-ups per replica: a replica
+whose state turns non-finite is frozen and reported with its first bad
+step, and the studies count it as blown.
 
 Stream allocation: eps-scaling assigns stream i to the i-th entry of the eps
 list; importance sampling uses stream 0 for both the plain and tilted passes
@@ -23,20 +23,20 @@ L^rho norm, a single sine-mode coefficient, or a point value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .action import ActionOptions, minimize_action
 from .coeffs import CoefficientSet, make_coefficients, validate_assumptions
-from .control import Control, girsanov_log_weight, solve_controlled, solve_skeleton
+from .control import Control, solve_controlled, solve_skeleton
 from .lattice import (
     Field,
     GridSpec,
     eigenfunction,
-    from_modes,
     lp_norm_values,
     make_field,
     make_grid,
@@ -44,12 +44,10 @@ from .lattice import (
 )
 from .mild_solver import (
     SolverConfig,
-    _density,
-    _integrate,
-    _Ops,
     _raise_first_blowup,
-    _replica_engine,
+    _sample_replicas,
     estimate_moments,
+    galerkin_coupled_errors,
     solve_spde,
 )
 from .noise import sample_sheet_expansion
@@ -129,34 +127,39 @@ class EventSpec:
 # ---------------------------------------------------------------------------
 
 _FAMILY_KEYS = ("f_slope", "g1_slope", "g2_quad", "sigma0", "sigma1")
+_EVENT_KEYS = ("event_kind", "event_param", "event_threshold")
+# Fields without a key of their own: family_params holds the _FAMILY_KEYS,
+# event the _EVENT_KEYS.
+_COMPOSITE = ("family_params", "event")
 
 
-def _conv(raw: dict, key: str, kind, default=None, required: bool = False):
+def _parse(hint, text: str):
+    """text as the annotated type: int/float/bool/str, X | None, tuple[X, ...]."""
+    if get_origin(hint) is tuple:
+        return tuple(_parse(get_args(hint)[0], s.strip()) for s in text.split(",") if s.strip())
+    hint = next((a for a in get_args(hint) if a is not type(None)), hint)
+    if hint is bool:
+        return text.lower() in ("1", "true", "yes", "on")
+    return hint(text)
+
+
+def _conv(raw: dict, key: str, hint, default=None, required: bool = False):
     if key not in raw:
         if required:
             raise ConfigError(f"missing required config key '{key}'")
         return default
-    value = raw[key]
     try:
-        if kind is bool:
-            return value.lower() in ("1", "true", "yes", "on")
-        return kind(value)
+        return _parse(hint, raw[key])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key '{key}': cannot parse {value!r}") from exc
-
-
-def _conv_list(raw: dict, key: str, kind, default=()):
-    if key not in raw:
-        return tuple(default)
-    items = [s.strip() for s in raw[key].split(",") if s.strip()]
-    try:
-        return tuple(kind(s) for s in items)
-    except ValueError as exc:
         raise ConfigError(f"config key '{key}': cannot parse {raw[key]!r}") from exc
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment. Each field is the config key of the same name, parsed
+    by its annotation; family_params holds the family parameter keys, event
+    the event_* keys, and k_modes = 0 means all modes."""
+
     kind: str
     master_seed: int
     nx: int = 64
@@ -166,7 +169,7 @@ class ExperimentConfig:
     family_params: dict = field(default_factory=dict)
     rho: float = 8.0
     eps: float = 0.1
-    eps_list: tuple = ()
+    eps_list: tuple[float, ...] = ()
     replicas: int = 1000
     k_modes: int | None = None
     k_noise: int | None = None
@@ -179,8 +182,8 @@ class ExperimentConfig:
     psi_file: str | None = None
     control_coupling: str = "direct"
     reference_action: float | None = None
-    k_list: tuple = (4, 16, 64)
-    eta_scales: tuple = (1.0, 2.0, 4.0)
+    k_list: tuple[int, ...] = (4, 16, 64)
+    eta_scales: tuple[float, ...] = (1.0, 2.0, 4.0)
     target_mode: int = 1
     target_amp: float = 1.0
     residual_tol: float = 1e-3
@@ -198,48 +201,28 @@ class ExperimentConfig:
             raise ConfigError("missing required config key 'kind'")
         if kind not in VALID_KINDS:
             raise ConfigError(f"unknown kind '{kind}'; valid kinds: {VALID_KINDS}")
-        cfg = cls(
-            kind=kind,
-            master_seed=_conv(raw, "master_seed", int, required=True),
-            nx=_conv(raw, "nx", int, 64),
-            nt=_conv(raw, "nt", int, 256),
-            T=_conv(raw, "T", float, 0.5),
-            family=raw.get("family", "linear"),
-            family_params={
-                k: _conv(raw, k, float) for k in _FAMILY_KEYS if k in raw
-            },
-            rho=_conv(raw, "rho", float, 8.0),
-            eps=_conv(raw, "eps", float, 0.1),
-            eps_list=_conv_list(raw, "eps_list", float),
-            replicas=_conv(raw, "replicas", int, 1000),
-            k_modes=_conv(raw, "k_modes", int) or None,
-            k_noise=_conv(raw, "k_noise", int),
-            eta_mode=_conv(raw, "eta_mode", int, 1),
-            eta_amp=_conv(raw, "eta_amp", float, 0.0),
-            tilt=raw.get("tilt", "none"),
-            psi_mode=_conv(raw, "psi_mode", int, 1),
-            psi_amp=_conv(raw, "psi_amp", float, 0.0),
-            psi_file=raw.get("psi_file"),
-            control_coupling=raw.get("control_coupling", "direct"),
-            reference_action=_conv(raw, "reference_action", float),
-            k_list=_conv_list(raw, "k_list", int, (4, 16, 64)),
-            eta_scales=_conv_list(raw, "eta_scales", float, (1.0, 2.0, 4.0)),
-            target_mode=_conv(raw, "target_mode", int, 1),
-            target_amp=_conv(raw, "target_amp", float, 1.0),
-            residual_tol=_conv(raw, "residual_tol", float, 1e-3),
-            max_iters=_conv(raw, "max_iters", int, 3000),
-            box_r=_conv(raw, "box_r", float, 100.0),
-            n_samples=_conv(raw, "n_samples", int, 20000),
-            dump_noise=_conv(raw, "dump_noise", bool, False),
-            out_dir=raw.get("out_dir"),
-            threads=_conv(raw, "threads", int, 1),
-        )
+        keyed = [f for f in fields(cls) if f.name not in _COMPOSITE]
+        known = {f.name for f in keyed}.union(_FAMILY_KEYS, _EVENT_KEYS)
+        # manifest.txt writes the version line; it is not a setting.
+        unknown = sorted(set(raw) - known - {"version"})
+        if unknown:
+            raise ConfigError(f"unknown config key '{unknown[0]}'")
+        hints = get_type_hints(cls)
+        values = {
+            f.name: _conv(raw, f.name, hints[f.name], required=True)
+            for f in keyed
+            if f.name in raw or f.default is MISSING
+        }
+        if values.get("k_modes") == 0:
+            values["k_modes"] = None
+        values["family_params"] = {k: _conv(raw, k, float) for k in _FAMILY_KEYS if k in raw}
         if "event_kind" in raw or "event_threshold" in raw:
-            cfg.event = EventSpec(
+            values["event"] = EventSpec(
                 kind=raw.get("event_kind", "l2_norm"),
                 param=_conv(raw, "event_param", float, 1.0),
                 threshold=_conv(raw, "event_threshold", float, required=True),
             )
+        cfg = cls(**values)
         cfg._validate()
         return cfg
 
@@ -248,6 +231,13 @@ class ExperimentConfig:
         return cls.from_raw(parse_config_file(path))
 
     def _validate(self):
+        try:
+            self.grid()
+            self.coefficients()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.kind == "importance" and not self.eps > 0:
+            raise ConfigError("config key 'eps' must be positive for importance sampling")
         if self.replicas < 1:
             raise ConfigError("replica count must be >= 1")
         if self.tilt not in ("none", "optimal"):
@@ -314,112 +304,24 @@ class ExperimentConfig:
         return Control(np.tile(profile, (grid.nt, 1)), grid)
 
     def echo(self) -> dict:
-        """Effective configuration as re-runnable key = value pairs."""
-        out = {
-            "kind": self.kind,
-            "master_seed": self.master_seed,
-            "nx": self.nx,
-            "nt": self.nt,
-            "T": self.T,
-            "family": self.family,
-            "rho": self.rho,
-            "eps": self.eps,
-            "replicas": self.replicas,
-            "eta_mode": self.eta_mode,
-            "eta_amp": self.eta_amp,
-            "tilt": self.tilt,
-            "psi_mode": self.psi_mode,
-            "psi_amp": self.psi_amp,
-            "control_coupling": self.control_coupling,
-            "target_mode": self.target_mode,
-            "target_amp": self.target_amp,
-            "residual_tol": self.residual_tol,
-            "max_iters": self.max_iters,
-            "box_r": self.box_r,
-            "n_samples": self.n_samples,
-            "threads": self.threads,
-        }
-        out.update(self.family_params)
-        if self.k_modes is not None:
-            out["k_modes"] = self.k_modes
-        if self.k_noise is not None:
-            out["k_noise"] = self.k_noise
-        if self.eps_list:
-            out["eps_list"] = ", ".join(format_value(e) for e in self.eps_list)
-        if self.k_list:
-            out["k_list"] = ", ".join(str(k) for k in self.k_list)
-        if self.eta_scales:
-            out["eta_scales"] = ", ".join(format_value(s) for s in self.eta_scales)
+        """Effective configuration as re-runnable key = value pairs.
+
+        Unset (None), off (False) and empty keys are left out, and so is
+        out_dir, so a manifest re-runs wherever it is pointed. Off is tested
+        by identity: a zero such as eta_amp = 0 equals False and is kept.
+        """
+        out = dict(self.family_params)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            unset = value is None or value is False or value in ((), "")
+            if unset or f.name in _COMPOSITE + ("out_dir",):
+                continue
+            out[f.name] = ", ".join(map(format_value, value)) if isinstance(value, tuple) else value
         if self.event is not None:
             out["event_kind"] = self.event.kind
             out["event_param"] = self.event.param
             out["event_threshold"] = self.event.threshold
-        if self.reference_action is not None:
-            out["reference_action"] = self.reference_action
-        if self.psi_file:
-            out["psi_file"] = self.psi_file
-        if self.dump_noise:
-            out["dump_noise"] = 1
         return out
-
-
-# ---------------------------------------------------------------------------
-# Batched Monte Carlo with per-replica tilt weights
-# ---------------------------------------------------------------------------
-
-
-def _mc_terminals(
-    eta: Field,
-    cf: CoefficientSet,
-    eps: float,
-    grid: GridSpec,
-    master: int,
-    replicas: int,
-    stream: int,
-    scfg: SolverConfig,
-    psi: np.ndarray | None,
-    threads: int = 1,
-    chunk_size: int | None = None,
-):
-    """Terminal fields, per-replica Girsanov log weights (tilted runs only) and
-    each replica's blow-up step (0 if it stayed finite).
-
-    A tilt shifts the white increments themselves, dW -> dW + dt dx psi /
-    sqrt(eps), before the plain dynamics are integrated; paired with the log
-    weight computed from the unshifted increments this is the exact discrete
-    change of measure, so the reweighted estimator is unbiased for any sigma
-    (psi = 0 reproduces plain sampling bit for bit). Blown replicas are
-    masked inside their batch and come back as NaN rows; the caller decides
-    whether partial loss is acceptable.
-    """
-    nxm = grid.n_interior
-    k_noise = scfg.noise_modes(grid)
-    tilt = None
-    if psi is not None:
-        if k_noise < nxm:
-            # The tilt must live in the span of the driving noise modes for the
-            # change of measure to be exact.
-            pm = to_modes(psi, grid)
-            pm[:, k_noise:] = 0.0
-            psi = from_modes(pm, grid)
-        tilt = Control(psi, grid)
-    ops = _Ops(cf, grid, scfg.k_modes, eps, scfg.cutoff_radius)
-    terminals = np.empty((replicas, nxm))
-    logw = np.zeros(replicas) if tilt is not None else None
-
-    def work(rows: range, modes: np.ndarray) -> np.ndarray:
-        xi = _density(modes, grid, k_noise)
-        if tilt is not None:
-            logw[rows.start : rows.stop] = girsanov_log_weight(tilt, xi, eps)
-            xi += (grid.dt / np.sqrt(eps)) * psi
-        u0 = np.broadcast_to(eta.values, (len(rows), nxm))
-        terminals[rows.start : rows.stop], blown = _integrate(
-            u0, ops, xi if eps > 0 else None, record="terminal"
-        )
-        return blown
-
-    blown = _replica_engine(grid, master, replicas, stream, work, threads, chunk_size)
-    return terminals, logw, blown
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +344,6 @@ class ScalingRow:
 class ScalingTable:
     rows: list
     reference_action: float | None = None
-
-    CSV_HEADER = ("eps", "p_hat", "stderr", "eps_log_p", "censored", "deviation", "blown")
-
-    def csv_rows(self):
-        return [
-            (r.eps, r.p_hat, r.stderr, r.eps_log_p, r.censored, r.deviation, r.blown)
-            for r in self.rows
-        ]
 
 
 def _tilt_control(cfg: ExperimentConfig, grid: GridSpec, cf: CoefficientSet) -> Control:
@@ -489,7 +383,7 @@ def run_eps_scaling(cfg: ExperimentConfig, psi_star: Control | None = None) -> S
 
     rows = []
     for i, eps in enumerate(cfg.eps_list):
-        terminals, logw, blown = _mc_terminals(
+        terminals, logw, blown = _sample_replicas(
             eta, cf, eps, grid, cfg.master_seed, cfg.replicas, i, scfg, psi,
             threads=cfg.threads,
         )
@@ -531,29 +425,6 @@ class ISResult:
     variance_reduction: float  # nan when the plain baseline has zero variance
     replicas: int
 
-    CSV_HEADER = (
-        "estimate",
-        "stderr",
-        "mean_weight",
-        "mean_weight_stderr",
-        "plain_estimate",
-        "plain_stderr",
-        "variance_reduction",
-        "replicas",
-    )
-
-    def csv_row(self):
-        return (
-            self.estimate,
-            self.stderr,
-            self.mean_weight,
-            self.mean_weight_stderr,
-            self.plain_estimate,
-            self.plain_stderr,
-            self.variance_reduction,
-            self.replicas,
-        )
-
 
 def run_importance_sampling(cfg: ExperimentConfig, psi_star: Control | None = None) -> ISResult:
     """Tilted estimate of P(event) at cfg.eps, with a paired-seed plain baseline.
@@ -572,12 +443,12 @@ def run_importance_sampling(cfg: ExperimentConfig, psi_star: Control | None = No
         psi_star = _tilt_control(cfg, grid, cf)
     psi = psi_star.values if psi_star is not None else None
 
-    term_plain, _, blown_p = _mc_terminals(
+    term_plain, _, blown_p = _sample_replicas(
         eta, cf, cfg.eps, grid, cfg.master_seed, cfg.replicas, 0, scfg, None,
         threads=cfg.threads,
     )
     if psi is not None:
-        term_tilt, logw, blown_t = _mc_terminals(
+        term_tilt, logw, blown_t = _sample_replicas(
             eta, cf, cfg.eps, grid, cfg.master_seed, cfg.replicas, 0, scfg, psi,
             threads=cfg.threads,
         )
@@ -629,52 +500,6 @@ class ConvergenceReport:
     GALERKIN_HEADER = ("k", "mean_error", "stderr")
     CONTROLLED_HEADER = ("eps", "distance")
     MOMENT_HEADER = ("scale", "estimate", "stderr", "ratio")
-
-
-def galerkin_coupled_errors(
-    eta: Field,
-    cf: CoefficientSet,
-    eps: float,
-    grid: GridSpec,
-    master: int,
-    replicas: int,
-    k_list,
-    stream: int = 0,
-    k_modes: int | None = None,
-    threads: int = 1,
-) -> np.ndarray:
-    """(replicas, len(k_list)) pathwise sup-in-time L^rho coupled errors.
-
-    Each replica couples the white-noise path against its k-mode truncations
-    on the shared stream. The white run and the truncations of a chunk step
-    in lockstep as one stacked batch, and the sup-in-time error accumulates
-    step by step, so no path is stored.
-    """
-    nxm = grid.n_interior
-    ops = _Ops(cf, grid, k_modes, eps)
-    # Stack row 0 keeps every noise mode, row j+1 the first k_list[j].
-    keep = np.array([nxm] + [int(k) for k in k_list])
-    masks = (np.arange(nxm) < keep[:, None]).astype(float)[:, None, :]
-    errors = np.empty((replicas, len(k_list)))
-
-    def work(rows: range, modes: np.ndarray) -> np.ndarray:
-        sup = np.zeros((len(k_list), len(rows)))
-
-        def observe(u):
-            np.maximum(sup, lp_norm_values(u[0] - u[1:], grid.dx, cf.rho), out=sup)
-
-        u0 = np.broadcast_to(eta.values, (len(keep), len(rows), nxm))
-        _, blown = _integrate(
-            u0, ops, lambda m: from_modes(masks * modes[:, m, :], grid), record=observe
-        )
-        errors[rows.start : rows.stop] = sup.T
-        # A replica blew up at the first step any of its stacked runs did.
-        first = np.where(blown > 0, blown, grid.nt + 1).min(axis=0)
-        return np.where(first > grid.nt, 0, first)
-
-    blown = _replica_engine(grid, master, replicas, stream, work, threads)
-    _raise_first_blowup(blown, master, stream)
-    return errors
 
 
 def run_convergence_studies(cfg: ExperimentConfig) -> ConvergenceReport:
@@ -742,6 +567,12 @@ def _write_manifest(out: Path, cfg: ExperimentConfig) -> None:
     for key, value in sorted(cfg.echo().items()):
         lines.append(f"{key} = {format_value(value)}")
     (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_rows(path: Path, rows: list) -> None:
+    """A CSV whose columns are the fields of the dataclass rows."""
+    header = [f.name for f in fields(rows[0])]
+    write_csv(path, header, [astuple(r) for r in rows])
 
 
 def _write_path_outputs(out: Path, sol, grid: GridSpec) -> None:
@@ -821,11 +652,9 @@ def run_experiment(
             f"iterations = {res.iterations}, converged = {res.converged}"
         )
     elif cfg.kind == "mc-scaling":
-        table = run_eps_scaling(cfg)
-        write_csv(out / "scaling.csv", ScalingTable.CSV_HEADER, table.csv_rows())
+        _write_rows(out / "scaling.csv", run_eps_scaling(cfg).rows)
     elif cfg.kind == "importance":
-        result = run_importance_sampling(cfg)
-        write_csv(out / "importance.csv", ISResult.CSV_HEADER, [result.csv_row()])
+        _write_rows(out / "importance.csv", [run_importance_sampling(cfg)])
     elif cfg.kind == "convergence":
         report = run_convergence_studies(cfg)
         write_csv(out / "galerkin.csv", ConvergenceReport.GALERKIN_HEADER, report.galerkin_rows)

@@ -40,7 +40,6 @@ __all__ = [
     "apply_divergence_smoothing",
     "verify_kernel_bounds",
     "KernelBoundReport",
-    "SmoothingParams",
 ]
 
 # Regime switch for green_value: Gaussian images below, eigen series above.
@@ -239,36 +238,3 @@ def verify_kernel_bounds(
             )
         )
     return report
-
-
-@dataclass(frozen=True)
-class SmoothingParams:
-    """Exponent bookkeeping for the divergence-form smoothing inequality.
-
-    kappa = 1 + 1/rho - 1/q; admissible ranges are 1 <= q < rho,
-    gamma > 2/kappa, 0 < alpha < kappa/2, 0 < beta < kappa.
-    """
-
-    rho: float
-    q: float
-    gamma: float
-    alpha: float
-    beta: float
-    delta: float = 0.0
-    n_images: int = DEFAULT_N_IMAGES
-    k_modes: int = DEFAULT_K_MODES
-
-    @property
-    def kappa(self) -> float:
-        return 1.0 + 1.0 / self.rho - 1.0 / self.q
-
-    def __post_init__(self):
-        if not 1 <= self.q < self.rho:
-            raise ValueError(f"need 1 <= q < rho, got q={self.q}, rho={self.rho}")
-        kappa = self.kappa
-        if not self.gamma > 2.0 / kappa:
-            raise ValueError(f"need gamma > 2/kappa = {2.0 / kappa}, got {self.gamma}")
-        if not 0 < self.alpha < kappa / 2.0:
-            raise ValueError(f"need 0 < alpha < kappa/2, got {self.alpha}")
-        if not 0 < self.beta < kappa:
-            raise ValueError(f"need 0 < beta < kappa, got {self.beta}")

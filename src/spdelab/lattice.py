@@ -20,12 +20,10 @@ import scipy.fft as sfft
 __all__ = [
     "GridSpec",
     "Field",
-    "SpectralBasis",
     "make_grid",
     "make_field",
     "field_from_function",
     "eigenfunction",
-    "make_basis",
     "sine_transform",
     "inverse_sine_transform",
     "lp_norm",
@@ -115,34 +113,6 @@ def eigenfunction(grid: GridSpec, k: int, amplitude: float = 1.0) -> Field:
     if not 1 <= k <= grid.n_interior:
         raise ValueError(f"mode {k} outside 1..{grid.n_interior}")
     return Field(amplitude * np.sqrt(2.0) * np.sin(k * np.pi * grid.x), grid)
-
-
-@dataclass(frozen=True)
-class SpectralBasis:
-    """Sine eigensystem plus the antiderivative basis used by the noise expansion.
-
-    eigenfunctions[k-1, j] = phi_k(x_j); antiderivatives[k-1, j] = h_k(x_j)
-    where h_k(x) = int_0^x sqrt(2) sin(k pi r) dr = sqrt(2)(1 - cos(k pi x))/(k pi).
-    """
-
-    k_modes: int
-    eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
-    antiderivatives: np.ndarray
-
-
-def make_basis(grid: GridSpec, k_modes: int | None = None) -> SpectralBasis:
-    k_modes = grid.n_interior if k_modes is None else int(k_modes)
-    if not 1 <= k_modes <= grid.n_interior:
-        raise ValueError(f"k_modes={k_modes} outside 1..{grid.n_interior}")
-    k = np.arange(1, k_modes + 1)
-    kx = np.outer(k * np.pi, grid.x)
-    lam = (k * np.pi) ** 2
-    phi = np.sqrt(2.0) * np.sin(kx)
-    h = np.sqrt(2.0) * (1.0 - np.cos(kx)) / (k * np.pi)[:, None]
-    for arr in (lam, phi, h):
-        arr.flags.writeable = False
-    return SpectralBasis(k_modes, lam, phi, h)
 
 
 # ---------------------------------------------------------------------------

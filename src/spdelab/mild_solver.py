@@ -27,10 +27,13 @@ convergence is measurable pathwise.
 All stepping broadcasts over leading axes, so replica batches integrate in
 lockstep; a single path is the batch of one. Replica Monte Carlo runs through
 one engine, _replica_engine, which draws each chunk's mode increments once
-and runs the chunks in order or on worker threads. Blow-ups are masked per
-replica: a row that turns non-finite is frozen, its first bad step recorded,
-and the other rows step on unchanged, with no floating-point warning; the
-result does not depend on chunk size or thread count.
+and runs the chunks in order or on worker threads. Its consumers are
+_sample_replicas (plain or Girsanov-tilted terminal and sup-norm samples,
+behind run_replicas and the experiment studies) and
+galerkin_coupled_errors. Blow-ups are masked per replica: a row that turns
+non-finite is frozen, its first bad step recorded, and the other rows step
+on unchanged, with no floating-point warning; the result does not depend on
+chunk size or thread count.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coeffs import CoefficientSet, chi_R, truncate_coefficients
+from .coeffs import CoefficientSet, chi_R
 from .lattice import (
     Field,
     GridSpec,
@@ -67,6 +70,7 @@ __all__ = [
     "solve_spde",
     "picard_solve",
     "estimate_moments",
+    "galerkin_coupled_errors",
 ]
 
 
@@ -105,7 +109,6 @@ class SolverConfig:
     k_modes: int | None = None
     k_noise: int | None = None
     cutoff_radius: float | None = None
-    truncation_level: int | None = None
     control_coupling: str = "direct"
 
     def __post_init__(self):
@@ -113,8 +116,6 @@ class SolverConfig:
             raise ValueError(f"unknown control coupling '{self.control_coupling}'")
         if self.cutoff_radius is not None and self.cutoff_radius <= 0:
             raise ValueError("cutoff radius must be positive")
-        if self.truncation_level is not None and self.truncation_level < 1:
-            raise ValueError("truncation level must be >= 1")
 
     def noise_modes(self, grid: GridSpec) -> int:
         """Active noise mode count on grid, checked against 0..nx-1."""
@@ -372,12 +373,6 @@ def _path_solution(path, grid, eps, cf, seed_info, config) -> PathSolution:
     )
 
 
-def _apply_truncation(cf: CoefficientSet, config: SolverConfig) -> CoefficientSet:
-    if config.truncation_level is not None:
-        return truncate_coefficients(cf, config.truncation_level)
-    return cf
-
-
 def _solve_path(
     eta: Field,
     cf: CoefficientSet,
@@ -389,7 +384,6 @@ def _solve_path(
 ) -> PathSolution:
     """One whole path of the (controlled) scheme; raises BlowUpError on blow-up."""
     config = config or SolverConfig()
-    cf = _apply_truncation(cf, config)
     ops = _Ops(
         cf, grid, config.k_modes, eps, config.cutoff_radius, config.control_coupling
     )
@@ -541,9 +535,8 @@ def _density(modes: np.ndarray, grid: GridSpec, k_noise: int) -> np.ndarray:
     return from_modes(modes, grid, overwrite=True)
 
 
-def default_chunk_size(grid: GridSpec, budget_doubles: float = 1.2e7) -> int:
-    per_replica = grid.nt * grid.n_interior
-    return max(1, int(budget_doubles / max(per_replica, 1)))
+# A chunk's noise block holds at most this many doubles.
+_CHUNK_DOUBLES = 1.2e7
 
 
 def _replica_engine(
@@ -563,7 +556,7 @@ def _replica_engine(
     non-finite step (0 if none). Chunks run in order, or on `threads` worker
     threads. Returns the blow-up steps of all replicas.
     """
-    chunk = chunk_size or default_chunk_size(grid)
+    chunk = chunk_size or max(1, int(_CHUNK_DOUBLES / max(grid.nt * grid.n_interior, 1)))
     blown = np.zeros(replicas, dtype=int)
 
     def run_chunk(start: int) -> None:
@@ -592,6 +585,68 @@ def _raise_first_blowup(blown: np.ndarray, master: int, stream: int) -> None:
         raise BlowUpError(int(blown[r]), replica=r, seed=SeedDerivation(master, r, stream))
 
 
+def _sample_replicas(
+    eta: Field,
+    cf: CoefficientSet,
+    eps: float,
+    grid: GridSpec,
+    master: int,
+    replicas: int,
+    stream: int = 0,
+    config: SolverConfig | None = None,
+    psi: np.ndarray | None = None,
+    record: str = "terminal",
+    threads: int = 1,
+    chunk_size: int | None = None,
+):
+    """(values, log_weights, blown) of replicas 0..replicas-1, plain or tilted.
+
+    values holds each replica's terminal field (record="terminal") or its
+    sup-in-time |u|_rho^rho (record="sup_rho"); blown holds each replica's
+    first non-finite step (0 if it stayed finite), and a blown replica's
+    values are NaN. The caller decides whether partial loss is acceptable.
+
+    A tilt psi (nt, nx-1) shifts the white increments themselves,
+    dW -> dW + dt dx psi / sqrt(eps), before the plain dynamics are
+    integrated; paired with the Girsanov log weight of the unshifted
+    increments (log_weights, None without a tilt) this is the exact discrete
+    change of measure, so the reweighted estimator is unbiased for any sigma
+    (psi = 0 reproduces plain sampling bit for bit).
+    """
+    # control imports this module, so its names are looked up at call time.
+    from .control import Control, girsanov_log_weight
+
+    config = config or SolverConfig()
+    if record not in ("terminal", "sup_rho"):
+        raise ValueError(f"record mode '{record}' not supported for replicas")
+    nxm = grid.n_interior
+    k_noise = config.noise_modes(grid)
+    tilt = None
+    if psi is not None:
+        if k_noise < nxm:
+            # The tilt must live in the span of the driving noise modes for the
+            # change of measure to be exact.
+            pm = to_modes(psi, grid)
+            pm[:, k_noise:] = 0.0
+            psi = from_modes(pm, grid)
+        tilt = Control(psi, grid)
+    ops = _Ops(cf, grid, config.k_modes, eps, config.cutoff_radius)
+    values = np.empty((replicas, nxm) if record == "terminal" else replicas)
+    log_weights = None if tilt is None else np.empty(replicas)
+
+    def work(rows: range, modes: np.ndarray) -> np.ndarray:
+        xi = _density(modes, grid, k_noise)
+        if tilt is not None:
+            log_weights[rows.start : rows.stop] = girsanov_log_weight(tilt, xi, eps)
+            xi += (grid.dt / np.sqrt(eps)) * psi
+        u0 = np.broadcast_to(eta.values, (len(rows), nxm))
+        values[rows.start : rows.stop], blown = _integrate(u0, ops, xi, record=record)
+        return blown
+
+    blown = _replica_engine(grid, master, replicas, stream, work, threads, chunk_size)
+    return values, log_weights, blown
+
+
 def run_replicas(
     eta: Field,
     cf: CoefficientSet,
@@ -611,25 +666,58 @@ def run_replicas(
     for record="terminal", sup-in-time |u|_rho^rho for record="sup_rho".
     Raises BlowUpError for the lowest-index replica that blew up.
     """
-    config = config or SolverConfig()
-    if record not in ("terminal", "sup_rho"):
-        raise ValueError(f"record mode '{record}' not supported for replicas")
-    ops = _Ops(
-        _apply_truncation(cf, config), grid, config.k_modes, eps, config.cutoff_radius
+    values, _, blown = _sample_replicas(
+        eta, cf, eps, grid, master_seed, replicas, stream, config,
+        record=record, threads=threads, chunk_size=chunk_size,
     )
-    k_noise = config.noise_modes(grid)
+    _raise_first_blowup(blown, master_seed, stream)
+    return values
+
+
+def galerkin_coupled_errors(
+    eta: Field,
+    cf: CoefficientSet,
+    eps: float,
+    grid: GridSpec,
+    master: int,
+    replicas: int,
+    k_list,
+    stream: int = 0,
+    k_modes: int | None = None,
+    threads: int = 1,
+) -> np.ndarray:
+    """(replicas, len(k_list)) pathwise sup-in-time L^rho coupled errors.
+
+    Each replica couples the white-noise path against its k-mode truncations
+    on the shared stream. The white run and the truncations of a chunk step
+    in lockstep as one stacked batch, and the sup-in-time error accumulates
+    step by step, so no path is stored.
+    """
     nxm = grid.n_interior
-    out = np.empty((replicas, nxm) if record == "terminal" else replicas)
+    ops = _Ops(cf, grid, k_modes, eps)
+    # Stack row 0 keeps every noise mode, row j+1 the first k_list[j].
+    keep = np.array([nxm] + [int(k) for k in k_list])
+    masks = (np.arange(nxm) < keep[:, None]).astype(float)[:, None, :]
+    errors = np.empty((replicas, len(k_list)))
 
     def work(rows: range, modes: np.ndarray) -> np.ndarray:
-        xi = _density(modes, grid, k_noise) if eps > 0 else None
-        u0 = np.broadcast_to(eta.values, (len(rows), nxm))
-        out[rows.start : rows.stop], blown = _integrate(u0, ops, xi, record=record)
-        return blown
+        sup = np.zeros((len(k_list), len(rows)))
 
-    blown = _replica_engine(grid, master_seed, replicas, stream, work, threads, chunk_size)
-    _raise_first_blowup(blown, master_seed, stream)
-    return out
+        def observe(u):
+            np.maximum(sup, lp_norm_values(u[0] - u[1:], grid.dx, cf.rho), out=sup)
+
+        u0 = np.broadcast_to(eta.values, (len(keep), len(rows), nxm))
+        _, blown = _integrate(
+            u0, ops, lambda m: from_modes(masks * modes[:, m, :], grid), record=observe
+        )
+        errors[rows.start : rows.stop] = sup.T
+        # A replica blew up at the first step any of its stacked runs did.
+        first = np.where(blown > 0, blown, grid.nt + 1).min(axis=0)
+        return np.where(first > grid.nt, 0, first)
+
+    blown = _replica_engine(grid, master, replicas, stream, work, threads)
+    _raise_first_blowup(blown, master, stream)
+    return errors
 
 
 def estimate_moments(

@@ -11,11 +11,16 @@ import pytest
 from spdelab.cli import main as cli_main
 from spdelab.experiments import (
     ExperimentConfig,
-    _mc_terminals,
     run_eps_scaling,
     run_importance_sampling,
 )
-from spdelab.mild_solver import BlowUpError, estimate_moments, run_replicas, solve_spde
+from spdelab.mild_solver import (
+    BlowUpError,
+    _sample_replicas,
+    estimate_moments,
+    run_replicas,
+    solve_spde,
+)
 from spdelab.noise import SeedDerivation
 
 BLOWUP = {
@@ -53,7 +58,7 @@ def single_path_step(cfg, grid, cf, eta, scfg, eps, replica, stream):
 def test_masking_reproduces_retry(threads, chunk):
     cfg, grid, cf, eta, scfg = blowup_setup()
     for stream, eps in enumerate(cfg.eps_list):
-        term, logw, blown = _mc_terminals(
+        term, logw, blown = _sample_replicas(
             eta, cf, eps, grid, cfg.master_seed, cfg.replicas, stream, scfg, None,
             threads=threads, chunk_size=chunk,
         )
@@ -76,8 +81,8 @@ def test_engine_threads_stress():
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        term, _, blown = _mc_terminals(eta, cf, 1.2, grid, cfg.master_seed, cfg.replicas, 0,
-                                       scfg, None, threads=4, chunk_size=3)
+        term, _, blown = _sample_replicas(eta, cf, 1.2, grid, cfg.master_seed, cfg.replicas,
+                                          0, scfg, None, threads=4, chunk_size=3)
     finally:
         sys.setswitchinterval(old)
     indices, digest = RETRY[0]
@@ -135,8 +140,8 @@ def test_eps_scaling_all_blown_names_first_blown_replica():
     raw = dict(BLOWUP, sigma1="50.0", eps_list="1.0", replicas="4")
     cfg = ExperimentConfig.from_raw(raw)
     grid = cfg.grid()
-    _, _, blown = _mc_terminals(cfg.eta_field(grid), cfg.coefficients(), 1.0, grid,
-                                cfg.master_seed, 4, 0, cfg.solver_config(), None)
+    _, _, blown = _sample_replicas(cfg.eta_field(grid), cfg.coefficients(), 1.0, grid,
+                                   cfg.master_seed, 4, 0, cfg.solver_config(), None)
     assert np.all(blown > 0)
     with pytest.raises(BlowUpError) as err:
         run_eps_scaling(cfg)
@@ -157,8 +162,8 @@ def test_importance_all_blown_names_replica_of_blown_set():
     grid = cfg.grid()
     args = (cfg.eta_field(grid), cfg.coefficients(), cfg.eps, grid, cfg.master_seed,
             cfg.replicas, 0, cfg.solver_config())
-    _, _, blown_plain = _mc_terminals(*args, None)
-    _, _, blown_tilt = _mc_terminals(*args, cfg.psi_control(grid).values)
+    _, _, blown_plain = _sample_replicas(*args, None)
+    _, _, blown_tilt = _sample_replicas(*args, cfg.psi_control(grid).values)
     assert not np.any(blown_plain) and np.all(blown_tilt > 0)
     with pytest.raises(BlowUpError) as err:
         run_importance_sampling(cfg)

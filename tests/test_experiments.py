@@ -299,6 +299,37 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o2")]) == 2
 
 
+def write_cfg(path, raw):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+    return str(path)
+
+
+def test_cli_rejects_unknown_key(tmp_path, capsys):
+    raw = base_raw(kind="mc-scaling", eps_list="0.2, 0.1", event_threshold="0.1", replica="5")
+    cfg = write_cfg(tmp_path / "c.cfg", raw)
+    assert cli_main(["mc-scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'replica'" in err
+
+
+@pytest.mark.parametrize(
+    "extra,key",
+    [
+        ({"family": "heat"}, "family"),
+        ({"family": "burgers", "f_slope": "1"}, "f_slope"),
+        ({"T": "-1"}, "T="),
+        ({"kind": "importance", "eps": "0", "psi_amp": "0.5", "event_threshold": "0.1"}, "eps"),
+    ],
+    ids=["family", "family_parameter", "horizon", "importance_eps"],
+)
+def test_cli_bad_values_are_config_errors(tmp_path, capsys, extra, key):
+    raw = base_raw(**extra)
+    cfg = write_cfg(tmp_path / "c.cfg", raw)
+    assert cli_main([raw["kind"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 def test_cli_seed_and_threads_override(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(

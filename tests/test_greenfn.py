@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spdelab.greenfn import (
-    SmoothingParams,
     apply_divergence_smoothing,
     apply_semigroup,
     green_image,
@@ -200,20 +199,13 @@ def test_dual_form_derivative_cross_check():
         assert np.max(np.abs(series - image)) <= 1e-9
 
 
-def test_smoothing_params_validation():
-    p = SmoothingParams(rho=4.0, q=2.0, gamma=4.0, alpha=0.3, beta=0.5)
-    assert abs(p.kappa - 0.75) <= 1e-15
-    with pytest.raises(ValueError, match="q < rho"):
-        SmoothingParams(rho=2.0, q=2.0, gamma=4.0, alpha=0.3, beta=0.5)
-    with pytest.raises(ValueError, match="gamma"):
-        SmoothingParams(rho=4.0, q=2.0, gamma=2.0, alpha=0.3, beta=0.5)
-    with pytest.raises(ValueError, match="alpha"):
-        SmoothingParams(rho=4.0, q=2.0, gamma=4.0, alpha=0.4, beta=0.5)
-    with pytest.raises(ValueError, match="beta"):
-        SmoothingParams(rho=4.0, q=2.0, gamma=4.0, alpha=0.3, beta=0.8)
+# Exponents of the divergence-form smoothing inequality, with
+# kappa = 1 + 1/rho - 1/q, 1 <= q < rho and gamma > 2/kappa.
+RHO, Q, GAMMA = 4.0, 2.0, 4.0
+KAPPA = 0.75
 
 
-def _fitted_smoothing_constant(nx: int, params: SmoothingParams) -> float:
+def _fitted_smoothing_constant(nx: int) -> float:
     """Largest ratio |J(v)(t)|_rho / (t^(kappa/2 - 1/gamma) (int |v|_q^gamma)^(1/gamma))
     over a battery of smooth space-time fields, with J the divergence-kernel
     convolution accumulated by exact per-mode time integration."""
@@ -222,7 +214,7 @@ def _fitted_smoothing_constant(nx: int, params: SmoothingParams) -> float:
     lam = eigen_values(np.arange(1, g.nx))
     decay = np.exp(-lam * g.dt)
     ed = (1.0 - decay) / lam
-    expo = params.kappa / 2.0 - 1.0 / params.gamma
+    expo = KAPPA / 2.0 - 1.0 / GAMMA
     battery = (
         lambda s, y: np.sin(np.pi * y) * (1.0 + s),
         lambda s, y: y * (1.0 - y) * np.exp(-s),
@@ -234,17 +226,16 @@ def _fitted_smoothing_constant(nx: int, params: SmoothingParams) -> float:
         qint = 0.0
         for m in range(nt):
             v = v_fn(m * g.dt, g.x)
-            qint += g.dt * lp_norm_values(v, g.dx, params.q) ** params.gamma
+            qint += g.dt * lp_norm_values(v, g.dx, Q) ** GAMMA
             J = from_modes(decay * to_modes(J, g) - ed * cos_analysis(v, g), g)
             t = (m + 1) * g.dt
-            denom = t**expo * qint ** (1.0 / params.gamma)
-            worst = max(worst, float(lp_norm_values(J, g.dx, params.rho)) / denom)
+            denom = t**expo * qint ** (1.0 / GAMMA)
+            worst = max(worst, float(lp_norm_values(J, g.dx, RHO)) / denom)
     return worst
 
 
 def test_smoothing_inequality_fitted_constant_stable():
-    params = SmoothingParams(rho=4.0, q=2.0, gamma=4.0, alpha=0.3, beta=0.5)
-    c64 = _fitted_smoothing_constant(64, params)
-    c128 = _fitted_smoothing_constant(128, params)
+    c64 = _fitted_smoothing_constant(64)
+    c128 = _fitted_smoothing_constant(128)
     assert np.isfinite(c64) and c64 > 0
     assert max(c64, c128) / min(c64, c128) <= 2.0

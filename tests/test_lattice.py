@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from spdelab.lattice import (
+    eigen_values,
     eigenfunction,
     from_modes,
     inverse_sine_transform,
     lp_norm,
     lp_norm_values,
-    make_basis,
     make_field,
     make_grid,
     sine_transform,
@@ -81,8 +81,8 @@ def test_transform_length_mismatch():
 @pytest.mark.parametrize("nx", [64, 128])
 def test_orthogonality(nx):
     g = make_grid(nx, 1, 1.0)
-    basis = make_basis(g, nx // 4)
-    gram = g.dx * basis.eigenfunctions @ basis.eigenfunctions.T
+    phi = np.array([eigenfunction(g, k).values for k in range(1, nx // 4 + 1)])
+    gram = g.dx * phi @ phi.T
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) <= 1e-10
     assert np.max(np.abs(np.diag(gram) - 1.0)) <= 1e-10
@@ -90,13 +90,9 @@ def test_orthogonality(nx):
 
 def test_basis_invariants():
     g = make_grid(32, 1, 1.0)
-    b = make_basis(g)
-    assert np.all(np.diff(b.eigenvalues) > 0)
-    assert abs(b.eigenvalues[0] - np.pi**2) <= 1e-12
-    # h_k(0) = 0 by construction; check the analytic form at the first node.
-    k = np.arange(1, 32)
-    h1 = np.sqrt(2) * (1 - np.cos(k * np.pi * g.x[0])) / (k * np.pi)
-    assert np.max(np.abs(b.antiderivatives[:, 0] - h1)) <= 1e-14
+    lam = eigen_values(np.arange(1, g.n_interior + 1))
+    assert np.all(np.diff(lam) > 0)
+    assert abs(lam[0] - np.pi**2) <= 1e-12
 
 
 def test_lp_norm_constant_has_unit_mass_up_to_quadrature():

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spdelab.coeffs import make_coefficients
+from spdelab.coeffs import make_coefficients, truncate_coefficients
 from spdelab.greenfn import apply_semigroup
 from spdelab.lattice import (
     eigenfunction,
@@ -287,8 +287,8 @@ def test_moment_estimate_stable_under_truncation_level():
                            sigma0=0.5, sigma1=0.1)
     ests = []
     for n in (10, 100):
-        est = estimate_moments(eigenfunction(g, 1), cf, 0.05, 8.0, replicas=100,
-                               grid=g, config=SolverConfig(k_modes=8, truncation_level=n),
+        est = estimate_moments(eigenfunction(g, 1), truncate_coefficients(cf, n), 0.05, 8.0,
+                               replicas=100, grid=g, config=SolverConfig(k_modes=8),
                                master_seed=5)
         ests.append(est)
     diff = abs(ests[0].estimate - ests[1].estimate)
