@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from spdelab.lattice import (
+    cos_analysis,
+    cos_synthesis,
     eigen_values,
     eigenfunction,
     from_modes,
@@ -135,3 +138,72 @@ def test_lp_norm_monotone_in_p():
         u = rng.uniform(-1.0, 1.0, g.n_interior)
         norms = [lp_norm_values(u, g.dx, p) for p in (1, 1.5, 2, 4, 8, np.inf)]
         assert np.all(np.diff(norms) >= -1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Transform pin: each transform equals, bit for bit, its scipy.fft formula.
+# ---------------------------------------------------------------------------
+
+_PIN_NX = [2, 3, 16, 32, 64, 257]
+
+
+def _ref_to_modes(v, g):
+    return sfft.dst(v, type=1, axis=-1) * (g.dx / np.sqrt(2.0))
+
+
+def _ref_from_modes(c, g):
+    out = sfft.dst(c, type=1, axis=-1)
+    out /= np.sqrt(2.0)
+    return out
+
+
+def _ref_cos_analysis(v, g):
+    padded = np.empty(v.shape[:-1] + (g.nx + 1,))
+    padded[..., 1:-1] = v
+    padded[..., 0] = v[..., 0]
+    padded[..., -1] = v[..., -1]
+    d = sfft.dct(padded, type=1, axis=-1)
+    k = np.arange(1, g.n_interior + 1)
+    return d[..., 1 : g.nx] * (k * np.pi * g.dx / np.sqrt(2.0))
+
+
+def _ref_cos_synthesis(c, g):
+    k = np.arange(1, g.n_interior + 1)
+    r = c * (np.sqrt(2.0) * k * np.pi)
+    padded = np.zeros(c.shape[:-1] + (g.nx + 1,))
+    padded[..., 1:-1] = r
+    out = sfft.dct(padded, type=1, axis=-1)[..., 1 : g.nx] / 2.0
+    out[..., 0] += 0.5 * np.sum(r, axis=-1)
+    out[..., -1] += 0.5 * np.sum(r * np.where(k % 2 == 0, 1.0, -1.0), axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("nx", _PIN_NX)
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["single", "batch3"])
+def test_transforms_match_scipy_fft_formulas_bit_for_bit(nx, shape):
+    g = make_grid(nx, 1, 1.0)
+    x = np.random.default_rng(nx).standard_normal(shape + (g.n_interior,))
+    for fn, ref in (
+        (to_modes, _ref_to_modes),
+        (from_modes, _ref_from_modes),
+        (cos_analysis, _ref_cos_analysis),
+        (cos_synthesis, _ref_cos_synthesis),
+    ):
+        assert np.array_equal(fn(x.copy(), g), ref(x, g)), fn.__name__
+    assert np.array_equal(from_modes(x.copy(), g, overwrite=True), _ref_from_modes(x, g))
+    # A transform leaves its input alone unless asked to overwrite it.
+    before = x.copy()
+    for fn in (to_modes, from_modes, cos_analysis, cos_synthesis):
+        fn(x, g)
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("nx", _PIN_NX)
+def test_cos_synthesis_is_the_scaled_transpose_of_cos_analysis(nx):
+    # cos_synthesis(c) = A^T c / dx, where A is cos_analysis as a matrix.
+    g = make_grid(nx, 1, 1.0)
+    A = cos_analysis(np.eye(g.n_interior), g).T
+    c = np.random.default_rng(nx + 1).standard_normal((3, g.n_interior))
+    want = c @ A / g.dx
+    got = cos_synthesis(c, g)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
