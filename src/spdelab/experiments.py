@@ -45,6 +45,7 @@ from .lattice import (
 from .mild_solver import (
     SolverConfig,
     _raise_first_blowup,
+    _require_dealiasing,
     _sample_replicas,
     estimate_moments,
     galerkin_coupled_errors,
@@ -103,20 +104,35 @@ class EventSpec:
         if not np.isfinite(self.threshold):
             raise ConfigError("event_threshold must be finite")
 
+    def index(self, grid: GridSpec) -> int | None:
+        """The 0-based mode (mode_coeff) or interior node (point_value) that
+        event_param names on grid, None for the norms; a ConfigError when the
+        grid has no such mode or node."""
+        if self.kind == "mode_coeff":
+            k = int(self.param)
+            if not 1 <= k <= grid.n_interior:
+                raise ConfigError(
+                    f"config key 'event_param': mode {k} outside 1..{grid.n_interior}"
+                )
+            return k - 1
+        if self.kind == "point_value":
+            j = int(round(self.param * grid.nx)) - 1
+            if not 0 <= j < grid.n_interior:
+                raise ConfigError(
+                    f"config key 'event_param': point {self.param} has no interior node"
+                )
+            return j
+        return None
+
     def values(self, terminal: np.ndarray, grid: GridSpec, rho: float) -> np.ndarray:
+        i = self.index(grid)
         if self.kind == "l2_norm":
             return lp_norm_values(terminal, grid.dx, 2.0)
         if self.kind == "lp_norm":
             return lp_norm_values(terminal, grid.dx, rho)
         if self.kind == "mode_coeff":
-            k = int(self.param)
-            if not 1 <= k <= grid.n_interior:
-                raise ConfigError(f"event mode {k} outside 1..{grid.n_interior}")
-            return to_modes(terminal, grid)[..., k - 1]
-        j = int(round(self.param * grid.nx)) - 1
-        if not 0 <= j < grid.n_interior:
-            raise ConfigError(f"event point {self.param} has no interior node")
-        return terminal[..., j]
+            return to_modes(terminal, grid)[..., i]
+        return terminal[..., i]
 
     def hits(self, terminal: np.ndarray, grid: GridSpec, rho: float) -> np.ndarray:
         return self.values(terminal, grid, rho) >= self.threshold
@@ -246,6 +262,15 @@ class ExperimentConfig:
             k = getattr(self, key)
             if k is not None and not 0 <= k <= self.nx - 1:
                 raise ConfigError(f"config key '{key}': {k} outside 0..{self.nx - 1}")
+        if self.kind != "validate":  # every other kind steps the scheme
+            try:
+                _require_dealiasing(
+                    self.coefficients(), self.grid(), self.k_modes or self.nx - 1
+                )
+            except ValueError as exc:
+                raise ConfigError(f"config key 'k_modes': {exc}") from exc
+        if self.event is not None:
+            self.event.index(self.grid())
         if self.control_coupling not in ("direct", "integrated"):
             raise ConfigError(
                 f"unknown control_coupling '{self.control_coupling}' (direct | integrated)"

@@ -28,6 +28,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def base_raw(**extra):
+    """A small simulate config; extra keys override it, and a key set to None is left out."""
     raw = {
         "kind": "simulate",
         "master_seed": "7",
@@ -38,8 +39,8 @@ def base_raw(**extra):
         "f_slope": "0.0",
         "sigma0": "1.0",
     }
-    raw.update({k: str(v) for k, v in extra.items()})
-    return raw
+    raw.update(extra)
+    return {k: str(v) for k, v in raw.items() if v is not None}
 
 
 # -- storage -----------------------------------------------------------------
@@ -319,8 +320,10 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
         ({"family": "burgers", "f_slope": "1"}, "f_slope"),
         ({"T": "-1"}, "T="),
         ({"kind": "importance", "eps": "0", "psi_amp": "0.5", "event_threshold": "0.1"}, "eps"),
+        # Quadratic transport on nx = 16 with all 15 modes breaks nx >= 4*k_modes.
+        ({"family": "burgers", "f_slope": None}, "k_modes"),
     ],
-    ids=["family", "family_parameter", "horizon", "importance_eps"],
+    ids=["family", "family_parameter", "horizon", "importance_eps", "dealiasing"],
 )
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, extra, key):
     raw = base_raw(**extra)
@@ -328,6 +331,28 @@ def test_cli_bad_values_are_config_errors(tmp_path, capsys, extra, key):
     assert cli_main([raw["kind"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "kind,param", [("mode_coeff", "40"), ("point_value", "1.5")], ids=["mode", "point"]
+)
+def test_cli_bad_event_param_exits_before_any_replica(tmp_path, capsys, monkeypatch, kind, param):
+    import spdelab.mild_solver as ms
+
+    engine_calls = []
+    real_engine = ms._replica_engine
+    monkeypatch.setattr(
+        ms, "_replica_engine", lambda *a, **k: engine_calls.append(1) or real_engine(*a, **k)
+    )
+    raw = base_raw(
+        kind="mc-scaling", eps_list="0.2, 0.1", replicas=5,
+        event_kind=kind, event_param=param, event_threshold="0.1",
+    )
+    cfg = write_cfg(tmp_path / "c.cfg", raw)
+    assert cli_main(["mc-scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "event_param" in err
+    assert engine_calls == []
 
 
 def test_cli_seed_and_threads_override(tmp_path):
