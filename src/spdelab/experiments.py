@@ -248,8 +248,8 @@ class ExperimentConfig:
 
     def _validate(self):
         try:
-            self.grid()
-            self.coefficients()
+            grid = self.grid()
+            cf = self.coefficients()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.kind == "importance" and not self.eps > 0:
@@ -264,13 +264,11 @@ class ExperimentConfig:
                 raise ConfigError(f"config key '{key}': {k} outside 0..{self.nx - 1}")
         if self.kind != "validate":  # every other kind steps the scheme
             try:
-                _require_dealiasing(
-                    self.coefficients(), self.grid(), self.k_modes or self.nx - 1
-                )
+                _require_dealiasing(cf, grid, self.k_modes or self.nx - 1)
             except ValueError as exc:
                 raise ConfigError(f"config key 'k_modes': {exc}") from exc
         if self.event is not None:
-            self.event.index(self.grid())
+            self.event.index(grid)
         if self.control_coupling not in ("direct", "integrated"):
             raise ConfigError(
                 f"unknown control_coupling '{self.control_coupling}' (direct | integrated)"

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-
 from scipy import fftpack  # scipy.fft's pocketfft kernel, same bits, half the per-call cost
 
 __all__ = [

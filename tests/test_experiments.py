@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spdelab import mild_solver
 from spdelab.cli import main as cli_main
 from spdelab.control import zero_control
 from spdelab.experiments import (
@@ -336,14 +337,17 @@ def test_cli_bad_values_are_config_errors(tmp_path, capsys, extra, key):
 @pytest.mark.parametrize(
     "kind,param", [("mode_coeff", "40"), ("point_value", "1.5")], ids=["mode", "point"]
 )
-def test_cli_bad_event_param_exits_before_any_replica(tmp_path, capsys, monkeypatch, kind, param):
-    import spdelab.mild_solver as ms
-
+def test_cli_bad_event_param_exits_before_any_replica(
+    tmp_path, capsys, monkeypatch, kind, param
+):
     engine_calls = []
-    real_engine = ms._replica_engine
-    monkeypatch.setattr(
-        ms, "_replica_engine", lambda *a, **k: engine_calls.append(1) or real_engine(*a, **k)
-    )
+    engine = mild_solver._replica_engine
+
+    def counting_engine(*args, **kwargs):
+        engine_calls.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(mild_solver, "_replica_engine", counting_engine)
     raw = base_raw(
         kind="mc-scaling", eps_list="0.2, 0.1", replicas=5,
         event_kind=kind, event_param=param, event_threshold="0.1",
