@@ -17,6 +17,7 @@ from spdelab.coeffs import make_coefficients
 from spdelab.experiments import (
     ExperimentConfig,
     galerkin_coupled_errors,
+    run_convergence_studies,
     run_eps_scaling,
     run_experiment,
 )
@@ -120,6 +121,28 @@ def test_mc_scaling_with_blowups():
     close([r.p_hat for r in table.rows], [0.0425531914893617, 0.057692307692307696, 0.0])
     close([r.stderr for r in table.rows], [0.029760791752350448, 0.03264902644719867, 0.0])
 
+
+
+def test_threaded_convergence_study():
+    # threads = 2 with 40 replicas: the moment and Galerkin legs recorded while
+    # every replica still ran in one chunk on one thread.
+    raw = {
+        "kind": "convergence", "master_seed": "321", "family": "burgers", "sigma0": "1.0",
+        "sigma1": "0.2", "k_modes": "8", "nx": "32", "nt": "32", "T": "0.25",
+        "eta_amp": "0.3", "eps": "1.0", "rho": "4", "psi_amp": "0.5", "k_list": "2, 4, 8",
+        "eps_list": "0.1, 0.05", "replicas": "40", "threads": "2",
+    }
+    report = run_convergence_studies(ExperimentConfig.from_raw(raw))
+    assert [r[0] for r in report.moment_rows] == [1.0, 2.0, 4.0]
+    close([r[1] for r in report.moment_rows],
+          [0.1296253584930936, 0.3935028754778272, 3.546398296192841])
+    close([r[2] for r in report.moment_rows],
+          [0.03569960250152054, 0.0761455043886966, 0.18715310874446872])
+    close([r[3] for r in report.moment_rows],
+          [0.128069316300048, 0.32945652668940656, 0.8627866621722561])
+    assert [r[0] for r in report.galerkin_rows] == [2, 4, 8]
+    close([r[1] for r in report.galerkin_rows],
+          [0.14905170410197588, 0.03453699759801747, 0.0006355258103491146])
 
 # The manifest echo and CSV header of three configs, recorded before the
 # config keys were read from the dataclass fields. Between them they set
