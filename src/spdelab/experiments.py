@@ -44,10 +44,10 @@ from .lattice import (
 )
 from .mild_solver import (
     SolverConfig,
+    _moment_estimates,
     _raise_first_blowup,
     _require_dealiasing,
     _sample_replicas,
-    estimate_moments,
     galerkin_coupled_errors,
     solve_spde,
 )
@@ -256,6 +256,8 @@ class ExperimentConfig:
             raise ConfigError("config key 'eps' must be positive for importance sampling")
         if self.replicas < 1:
             raise ConfigError("replica count must be >= 1")
+        if self.threads < 1:
+            raise ConfigError(f"config key 'threads': {self.threads} must be >= 1")
         if self.tilt not in ("none", "optimal"):
             raise ConfigError(f"unknown tilt '{self.tilt}' (none | optimal)")
         for key in ("k_modes", "k_noise"):
@@ -555,17 +557,18 @@ def run_convergence_studies(cfg: ExperimentConfig) -> ConvergenceReport:
     dists = [d for _, d in controlled_rows]
     controlled_pass = bool(np.all(np.diff(dists) < 0))
 
-    # (iii) moment-bound ratio vs eta scaling.
-    moment_rows = []
-    ratios = []
-    for scale in cfg.eta_scales:
-        eta_s = make_field(grid, scale * eta.values)
-        est = estimate_moments(
-            eta_s, cf, cfg.eps, cfg.rho, cfg.replicas, grid,
-            config=scfg, master_seed=cfg.master_seed, stream=2, threads=cfg.threads,
-        )
-        moment_rows.append((float(scale), est.estimate, est.stderr, est.ratio))
-        ratios.append(est.ratio)
+    # (iii) moment-bound ratio vs eta scaling, every scale on each replica's
+    # one noise draw.
+    estimates = _moment_estimates(
+        [make_field(grid, scale * eta.values) for scale in cfg.eta_scales],
+        cf, cfg.eps, cfg.rho, cfg.replicas, grid,
+        config=scfg, master_seed=cfg.master_seed, stream=2, threads=cfg.threads,
+    )
+    moment_rows = [
+        (float(scale), est.estimate, est.stderr, est.ratio)
+        for scale, est in zip(cfg.eta_scales, estimates)
+    ]
+    ratios = [est.ratio for est in estimates]
     moment_pass = bool(max(ratios) < 2.0 * min(ratios))
 
     return ConvergenceReport(
@@ -621,17 +624,16 @@ def run_experiment(
     output directory.
     """
     raw = parse_config_file(config_path)
-    if kind is not None:
-        raw["kind"] = kind
-    if coupling is not None:
-        raw["control_coupling"] = coupling
+    # Overrides replace config keys before parsing, so they are checked alike.
+    overrides = {
+        "kind": kind,
+        "control_coupling": coupling,
+        "master_seed": seed,
+        "threads": threads,
+        "out_dir": out_dir,
+    }
+    raw.update((k, str(v)) for k, v in overrides.items() if v is not None)
     cfg = ExperimentConfig.from_raw(raw)
-    if seed is not None:
-        cfg.master_seed = int(seed)
-    if threads is not None:
-        cfg.threads = int(threads)
-    if out_dir is not None:
-        cfg.out_dir = str(out_dir)
     if cfg.out_dir is None:
         raise ConfigError("missing required config key 'out_dir' (or pass --out)")
     out = Path(cfg.out_dir)

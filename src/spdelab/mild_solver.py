@@ -27,13 +27,21 @@ convergence is measurable pathwise.
 All stepping broadcasts over leading axes, so replica batches integrate in
 lockstep; a single path is the batch of one. Replica Monte Carlo runs through
 one engine, _replica_engine, which draws each chunk's mode increments once
-and runs the chunks in order or on worker threads. Its consumers are
-_sample_replicas (plain or Girsanov-tilted terminal and sup-norm samples,
-behind run_replicas and the experiment studies) and
-galerkin_coupled_errors. Blow-ups are masked per replica: a row that turns
-non-finite is frozen, its first bad step recorded, and the other rows step
-on unchanged, with no floating-point warning; the result does not depend on
-chunk size or thread count.
+and runs the chunks in order or on worker threads. A chunk's noise block
+holds at most _CHUNK_DOUBLES doubles and, with threads > 1, at most
+ceil(replicas / threads) rows, so every worker has a chunk even when all
+replicas fit in memory at once; min(threads, chunk count) workers run.
+Its consumers are _sample_replicas (plain or Girsanov-tilted terminal and
+sup-norm samples, behind run_replicas and the experiment studies) and
+galerkin_coupled_errors. Both step several runs of a replica as one stacked
+batch on its one noise block: galerkin_coupled_errors the white run and
+its truncations, and _sample_replicas, given a sequence of initial fields,
+a run from each (the moment leg of the convergence study integrates all its
+eta scales so, through _moment_estimates, and draws its noise once).
+Blow-ups are masked per replica: a row that turns non-finite is frozen, its
+first bad step recorded, and the other rows step on unchanged, with no
+floating-point warning; the result does not depend on chunk size, thread
+count or stacking.
 """
 
 from __future__ import annotations
@@ -552,25 +560,35 @@ def _replica_engine(
 
     modes is the chunk's (len(rows), nt, nx-1) block of mode increments on
     the streams (master, r, stream), drawn once; work integrates and reduces
-    it, writes only its own rows of its outputs, and returns each row's first
-    non-finite step (0 if none). Chunks run in order, or on `threads` worker
-    threads. Returns the blow-up steps of all replicas.
+    it, writes only its own rows of its outputs, and returns the first
+    non-finite step of each of its runs, shaped (..., len(rows)) (0 where a
+    run stayed finite). Without a chunk_size a chunk holds at most
+    _CHUNK_DOUBLES of noise and, with threads > 1, at most
+    ceil(replicas / threads) rows, so every worker gets a chunk. Chunks run
+    in order, or on min(threads, chunk count) worker threads. Returns the
+    blow-up steps of all runs, shaped (..., replicas).
     """
-    chunk = chunk_size or max(1, int(_CHUNK_DOUBLES / max(grid.nt * grid.n_interior, 1)))
-    blown = np.zeros(replicas, dtype=int)
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads={threads} must be >= 1")
+    chunk = chunk_size or min(
+        max(1, int(_CHUNK_DOUBLES / max(grid.nt * grid.n_interior, 1))),
+        -(-replicas // threads),
+    )
 
-    def run_chunk(start: int) -> None:
+    def run_chunk(start: int) -> np.ndarray:
         rows = range(start, min(start + chunk, replicas))
-        blown[rows.start : rows.stop] = work(rows, _noise_block(grid, master, rows, stream))
+        return work(rows, _noise_block(grid, master, rows, stream))
 
     starts = range(0, replicas, chunk)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, starts))
+    workers = min(threads, len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run_chunk, starts))
     else:
-        for s in starts:
-            run_chunk(s)
-    return blown
+        parts = [run_chunk(s) for s in starts]
+    return np.concatenate(parts, axis=-1)
 
 
 def _raise_first_blowup(blown: np.ndarray, master: int, stream: int) -> None:
@@ -586,7 +604,7 @@ def _raise_first_blowup(blown: np.ndarray, master: int, stream: int) -> None:
 
 
 def _sample_replicas(
-    eta: Field,
+    eta: Field | list[Field],
     cf: CoefficientSet,
     eps: float,
     grid: GridSpec,
@@ -605,6 +623,11 @@ def _sample_replicas(
     sup-in-time |u|_rho^rho (record="sup_rho"); blown holds each replica's
     first non-finite step (0 if it stayed finite), and a blown replica's
     values are NaN. The caller decides whether partial loss is acceptable.
+
+    eta is one initial Field, or a sequence of them: each replica then runs
+    from every one of them on its one noise draw, the runs stepping as one
+    stacked batch, and values and blown gain a leading axis over the
+    sequence.
 
     A tilt psi (nt, nx-1) shifts the white increments themselves,
     dW -> dW + dt dx psi / sqrt(eps), before the plain dynamics are
@@ -631,7 +654,9 @@ def _sample_replicas(
             psi = from_modes(pm, grid)
         tilt = Control(psi, grid)
     ops = _Ops(cf, grid, config.k_modes, eps, config.cutoff_radius)
-    values = np.empty((replicas, nxm) if record == "terminal" else replicas)
+    u_init = eta.values if isinstance(eta, Field) else np.stack([e.values for e in eta])
+    lead = u_init.shape[:-1]
+    values = np.empty(lead + ((replicas, nxm) if record == "terminal" else (replicas,)))
     log_weights = None if tilt is None else np.empty(replicas)
 
     def work(rows: range, modes: np.ndarray) -> np.ndarray:
@@ -639,8 +664,9 @@ def _sample_replicas(
         if tilt is not None:
             log_weights[rows.start : rows.stop] = girsanov_log_weight(tilt, xi, eps)
             xi += (grid.dt / np.sqrt(eps)) * psi
-        u0 = np.broadcast_to(eta.values, (len(rows), nxm))
-        values[rows.start : rows.stop], blown = _integrate(u0, ops, xi, record=record)
+        u0 = np.broadcast_to(u_init[..., None, :], lead + (len(rows), nxm))
+        mine = (slice(None),) * len(lead) + (slice(rows.start, rows.stop),)
+        values[mine], blown = _integrate(u0, ops, xi, record=record)
         return blown
 
     blown = _replica_engine(grid, master, replicas, stream, work, threads, chunk_size)
@@ -711,13 +737,53 @@ def galerkin_coupled_errors(
             u0, ops, lambda m: from_modes(masks * modes[:, m, :], grid), record=observe
         )
         errors[rows.start : rows.stop] = sup.T
-        # A replica blew up at the first step any of its stacked runs did.
-        first = np.where(blown > 0, blown, grid.nt + 1).min(axis=0)
-        return np.where(first > grid.nt, 0, first)
+        return blown
 
     blown = _replica_engine(grid, master, replicas, stream, work, threads)
-    _raise_first_blowup(blown, master, stream)
+    # A replica blew up at the first step any of its stacked runs did.
+    first = np.where(blown > 0, blown, grid.nt + 1).min(axis=0)
+    _raise_first_blowup(np.where(first > grid.nt, 0, first), master, stream)
     return errors
+
+
+def _moment_estimates(
+    etas: list[Field],
+    cf: CoefficientSet,
+    eps: float,
+    rho: float,
+    replicas: int,
+    grid: GridSpec,
+    config: SolverConfig | None = None,
+    master_seed: int = 0,
+    stream: int = 0,
+    threads: int = 1,
+) -> list[MomentEstimate]:
+    """estimate_moments for each initial Field of etas, in order, all runs of
+    a replica stepping as one stacked batch on its one noise draw.
+
+    Raises BlowUpError for the first eta, in order, with a blown replica: its
+    lowest-index blown replica, that replica's own step and seed triple.
+    """
+    cf = cf if cf.rho == rho else replace(cf, rho=float(rho))
+    sups, _, blowns = _sample_replicas(
+        etas, cf, eps, grid, master_seed, replicas, stream, config,
+        record="sup_rho", threads=threads,
+    )
+    out = []
+    for eta, sup, blown in zip(etas, sups, blowns):
+        _raise_first_blowup(blown, master_seed, stream)
+        estimate = float(np.mean(sup))
+        stderr = float(np.std(sup, ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0
+        norm_eta = lp_norm_values(eta.values, grid.dx, rho) ** rho
+        out.append(
+            MomentEstimate(
+                estimate=estimate,
+                stderr=stderr,
+                ratio=estimate / (1.0 + float(norm_eta)),
+                replicas=replicas,
+            )
+        )
+    return out
 
 
 def estimate_moments(
@@ -733,27 +799,6 @@ def estimate_moments(
     threads: int = 1,
 ) -> MomentEstimate:
     """Monte Carlo estimate of E sup_t |u(t)|_rho^rho over derived seed streams."""
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    cf = cf if cf.rho == rho else replace(cf, rho=float(rho))
-    sup = run_replicas(
-        eta,
-        cf,
-        eps,
-        grid,
-        master_seed,
-        replicas,
-        stream=stream,
-        config=config,
-        record="sup_rho",
-        threads=threads,
-    )
-    estimate = float(np.mean(sup))
-    stderr = float(np.std(sup, ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0
-    norm_eta = lp_norm_values(eta.values, grid.dx, rho) ** rho
-    return MomentEstimate(
-        estimate=estimate,
-        stderr=stderr,
-        ratio=estimate / (1.0 + float(norm_eta)),
-        replicas=replicas,
-    )
+    return _moment_estimates(
+        [eta], cf, eps, rho, replicas, grid, config, master_seed, stream, threads
+    )[0]

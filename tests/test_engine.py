@@ -1,27 +1,34 @@
 """Replica engine: per-replica blow-up masking, chunk and thread independence,
-and the errors that name a blown replica."""
+the stacked moment leg, and the errors that name a blown replica."""
 
 import hashlib
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spdelab import mild_solver
 from spdelab.cli import main as cli_main
 from spdelab.experiments import (
     ExperimentConfig,
+    run_convergence_studies,
     run_eps_scaling,
     run_importance_sampling,
 )
+from spdelab.lattice import eigenfunction, make_field
 from spdelab.mild_solver import (
     BlowUpError,
+    _moment_estimates,
     _sample_replicas,
     estimate_moments,
     run_replicas,
     solve_spde,
 )
 from spdelab.noise import SeedDerivation
+
+DATA = Path(__file__).parent / "data"
 
 BLOWUP = {
     "kind": "mc-scaling", "master_seed": "7", "family": "burgers", "sigma0": "1.0",
@@ -171,3 +178,115 @@ def test_importance_all_blown_names_replica_of_blown_set():
     assert blown_tilt[r] > 0 and r == 0
     assert err.value.step == blown_tilt[r] < grid.nt
     assert err.value.seed == SeedDerivation(cfg.master_seed, r, 0)
+
+
+def record_chunks(monkeypatch):
+    """The rows of every chunk the engine draws noise for (one per work call)."""
+    seen = []
+    draw = mild_solver._noise_block
+
+    def recording(grid, master, rows, stream):
+        seen.append(rows)
+        return draw(grid, master, rows, stream)
+
+    monkeypatch.setattr(mild_solver, "_noise_block", recording)
+    return seen
+
+
+@pytest.mark.parametrize("tilted", [False, True], ids=["plain", "tilted"])
+def test_threads_split_a_single_memory_chunk(monkeypatch, tilted):
+    cfg, grid, cf, eta, scfg = blowup_setup()
+    assert cfg.replicas * grid.nt * grid.n_interior < mild_solver._CHUNK_DOUBLES
+    psi = None
+    if tilted:
+        psi = np.tile(eigenfunction(grid, 1, amplitude=2.0).values, (grid.nt, 1))
+    seen = record_chunks(monkeypatch)
+    results, chunks = {}, {}
+    for threads in (1, 2):
+        seen.clear()
+        results[threads] = _sample_replicas(
+            eta, cf, 1.2, grid, cfg.master_seed, cfg.replicas, 0, scfg, psi, threads=threads
+        )
+        chunks[threads] = list(seen)
+    assert chunks[1] == [range(cfg.replicas)]
+    assert len(chunks[2]) >= 2
+    assert sorted(r for rows in chunks[2] for r in rows) == list(range(cfg.replicas))
+    (v1, w1, b1), (v2, w2, b2) = results[1], results[2]
+    assert np.any(b1)  # the masked rows are compared too
+    assert v1.tobytes() == v2.tobytes() and b1.tobytes() == b2.tobytes()
+    if tilted:
+        assert w1.tobytes() == w2.tobytes()
+    else:
+        assert w1 is None and w2 is None
+
+
+CONVERGENCE = {
+    "kind": "convergence", "master_seed": "321", "family": "burgers", "sigma0": "1.0",
+    "sigma1": "0.2", "k_modes": "8", "nx": "32", "nt": "32", "T": "0.25",
+    "eta_amp": "0.3", "eps": "1.0", "rho": "4", "psi_amp": "0.5", "k_list": "2, 4, 8",
+    "eps_list": "0.1, 0.05", "replicas": "40",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stacked_moment_leg_matches_each_scale_alone(threads):
+    cfg = ExperimentConfig.from_raw(dict(CONVERGENCE, threads=str(threads)))
+    grid, cf, scfg = cfg.grid(), cfg.coefficients(), cfg.solver_config()
+    etas = [make_field(grid, s * cfg.eta_field(grid).values) for s in cfg.eta_scales]
+    args = (cf, cfg.eps, grid, cfg.master_seed, cfg.replicas, 2, scfg)
+    sups, _, blown = _sample_replicas(etas, *args, record="sup_rho", threads=threads)
+    assert sups.shape == blown.shape == (len(etas), cfg.replicas) and not np.any(blown)
+    stacked = _moment_estimates(etas, cf, cfg.eps, cfg.rho, cfg.replicas, grid, scfg,
+                                cfg.master_seed, 2, threads)
+    report = run_convergence_studies(cfg)
+    for i, eta in enumerate(etas):
+        alone = run_replicas(eta, cf, cfg.eps, grid, cfg.master_seed, cfg.replicas, 2, scfg,
+                             record="sup_rho", threads=threads)
+        assert sups[i].tobytes() == alone.tobytes()
+        est = estimate_moments(eta, cf, cfg.eps, cfg.rho, cfg.replicas, grid, config=scfg,
+                               master_seed=cfg.master_seed, stream=2, threads=threads)
+        assert stacked[i] == est
+        assert report.moment_rows[i] == (cfg.eta_scales[i], est.estimate, est.stderr, est.ratio)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_moment_leg_names_first_blown_scale(threads):
+    # Scale 2 blows up only replica 26; scale 4 also blows up replica 20. The
+    # error, recorded when each scale ran alone in order, names scale 2's.
+    raw = dict(BLOWUP, kind="convergence", eps="0.35", eps_list="0.1, 0.05", replicas="30",
+               k_list="2, 4, 8", eta_scales="1, 2, 4", threads=str(threads))
+    del raw["event_threshold"], raw["tilt"]
+    cfg = ExperimentConfig.from_raw(raw)
+    with pytest.raises(BlowUpError) as err:
+        run_convergence_studies(cfg)
+    assert (err.value.replica, err.value.step) == (26, 34)
+    assert err.value.seed == SeedDerivation(cfg.master_seed, 26, 2)
+    grid = cfg.grid()
+    eta2 = make_field(grid, 2.0 * cfg.eta_field(grid).values)
+    assert single_path_step(cfg, grid, cfg.coefficients(), eta2, cfg.solver_config(),
+                            0.35, 26, 2) == 34
+
+
+def run_outputs(tmp_path, command, config, threads):
+    out = tmp_path / f"{command}-{threads}"
+    assert cli_main([command, "--config", str(config), "--out", str(out),
+                     "--threads", str(threads)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["convergence", "mc-scaling"])
+def test_cli_outputs_do_not_depend_on_threads(tmp_path, command):
+    if command == "convergence":
+        config = tmp_path / "c.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in CONVERGENCE.items()))
+    else:
+        config = DATA / "golden_mc_scaling.cfg"
+    one, two = (run_outputs(tmp_path, command, config, t) for t in (1, 2))
+    assert sorted(one) == sorted(two) and "manifest.txt" in one
+    for name in one:
+        a, b = one[name].splitlines(), two[name].splitlines()
+        if name == "manifest.txt":
+            assert b"threads = 1" in a and b"threads = 2" in b
+            a.remove(b"threads = 1")
+            b.remove(b"threads = 2")
+        assert a == b, name

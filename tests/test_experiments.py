@@ -315,23 +315,31 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra,key",
+    "extra,flags,key",
     [
-        ({"family": "heat"}, "family"),
-        ({"family": "burgers", "f_slope": "1"}, "f_slope"),
-        ({"T": "-1"}, "T="),
-        ({"kind": "importance", "eps": "0", "psi_amp": "0.5", "event_threshold": "0.1"}, "eps"),
+        ({"family": "heat"}, [], "family"),
+        ({"family": "burgers", "f_slope": "1"}, [], "f_slope"),
+        ({"T": "-1"}, [], "T="),
+        ({"kind": "importance", "eps": "0", "psi_amp": "0.5", "event_threshold": "0.1"}, [],
+         "eps"),
         # Quadratic transport on nx = 16 with all 15 modes breaks nx >= 4*k_modes.
-        ({"family": "burgers", "f_slope": None}, "k_modes"),
+        ({"family": "burgers", "f_slope": None}, [], "k_modes"),
+        ({"threads": "0"}, [], "threads"),
+        ({"threads": "-3"}, [], "threads"),
+        ({}, ["--threads", "-3"], "threads"),
+        ({}, ["--threads", "0"], "threads"),
     ],
-    ids=["family", "family_parameter", "horizon", "importance_eps", "dealiasing"],
+    ids=["family", "family_parameter", "horizon", "importance_eps", "dealiasing",
+         "threads_zero", "threads_negative", "threads_flag_negative", "threads_flag_zero"],
 )
-def test_cli_bad_values_are_config_errors(tmp_path, capsys, extra, key):
+def test_cli_bad_values_are_config_errors(tmp_path, capsys, extra, flags, key):
     raw = base_raw(**extra)
     cfg = write_cfg(tmp_path / "c.cfg", raw)
-    assert cli_main([raw["kind"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert cli_main([raw["kind"], "--config", cfg, "--out", str(out)] + flags) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+    assert not (out / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize(
@@ -370,6 +378,7 @@ def test_cli_seed_and_threads_override(tmp_path):
     ]) == 0
     manifest = (tmp_path / "a" / "manifest.txt").read_text()
     assert "master_seed = 99" in manifest
+    assert "threads = 2" in manifest
 
 
 def test_cli_coupling_flag(tmp_path):
