@@ -35,9 +35,9 @@ Its consumers are _sample_replicas (plain or Girsanov-tilted terminal and
 sup-norm samples, behind run_replicas and the experiment studies) and
 galerkin_coupled_errors. Both step several runs of a replica as one stacked
 batch on its one noise block: galerkin_coupled_errors the white run and
-its truncations, and _sample_replicas, given a sequence of initial fields,
-a run from each (the moment leg of the convergence study integrates all its
-eta scales so, through _moment_estimates, and draws its noise once).
+its truncations, _sample_replicas one run per initial field when given a
+sequence of them. _moment_estimates uses the latter, so the convergence
+study's moment leg draws its noise once for all its eta scales.
 Blow-ups are masked per replica: a row that turns non-finite is frozen, its
 first bad step recorded, and the other rows step on unchanged, with no
 floating-point warning; the result does not depend on chunk size, thread

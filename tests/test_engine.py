@@ -180,8 +180,14 @@ def test_importance_all_blown_names_replica_of_blown_set():
     assert err.value.seed == SeedDerivation(cfg.master_seed, r, 0)
 
 
-def record_chunks(monkeypatch):
-    """The rows of every chunk the engine draws noise for (one per work call)."""
+@pytest.mark.parametrize("tilted", [False, True], ids=["plain", "tilted"])
+def test_threads_split_a_single_memory_chunk(monkeypatch, tilted):
+    cfg, grid, cf, eta, scfg = blowup_setup()
+    assert cfg.replicas * grid.nt * grid.n_interior < mild_solver._CHUNK_DOUBLES
+    psi = None
+    if tilted:
+        psi = np.tile(eigenfunction(grid, 1, amplitude=2.0).values, (grid.nt, 1))
+    # The engine draws one noise block per chunk, right before its work call.
     seen = []
     draw = mild_solver._noise_block
 
@@ -190,17 +196,6 @@ def record_chunks(monkeypatch):
         return draw(grid, master, rows, stream)
 
     monkeypatch.setattr(mild_solver, "_noise_block", recording)
-    return seen
-
-
-@pytest.mark.parametrize("tilted", [False, True], ids=["plain", "tilted"])
-def test_threads_split_a_single_memory_chunk(monkeypatch, tilted):
-    cfg, grid, cf, eta, scfg = blowup_setup()
-    assert cfg.replicas * grid.nt * grid.n_interior < mild_solver._CHUNK_DOUBLES
-    psi = None
-    if tilted:
-        psi = np.tile(eigenfunction(grid, 1, amplitude=2.0).values, (grid.nt, 1))
-    seen = record_chunks(monkeypatch)
     results, chunks = {}, {}
     for threads in (1, 2):
         seen.clear()
