@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .action import ActionOptions, RateResult, gradient_check, minimize_action, path_rate_function
 from .coeffs import (
     CoefficientSet,
-    Cutoff,
     chi_R,
     make_coefficients,
     truncate_coefficients,
@@ -22,11 +21,9 @@ from .control import (
     Control,
     control_from_function,
     girsanov_log_weight,
-    make_control,
     rate_functional,
     solve_controlled,
     solve_skeleton,
-    zero_control,
 )
 from .greenfn import (
     KernelBoundReport,
@@ -41,12 +38,9 @@ from .lattice import (
     Field,
     GridSpec,
     eigenfunction,
-    field_from_function,
-    inverse_sine_transform,
     lp_norm,
     make_field,
     make_grid,
-    sine_transform,
 )
 from .mild_solver import (
     BlowUpError,
@@ -62,10 +56,8 @@ from .mild_solver import (
 from .noise import (
     NoiseRealization,
     SeedDerivation,
-    derive_generator,
     partial_sum_identity,
     sample_sheet_expansion,
-    sample_white_increments,
 )
 from .experiments import (
     EventSpec,

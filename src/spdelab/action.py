@@ -70,7 +70,6 @@ class _AdjointProblem:
     def __init__(self, phi_target, eta, cf, grid, opts: ActionOptions):
         self.grid = grid
         self.cf = cf
-        self.opts = opts
         self.ops = _Ops(cf, grid, opts.k_modes, coupling=opts.coupling)
         self.eta = self.ops.project(np.asarray(eta.values, dtype=float))
         self.target = np.asarray(phi_target.values, dtype=float)
@@ -107,7 +106,7 @@ class _AdjointProblem:
         grid, cf, ops = self.grid, self.cf, self.ops
         grad = np.empty_like(psi)
         p = mu * self.dx * (v[-1] - self.target)
-        direct = self.opts.coupling == "direct"
+        direct = ops.coupling == "direct"
         for m in range(grid.nt - 1, -1, -1):
             t = m * self.dt
             u = v[m]
@@ -219,10 +218,9 @@ def _action_of(psi: np.ndarray, grid: GridSpec) -> float:
 
 def _result(psi, grid, residual, converged, iterations, mu, trace) -> RateResult:
     control = Control(psi, grid)
-    action, _ = rate_functional(control)
     return RateResult(
         psi_star=control,
-        action=action,
+        action=rate_functional(control),
         residual=float(residual),
         converged=converged,
         iterations=iterations,
@@ -251,7 +249,7 @@ def path_rate_function(
         raise ValueError(
             f"path shape {values.shape} does not match grid ({grid.nt + 1}, {nxm})"
         )
-    ops = _Ops(cf, grid, k_modes)
+    ops = _Ops(cf, grid, k_modes, coupling=coupling)
     x = grid.x
     psi = np.empty((grid.nt, nxm))
     k_act = ops.k_modes
@@ -269,14 +267,13 @@ def path_rate_function(
         w_modes = np.zeros(nxm)
         w_modes[:k_act] = resid[:k_act] / ed_act
         w = from_modes(w_modes, grid)
-        if coupling == "direct":
+        if ops.coupling == "direct":
             psi[m] = w / sig
         else:
             z = w / (sig * grid.dx)
             psi[m] = np.diff(z, prepend=0.0)
     control = Control(psi, grid)
-    action, _ = rate_functional(control)
-    return action, control
+    return rate_functional(control), control
 
 
 def gradient_check(

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .experiments import VALID_KINDS, run_experiment
-from .mild_solver import BlowUpError
+from .mild_solver import _COUPLINGS, BlowUpError
 from .storage import ConfigError
 
 _HELP = {
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=None, help="worker threads")
         p.add_argument(
             "--coupling",
-            choices=("direct", "integrated"),
+            choices=_COUPLINGS,
             default=None,
             help="control coupling convention (overrides control_coupling)",
         )

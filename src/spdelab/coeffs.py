@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "CoefficientSet",
-    "Cutoff",
     "AssumptionReport",
     "chi_R",
     "chi_R_prime",
@@ -58,27 +57,6 @@ def chi_R_prime(r, R: float):
     mag = -30.0 * s * s * (1.0 - s) ** 2
     out = np.where((a > R) & (a < R + 1.0), mag * np.sign(r), 0.0)
     return out if out.shape else float(out)
-
-
-@dataclass(frozen=True)
-class Cutoff:
-    """Cutoff radius with its smooth weight and derivative bound."""
-
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("cutoff radius must be >= 0")
-
-    def __call__(self, r):
-        return chi_R(r, self.radius)
-
-    def derivative(self, r):
-        return chi_R_prime(r, self.radius)
-
-    @property
-    def derivative_bound(self) -> float:
-        return CHI_MAX_SLOPE
 
 
 @dataclass(frozen=True)
@@ -139,14 +117,6 @@ def _derivative(dfn, fn, *args):
     *head, r = args
     h = 1e-6 * (1.0 + np.abs(r))
     return (fn(*head, r + h) - fn(*head, r - h)) / (2.0 * h)
-
-
-def _zero(t, x, r):
-    return np.zeros_like(np.asarray(r, dtype=float))
-
-
-def _zero2(t, r):
-    return np.zeros_like(np.asarray(r, dtype=float))
 
 
 def make_coefficients(family: str, rho: float = RHO_DEFAULT, **params) -> CoefficientSet:

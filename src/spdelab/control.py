@@ -1,7 +1,10 @@
 """Controlled and skeleton dynamics, the quadratic rate functional, and the
 log Radon-Nikodym weight of the Cameron-Martin tilt.
 
-A control is a deterministic field psi(s, y) on the time-space cells. It
+A control is a deterministic field psi(s, y) on the time-space cells, built
+as Control(values, grid) or sampled by control_from_function. Its rate
+functional I(psi) = (1/2) iint psi^2 is taken over all controls; the bounded
+sets {iint psi^2 <= N} of the weak-convergence proof carry no option here. It
 enters the dynamics as the extra mild-form term built from sigma(s,y,v) psi
 (the "direct" coupling); the literal alternative where sigma multiplies the
 cumulative integral int_0^y psi(s,y') dy' is available behind the
@@ -33,9 +36,7 @@ from .noise import NoiseRealization, sample_sheet_expansion
 
 __all__ = [
     "Control",
-    "make_control",
     "control_from_function",
-    "zero_control",
     "rate_functional",
     "solve_skeleton",
     "solve_controlled",
@@ -49,7 +50,6 @@ class Control:
 
     values: np.ndarray
     grid: GridSpec
-    radius: float | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -67,39 +67,20 @@ class Control:
         """Cached squared L^2([0,T]x[0,1]) norm by cell quadrature."""
         return self._norm_sq
 
-    @property
-    def admissible(self) -> bool | None:
-        if self.radius is None:
-            return None
-        return self.norm_sq <= self.radius
-
     def scaled(self, a: float) -> "Control":
-        return Control(a * self.values, self.grid, self.radius)
+        return Control(a * self.values, self.grid)
 
 
-def make_control(grid: GridSpec, values, radius: float | None = None) -> Control:
-    return Control(np.asarray(values, dtype=float), grid, radius)
-
-
-def zero_control(grid: GridSpec) -> Control:
-    return Control(np.zeros((grid.nt, grid.n_interior)), grid)
-
-
-def control_from_function(grid: GridSpec, fn, radius: float | None = None) -> Control:
+def control_from_function(grid: GridSpec, fn) -> Control:
     """Sample a callable (t, x) -> value on the step times and interior nodes."""
     tt = grid.t[:-1][:, None]
     xx = grid.x[None, :]
-    return Control(np.broadcast_to(fn(tt, xx), (grid.nt, grid.n_interior)).copy(), grid, radius)
+    return Control(np.broadcast_to(fn(tt, xx), (grid.nt, grid.n_interior)).copy(), grid)
 
 
-def rate_functional(psi: Control, radius: float | None = None):
-    """I(psi) = (1/2) iint psi^2 dy ds, plus the admissibility flag when a
-    radius is supplied (iint psi^2 <= N)."""
-    half = 0.5 * psi.norm_sq
-    bound = radius if radius is not None else psi.radius
-    if bound is None:
-        return half, None
-    return half, bool(psi.norm_sq <= bound)
+def rate_functional(psi: Control) -> float:
+    """I(psi) = (1/2) iint psi^2 dy ds."""
+    return 0.5 * psi.norm_sq
 
 
 def _psi_array(psi: Control | np.ndarray | None, grid: GridSpec) -> np.ndarray | None:

@@ -43,6 +43,7 @@ from .lattice import (
     to_modes,
 )
 from .mild_solver import (
+    _COUPLINGS,
     SolverConfig,
     _moment_estimates,
     _raise_first_blowup,
@@ -149,13 +150,17 @@ _EVENT_KEYS = ("event_kind", "event_param", "event_threshold")
 _COMPOSITE = ("family_params", "event")
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _parse(hint, text: str):
     """text as the annotated type: int/float/bool/str, X | None, tuple[X, ...]."""
     if get_origin(hint) is tuple:
         return tuple(_parse(get_args(hint)[0], s.strip()) for s in text.split(",") if s.strip())
     hint = next((a for a in get_args(hint) if a is not type(None)), hint)
     if hint is bool:
-        return text.lower() in ("1", "true", "yes", "on")
+        return _BOOLS[text.lower()]
     return hint(text)
 
 
@@ -166,7 +171,7 @@ def _conv(raw: dict, key: str, hint, default=None, required: bool = False):
         return default
     try:
         return _parse(hint, raw[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"config key '{key}': cannot parse {raw[key]!r}") from exc
 
 
@@ -242,10 +247,6 @@ class ExperimentConfig:
         cfg._validate()
         return cfg
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_raw(parse_config_file(path))
-
     def _validate(self):
         try:
             grid = self.grid()
@@ -271,9 +272,9 @@ class ExperimentConfig:
                 raise ConfigError(f"config key 'k_modes': {exc}") from exc
         if self.event is not None:
             self.event.index(grid)
-        if self.control_coupling not in ("direct", "integrated"):
+        if self.control_coupling not in _COUPLINGS:
             raise ConfigError(
-                f"unknown control_coupling '{self.control_coupling}' (direct | integrated)"
+                f"unknown control_coupling '{self.control_coupling}' ({' | '.join(_COUPLINGS)})"
             )
         if self.eps_list:
             el = np.asarray(self.eps_list)

@@ -23,10 +23,7 @@ __all__ = [
     "Field",
     "make_grid",
     "make_field",
-    "field_from_function",
     "eigenfunction",
-    "sine_transform",
-    "inverse_sine_transform",
     "lp_norm",
 ]
 
@@ -97,11 +94,6 @@ class Field:
 
 def make_field(grid: GridSpec, values) -> Field:
     return Field(np.asarray(values, dtype=float), grid)
-
-
-def field_from_function(grid: GridSpec, fn) -> Field:
-    """Sample a callable x -> value at the interior nodes."""
-    return Field(np.asarray(fn(grid.x), dtype=float), grid)
 
 
 def eigen_values(k: np.ndarray | int) -> np.ndarray | float:
@@ -199,17 +191,6 @@ def cos_synthesis(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     out[..., 0] += 0.5 * np.sum(r, axis=-1)
     out[..., -1] += 0.5 * np.sum(r * parity, axis=-1)
     return out
-
-
-def sine_transform(field: Field) -> np.ndarray:
-    """Orthonormal sine coefficients of a field (Parseval holds with lp_norm p=2)."""
-    return to_modes(field.values, field.grid)
-
-
-def inverse_sine_transform(coeffs: np.ndarray, grid: GridSpec) -> Field:
-    """Reconstruct a field from its sine coefficients."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return Field(from_modes(coeffs, grid), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,11 @@ __all__ = [
 ]
 
 
+# Control couplings: sigma(u) psi ("direct") or sigma(u) int_0^y psi dy'
+# ("integrated"); every solve that takes a coupling checks it against these.
+_COUPLINGS = ("direct", "integrated")
+
+
 class BlowUpError(RuntimeError):
     """Raised when a step produces non-finite values."""
 
@@ -120,8 +125,7 @@ class SolverConfig:
     control_coupling: str = "direct"
 
     def __post_init__(self):
-        if self.control_coupling not in ("direct", "integrated"):
-            raise ValueError(f"unknown control coupling '{self.control_coupling}'")
+        _check_coupling(self.control_coupling)
         if self.cutoff_radius is not None and self.cutoff_radius <= 0:
             raise ValueError("cutoff radius must be positive")
 
@@ -195,6 +199,11 @@ def _require_dealiasing(cf: CoefficientSet, grid: GridSpec, k_modes: int) -> Non
         )
 
 
+def _check_coupling(coupling: str) -> None:
+    if coupling not in _COUPLINGS:
+        raise ValueError(f"unknown control coupling '{coupling}'")
+
+
 def _apply_chi(values: np.ndarray, chi: np.ndarray | None) -> np.ndarray:
     return values if chi is None else chi * values
 
@@ -218,6 +227,7 @@ class _Ops:
     ):
         if eps < 0:
             raise ValueError("noise intensity must be >= 0")
+        _check_coupling(coupling)
         nxm = grid.n_interior
         self.k_modes = nxm if k_modes is None else int(k_modes)
         if not 1 <= self.k_modes <= nxm:

@@ -31,9 +31,7 @@ from .lattice import GridSpec, from_modes
 __all__ = [
     "SeedDerivation",
     "NoiseRealization",
-    "derive_generator",
     "draw_mode_increments",
-    "sample_white_increments",
     "sample_sheet_expansion",
     "partial_sum_identity",
 ]
@@ -55,10 +53,6 @@ class SeedDerivation:
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(self.seed_sequence()))
-
-
-def derive_generator(master: int, replica: int = 0, stream: int = 0) -> np.random.Generator:
-    return SeedDerivation(master, replica, stream).generator()
 
 
 def draw_mode_increments(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
@@ -125,22 +119,13 @@ class NoiseRealization:
         return float(np.sum(self.white_increments[:m, :j_full]))
 
 
-def sample_white_increments(
-    grid: GridSpec, seed: int, replica: int = 0, stream: int = 0
-) -> NoiseRealization:
-    """White-noise realization: all nx-1 modes active."""
-    info = SeedDerivation(seed, replica, stream)
-    block = draw_mode_increments(grid, info.generator())
-    return NoiseRealization(grid, info, block, grid.n_interior)
-
-
 def sample_sheet_expansion(
     grid: GridSpec, k_noise: int, seed: int, replica: int = 0, stream: int = 0
 ) -> NoiseRealization:
     """Truncated sheet expansion: first k_noise modes active, stream-nested.
 
-    k_noise = 0 yields the zero realization; k_noise = nx-1 coincides with
-    sample_white_increments for the same stream key.
+    k_noise = 0 yields the zero realization; k_noise = nx-1 (grid.n_interior)
+    is the white-noise realization of the stream key.
     """
     k_noise = int(k_noise)
     if not 0 <= k_noise <= grid.n_interior:

@@ -8,7 +8,7 @@ from spdelab.action import (
     path_rate_function,
 )
 from spdelab.coeffs import CoefficientSet, make_coefficients
-from spdelab.control import make_control, rate_functional, solve_skeleton
+from spdelab.control import Control, rate_functional, solve_skeleton
 from spdelab.lattice import eigen_values, eigenfunction, make_field, make_grid
 from spdelab.mild_solver import SolverConfig
 
@@ -108,7 +108,7 @@ def test_action_equals_rate_functional_of_psi_star():
     g = make_grid(32, 64, 0.5)
     eta = make_field(g, np.zeros(g.n_interior))
     res = minimize_action(eigenfunction(g, 1, amplitude=0.7), eta, ADDITIVE, g)
-    I, _ = rate_functional(res.psi_star)
+    I = rate_functional(res.psi_star)
     assert abs(res.action - I) <= 1e-10
 
 
@@ -127,8 +127,8 @@ def test_gradient_check_linear():
     g = make_grid(64, 128, 0.5)
     cf = make_coefficients("linear", f_slope=0.4, sigma0=1.0)
     rng = np.random.default_rng(5)
-    psi = make_control(g, 0.3 * rng.standard_normal((g.nt, g.n_interior)))
-    d = make_control(g, rng.standard_normal((g.nt, g.n_interior)))
+    psi = Control(0.3 * rng.standard_normal((g.nt, g.n_interior)), g)
+    d = Control(rng.standard_normal((g.nt, g.n_interior)), g)
     err = gradient_check(eigenfunction(g, 1), make_field(g, np.zeros(g.n_interior)),
                          cf, psi, d, h=1e-5)
     assert err <= 1e-6
@@ -138,8 +138,8 @@ def test_gradient_check_burgers():
     g = make_grid(64, 128, 0.5)
     cf = make_coefficients("burgers", sigma0=1.0, sigma1=0.2)
     rng = np.random.default_rng(6)
-    psi = make_control(g, 0.3 * rng.standard_normal((g.nt, g.n_interior)))
-    d = make_control(g, rng.standard_normal((g.nt, g.n_interior)))
+    psi = Control(0.3 * rng.standard_normal((g.nt, g.n_interior)), g)
+    d = Control(rng.standard_normal((g.nt, g.n_interior)), g)
     err = gradient_check(eigenfunction(g, 1), eigenfunction(g, 1, amplitude=0.3),
                          cf, psi, d, h=1e-4, opts=ActionOptions(k_modes=16))
     assert err <= 1e-4
@@ -150,8 +150,8 @@ def test_gradient_check_integrated_coupling():
     cf = make_coefficients("reaction", f_slope=0.2, g1_slope=0.1, g2_quad=0.05,
                            sigma0=1.0, sigma1=0.3)
     rng = np.random.default_rng(7)
-    psi = make_control(g, 0.2 * rng.standard_normal((g.nt, g.n_interior)))
-    d = make_control(g, rng.standard_normal((g.nt, g.n_interior)))
+    psi = Control(0.2 * rng.standard_normal((g.nt, g.n_interior)), g)
+    d = Control(rng.standard_normal((g.nt, g.n_interior)), g)
     err = gradient_check(
         eigenfunction(g, 1), make_field(g, np.zeros(g.n_interior)), cf, psi, d,
         h=1e-5, opts=ActionOptions(k_modes=8, coupling="integrated"),
@@ -161,7 +161,7 @@ def test_gradient_check_integrated_coupling():
 
 def test_gradient_check_rejects_zero_direction():
     g = make_grid(16, 8, 0.25)
-    psi = make_control(g, np.zeros((8, 15)))
+    psi = Control(np.zeros((8, 15)), g)
     with pytest.raises(ValueError, match="nonzero"):
         gradient_check(eigenfunction(g, 1), make_field(g, np.zeros(15)), ADDITIVE,
                        psi, np.zeros((8, 15)), h=1e-5)
@@ -176,11 +176,11 @@ def test_path_rate_round_trip():
                            sigma0=1.0, sigma1=0.1)
     profile = eigenfunction(g, 1, amplitude=0.5).values
     ramp = (1.0 + np.linspace(0, 1, g.nt))[:, None]
-    psi = make_control(g, ramp * profile)
+    psi = Control(ramp * profile, g)
     sk = solve_skeleton(make_field(g, np.zeros(g.n_interior)), cf, psi, g,
                         SolverConfig(k_modes=16))
     I_rec, rec = path_rate_function(sk, cf, g, k_modes=16)
-    I_true, _ = rate_functional(psi)
+    I_true = rate_functional(psi)
     assert abs(I_rec - I_true) / I_true <= 0.05
 
 
@@ -213,6 +213,19 @@ def test_path_rate_shape_mismatch():
         path_rate_function(np.zeros((5, 15)), ADDITIVE, g)
 
 
+def test_unknown_coupling_is_rejected_by_every_solve():
+    g = make_grid(16, 8, 0.25)
+    target, eta = eigenfunction(g, 1, 0.3), make_field(g, np.zeros(15))
+    bogus = ActionOptions(coupling="bogus")
+    with pytest.raises(ValueError, match="coupling 'bogus'"):
+        minimize_action(target, eta, ADDITIVE, g, bogus)
+    with pytest.raises(ValueError, match="coupling 'bogus'"):
+        gradient_check(target, eta, ADDITIVE, np.zeros((8, 15)), np.ones((8, 15)),
+                       h=1e-5, opts=bogus)
+    with pytest.raises(ValueError, match="coupling 'bogus'"):
+        path_rate_function(np.zeros((g.nt + 1, 15)), ADDITIVE, g, coupling="bogus")
+
+
 def test_minimum_never_exceeds_feasible_comparison():
     # Build a feasible control reaching the same target with extra mode-2
     # content that cancels at time T; its action must dominate the optimum.
@@ -228,7 +241,7 @@ def test_minimum_never_exceeds_feasible_comparison():
     q[10] = 1.0
     q[100] = -w[10] / w[100]  # net mode-2 terminal contribution is zero
     extra = np.outer(q, eigenfunction(g, 2).values)
-    psi_feasible = make_control(g, res.psi_star.values + extra)
+    psi_feasible = Control(res.psi_star.values + extra, g)
     v = solve_skeleton(eta, ADDITIVE, psi_feasible, g)
     v_star = solve_skeleton(eta, ADDITIVE, res.psi_star, g)
     assert np.max(np.abs(v.fields[-1] - v_star.fields[-1])) <= 1e-10

@@ -4,7 +4,6 @@ import pytest
 from spdelab.coeffs import (
     CHI_MAX_SLOPE,
     CoefficientSet,
-    Cutoff,
     chi_R,
     chi_R_prime,
     make_coefficients,
@@ -36,13 +35,13 @@ def test_chi_negative_radius():
     with pytest.raises(ValueError):
         chi_R(0.5, -1.0)
     with pytest.raises(ValueError):
-        Cutoff(-2.0)
+        chi_R_prime(0.5, -2.0)
 
 
 def test_cutoff_object():
-    cut = Cutoff(3.0)
-    assert cut(2.9) == 1.0 and cut(4.1) == 0.0
-    assert cut.derivative_bound == CHI_MAX_SLOPE
+    assert chi_R(2.9, 3.0) == 1.0 and chi_R(4.1, 3.0) == 0.0
+    assert chi_R_prime(2.9, 3.0) == 0.0 and chi_R_prime(4.1, 3.0) == 0.0
+    assert abs(chi_R_prime(3.5, 3.0)) == CHI_MAX_SLOPE
 
 
 def test_burgers_family():

@@ -7,7 +7,7 @@ import pytest
 
 from spdelab import mild_solver
 from spdelab.cli import main as cli_main
-from spdelab.control import zero_control
+from spdelab.control import Control
 from spdelab.experiments import (
     EventSpec,
     ExperimentConfig,
@@ -119,6 +119,12 @@ def test_event_threshold_required():
         ExperimentConfig.from_raw(raw)
 
 
+def test_bool_keys_accept_both_spellings_in_any_case():
+    for text, value in (("1", True), ("On", True), ("YES", True), ("true", True),
+                        ("0", False), ("off", False), ("No", False), ("FALSE", False)):
+        assert ExperimentConfig.from_raw(base_raw(dump_noise=text)).dump_noise is value
+
+
 def test_event_threshold_finite():
     raw = base_raw(kind="importance", event_kind="l2_norm", event_threshold="inf")
     with pytest.raises(ConfigError, match="finite"):
@@ -178,7 +184,8 @@ def test_zero_tilt_reproduces_plain_sampling():
     raw = base_raw(kind="importance", replicas="200", eps="0.2",
                    event_kind="l2_norm", event_threshold="0.2")
     cfg = ExperimentConfig.from_raw(raw)
-    res = run_importance_sampling(cfg, psi_star=zero_control(cfg.grid()))
+    g = cfg.grid()
+    res = run_importance_sampling(cfg, psi_star=Control(np.zeros((g.nt, g.n_interior)), g))
     assert res.estimate == res.plain_estimate
     assert res.mean_weight == 1.0
 
@@ -328,9 +335,11 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
         ({"threads": "-3"}, [], "threads"),
         ({}, ["--threads", "-3"], "threads"),
         ({}, ["--threads", "0"], "threads"),
+        ({"dump_noise": "ture"}, [], "dump_noise"),
     ],
     ids=["family", "family_parameter", "horizon", "importance_eps", "dealiasing",
-         "threads_zero", "threads_negative", "threads_flag_negative", "threads_flag_zero"],
+         "threads_zero", "threads_negative", "threads_flag_negative", "threads_flag_zero",
+         "bool"],
 )
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, extra, flags, key):
     raw = base_raw(**extra)

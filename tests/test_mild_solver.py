@@ -23,7 +23,7 @@ from spdelab.mild_solver import (
     solve_spde,
     step_mild,
 )
-from spdelab.noise import sample_sheet_expansion, sample_white_increments
+from spdelab.noise import sample_sheet_expansion
 
 LINEAR = make_coefficients("linear", f_slope=0.0, sigma0=1.0)
 BURGERS = make_coefficients("burgers", sigma0=1.0)
@@ -234,7 +234,7 @@ def test_picard_burgers_contraction():
 def test_picard_matches_stepper():
     g = make_grid(64, 128, 0.1)
     eta = eigenfunction(g, 1, amplitude=0.5)
-    noise = sample_white_increments(g, 3)
+    noise = sample_sheet_expansion(g, g.n_interior, 3)
     pic, _ = picard_solve(eta, BURGERS, 0.05, noise, g, tol=1e-12, max_iter=60,
                           k_modes=16)
     etd = solve_spde(eta, BURGERS, 0.05, seed=3, grid=g, config=SolverConfig(k_modes=16))

@@ -4,10 +4,8 @@ import pytest
 from spdelab.lattice import make_grid
 from spdelab.noise import (
     SeedDerivation,
-    derive_generator,
     partial_sum_identity,
     sample_sheet_expansion,
-    sample_white_increments,
 )
 
 # Frozen test vectors for the documented seed derivation
@@ -23,23 +21,23 @@ SEED_VECTORS = {
 
 def test_seed_derivation_vectors():
     for key, expected in SEED_VECTORS.items():
-        draws = derive_generator(*key).standard_normal(3)
+        draws = SeedDerivation(*key).generator().standard_normal(3)
         assert np.array_equal(draws, np.array(expected))
 
 
 def test_same_seed_bit_identical():
     g = make_grid(16, 32, 0.5)
-    a = sample_white_increments(g, 42)
-    b = sample_white_increments(g, 42)
+    a = sample_sheet_expansion(g, g.n_interior, 42)
+    b = sample_sheet_expansion(g, g.n_interior, 42)
     assert np.array_equal(a.mode_increments, b.mode_increments)
     assert np.array_equal(a.white_increments, b.white_increments)
 
 
 def test_distinct_streams_differ():
     g = make_grid(16, 8, 0.5)
-    base = sample_white_increments(g, 42).mode_increments
+    base = sample_sheet_expansion(g, g.n_interior, 42).mode_increments
     for rep, stream in ((1, 0), (0, 1), (2, 5)):
-        other = sample_white_increments(g, 42, replica=rep, stream=stream)
+        other = sample_sheet_expansion(g, g.n_interior, 42, replica=rep, stream=stream)
         assert not np.array_equal(base, other.mode_increments)
 
 
@@ -47,7 +45,10 @@ def test_white_increment_variance():
     # 10^5 cell increments across replicas: empirical variance within 3 SE.
     g = make_grid(21, 50, 0.5)
     draws = np.concatenate(
-        [sample_white_increments(g, 7, replica=r).white_increments.ravel() for r in range(100)]
+        [
+            sample_sheet_expansion(g, g.n_interior, 7, replica=r).white_increments.ravel()
+            for r in range(100)
+        ]
     )
     n = draws.size
     assert n == 100000
@@ -63,7 +64,7 @@ def test_sheet_covariance():
     w1 = np.empty(reps)
     w2 = np.empty(reps)
     for r in range(reps):
-        nz = sample_white_increments(g, 99, replica=r)
+        nz = sample_sheet_expansion(g, g.n_interior, 99, replica=r)
         w1[r] = nz.sheet_value(4, 0.5)   # t=0.4, x=0.5
         w2[r] = nz.sheet_value(8, 0.75)  # t=0.8, x=0.75
     target = 0.4 * 0.5
@@ -101,7 +102,7 @@ def test_nested_coupling_exact():
     big = sample_sheet_expansion(g, 64, 2020)
     small = sample_sheet_expansion(g, 16, 2020)
     assert np.array_equal(big.active_modes[:, :16], small.active_modes)
-    white = sample_white_increments(g, 2020)
+    white = sample_sheet_expansion(g, g.n_interior, 2020)
     assert np.array_equal(white.mode_increments, big.mode_increments)
 
 
@@ -134,7 +135,10 @@ def test_mode_white_consistency():
     g = make_grid(16, 64, 0.5)
     reps = 200
     cells = np.stack(
-        [sample_white_increments(g, 31, replica=r).white_increments for r in range(reps)]
+        [
+            sample_sheet_expansion(g, g.n_interior, 31, replica=r).white_increments
+            for r in range(reps)
+        ]
     )
     flat = cells.reshape(reps * g.nt, g.n_interior)
     target = g.dt * g.dx
