@@ -11,7 +11,11 @@ accepted objective is monotone), and penalty continuation that doubles mu
 whenever the terminal residual stalls above tolerance. The gradient comes
 from the exact transpose of the linearized one-step scheme
 (discretize-then-optimize), so it matches central finite differences of the
-discrete objective to near machine precision.
+discrete objective to near machine precision. In the linear additive case
+(_Ops.diagonal) the step is diagonal in the sine modes: the forward sweep
+builds only v(T), as decay^nt eta_hat plus the control modes of every step
+weighted by decay^(nt-1-m) ed, and the adjoint sweep gets every step's
+C p from the same weights, one batched transform each way.
 
 path_rate_function inverts the discrete dynamics along a given path: the
 one-step residual left over after the heat update, drift, and divergence
@@ -77,18 +81,32 @@ class _AdjointProblem:
         self.dx = grid.dx
         self.dt = grid.dt
         self.dtdx = grid.dt * grid.dx
+        if self.ops.diagonal:
+            # Row m is decay^(nt-1-m) * ed: the weight with which the control
+            # modes of step m reach v(T), and the adjoint of v(T) reaches C p
+            # at step m. free is the heat flow of eta to T.
+            powers = np.arange(grid.nt - 1, -1, -1)[:, None]
+            self.reach = self.ops.decay**powers * self.ops.ed
+            self.free = self.ops.decay**grid.nt * to_modes(self.eta, grid)
 
     def forward(self, psi: np.ndarray):
         """Path of the controlled deterministic flow under psi.
 
+        When the step is diagonal only v(T) is built, from one batched
+        transform of the control fields, and the returned array holds just
+        that row: the adjoint of a diagonal step never reads the states.
         Non-finite states raise FloatingPointError so the optimizer's line
         search can reject an overlong step instead of propagating NaNs.
         """
         grid, ops = self.grid, self.ops
-        v = np.empty((grid.nt + 1, grid.n_interior))
-        v[0] = self.eta
-        for m in range(grid.nt):
-            v[m + 1] = from_modes(ops.step(v[m], m * self.dt, psi=psi[m]), grid)
+        if ops.diagonal:
+            c_hat = to_modes(ops.control_field(0.0, self.eta, psi), grid)
+            v = from_modes(self.free + np.sum(self.reach * c_hat, axis=0), grid)[None]
+        else:
+            v = np.empty((grid.nt + 1, grid.n_interior))
+            v[0] = self.eta
+            for m in range(grid.nt):
+                v[m + 1] = from_modes(ops.step(v[m], m * self.dt, psi=psi[m]), grid)
         if not np.all(np.isfinite(v)):
             raise FloatingPointError("controlled flow blew up during optimization")
         return v
@@ -104,9 +122,14 @@ class _AdjointProblem:
     def gradient(self, psi: np.ndarray, v: np.ndarray, mu: float):
         """Exact transpose of the linearized scheme, marched backwards."""
         grid, cf, ops = self.grid, self.cf, self.ops
-        grad = np.empty_like(psi)
         p = mu * self.dx * (v[-1] - self.target)
         direct = ops.coupling == "direct"
+        if ops.diagonal:
+            # The adjoint modes at step m are decay^(nt-1-m) p_hat(T), so every
+            # step's C p comes from one batched synthesis.
+            sCp = cf.sigma_const * from_modes(self.reach * to_modes(p, grid), grid)
+            return self.dtdx * psi + (sCp if direct else self.dx * _rev_cumsum(sCp))
+        grad = np.empty_like(psi)
         for m in range(grid.nt - 1, -1, -1):
             t = m * self.dt
             u = v[m]
@@ -133,7 +156,7 @@ class _AdjointProblem:
 
 
 def _rev_cumsum(z: np.ndarray) -> np.ndarray:
-    return np.cumsum(z[::-1])[::-1]
+    return np.cumsum(z[..., ::-1], axis=-1)[..., ::-1]
 
 
 def minimize_action(

@@ -20,7 +20,8 @@ The tilt weight for one driving realization is
 whose exponential has unit mean: the pairing uses the same cells as the
 white increments, so the discrete identity is exact in distribution.
 girsanov_log_weight is the only implementation of this formula; the replica
-sampler of mild_solver calls it on whole replica batches.
+sampler of mild_solver calls it on whole replica batches, with the pairing
+taken in sine modes (Parseval) when it steps the mode increments directly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoefficientSet
-from .lattice import Field, GridSpec
+from .lattice import Field, GridSpec, to_modes
 from .mild_solver import PathSolution, SolverConfig, _solve_path
 from .noise import NoiseRealization, sample_sheet_expansion
 
@@ -134,14 +135,19 @@ def solve_controlled(
 
 
 def girsanov_log_weight(
-    psi: Control | np.ndarray, noise: NoiseRealization | np.ndarray, eps: float
+    psi: Control | np.ndarray,
+    noise: NoiseRealization | np.ndarray,
+    eps: float,
+    in_modes: bool = False,
 ):
     """log dP/dP-hat: the reweighting factor that makes controlled-equation
     sampling an unbiased estimator under the base measure.
 
     noise is one realization, or a batch of spatial noise densities
     xi = dW/dx of shape (..., nt, nx-1) on psi's grid (psi must then be a
-    Control); the weight is a float, or an array over the batch axes. The
+    Control); the weight is a float, or an array over the batch axes. With
+    in_modes=True the batch holds the active mode increments dw instead, and
+    the pairing dx sum psi xi is taken as sum psi_hat dw (Parseval). The
     pairing is a contraction over the (nt, nx-1) cells, so a batch costs no
     block-sized temporary.
     """
@@ -156,7 +162,10 @@ def girsanov_log_weight(
     values = psi.values if isinstance(psi, Control) else np.asarray(psi, dtype=float)
     if values.shape != (grid.nt, grid.n_interior) or xi.shape[-2:] != values.shape:
         raise ValueError("control and noise realization live on different grids")
-    pairing = np.einsum("...ms,ms->...", xi, values) * grid.dx
+    if in_modes:
+        pairing = np.einsum("...ms,ms->...", xi, to_modes(values, grid))
+    else:
+        pairing = np.einsum("...ms,ms->...", xi, values) * grid.dx
     norm_sq = grid.dt * grid.dx * float(np.sum(values**2))
     logw = -pairing / np.sqrt(eps) - norm_sq / (2.0 * eps)
     return float(logw) if logw.ndim == 0 else logw

@@ -13,8 +13,8 @@ whose state turns non-finite is frozen and reported with its first bad
 step, and the studies count it as blown.
 
 Stream allocation: eps-scaling assigns stream i to the i-th entry of the eps
-list; importance sampling uses stream 0 for both the plain and tilted passes
-(paired seeds); the convergence studies use streams 0, 1, 2 for the
+list; importance sampling draws stream 0 once and steps its plain and tilted
+runs on it (paired seeds); the convergence studies use streams 0, 1, 2 for the
 Galerkin-noise, controlled-vs-skeleton, and moment-scaling legs.
 
 Rare-event events are threshold functionals of the terminal field: its L^2 or
@@ -456,8 +456,9 @@ def run_importance_sampling(cfg: ExperimentConfig, psi_star: Control | None = No
     """Tilted estimate of P(event) at cfg.eps, with a paired-seed plain baseline.
 
     Each replica's controlled path is reweighted by exp(girsanov log weight);
-    the plain baseline reuses the same derived noise streams so the
-    variance-reduction factor is a like-for-like comparison.
+    the plain baseline runs on the same derived noise streams so the
+    variance-reduction factor is a like-for-like comparison. Both runs of a
+    replica step as one stacked batch on its one draw of stream 0.
     """
     grid = cfg.grid()
     cf = cfg.coefficients()
@@ -467,20 +468,21 @@ def run_importance_sampling(cfg: ExperimentConfig, psi_star: Control | None = No
         psi_star = cfg.psi_control(grid)
     if psi_star is None and cfg.tilt == "optimal":
         psi_star = _tilt_control(cfg, grid, cf)
-    psi = psi_star.values if psi_star is not None else None
-
-    term_plain, _, blown_p = _sample_replicas(
-        eta, cf, cfg.eps, grid, cfg.master_seed, cfg.replicas, 0, scfg, None,
-        threads=cfg.threads,
-    )
-    if psi is not None:
-        term_tilt, logw, blown_t = _sample_replicas(
-            eta, cf, cfg.eps, grid, cfg.master_seed, cfg.replicas, 0, scfg, psi,
+    if psi_star is None:
+        term, _, blown = _sample_replicas(
+            eta, cf, cfg.eps, grid, cfg.master_seed, cfg.replicas, 0, scfg,
             threads=cfg.threads,
         )
-    else:
-        term_tilt, logw, blown_t = term_plain, np.zeros(cfg.replicas), blown_p
+        return _importance_result(cfg, grid, term, term, np.zeros(cfg.replicas), blown, blown)
+    terms, logw, blown = _sample_replicas(
+        eta, cf, cfg.eps, grid, cfg.master_seed, cfg.replicas, 0, scfg,
+        [None, psi_star.values], threads=cfg.threads,
+    )
+    return _importance_result(cfg, grid, terms[0], terms[1], logw[1], blown[0], blown[1])
 
+
+def _importance_result(cfg, grid, term_plain, term_tilt, logw, blown_p, blown_t) -> ISResult:
+    """Reduce the plain and tilted terminals of one study to its ISResult."""
     valid = (blown_p == 0) & (blown_t == 0)
     if not np.any(valid):
         # Both passes use stream 0; name the first blown replica with the

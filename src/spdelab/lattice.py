@@ -181,15 +181,18 @@ def cos_synthesis(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     if coeffs.shape[-1] != nxm:
         raise ValueError(f"length mismatch: got {coeffs.shape[-1]}, grid has {nxm}")
     _, weight, parity = _cos_weights(grid.nx)
-    r = coeffs * weight
-    padded = np.zeros(coeffs.shape[:-1] + (grid.nx + 1,), dtype=float)
-    padded[..., 1:-1] = r
-    d = fftpack.dct(padded, type=1, axis=-1)
-    out = d[..., 1 : grid.nx] / 2.0
+    padded = np.empty(coeffs.shape[:-1] + (grid.nx + 1,), dtype=float)
+    padded[..., 0] = padded[..., -1] = 0.0
+    r = np.multiply(coeffs, weight, out=padded[..., 1:-1])
     # Endpoint-extension weights of the analysis map land on the first and
-    # last interior nodes in the transpose.
-    out[..., 0] += 0.5 * np.sum(r, axis=-1)
-    out[..., -1] += 0.5 * np.sum(r * parity, axis=-1)
+    # last interior nodes in the transpose. np.add.reduce is np.sum's
+    # summation without its dispatch.
+    first = np.add.reduce(r, axis=-1)
+    last = np.add.reduce(r * parity, axis=-1)
+    d = fftpack.dct(padded, type=1, axis=-1, overwrite_x=True)
+    out = d[..., 1 : grid.nx] / 2.0
+    out[..., 0] += 0.5 * first
+    out[..., -1] += 0.5 * last
     return out
 
 

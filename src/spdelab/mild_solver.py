@@ -17,6 +17,12 @@ the G_{t-s} factor of the mild form. A control psi adds
 The step is written once, as _Ops.step, which every solver calls (paths,
 Picard sweeps, skeleton and controlled flows, the adjoint forward sweep and
 the path-rate prediction); _Ops also holds what is fixed for a whole solve.
+In the linear additive case (f = 0, g = 0, constant sigma, no cutoff;
+_Ops.diagonal, derived from the coefficients alone) the step is diagonal in
+the sine modes, u_hat <- decay * (u_hat + sqrt(eps) sigma dw_hat +
+ed-weighted control). There the replica sampler carries modes from step to
+step on the drawn mode increments, and action's adjoint sweeps sum the
+decay powers in one batched transform, so neither calls _Ops.step.
 
 Cutoff runs multiply the drift, noise and divergence terms by
 chi_R(|u(t_m)|_rho) evaluated explicitly at the current step (an O(dt) lag
@@ -36,8 +42,9 @@ sup-norm samples, behind run_replicas and the experiment studies) and
 galerkin_coupled_errors. Both step several runs of a replica as one stacked
 batch on its one noise block: galerkin_coupled_errors the white run and
 its truncations, _sample_replicas one run per initial field when given a
-sequence of them. _moment_estimates uses the latter, so the convergence
-study's moment leg draws its noise once for all its eta scales.
+sequence of them or of tilts. _moment_estimates stacks its eta scales, so
+the convergence study's moment leg draws its noise once for all of them,
+and importance sampling stacks its plain and tilted runs.
 Blow-ups are masked per replica: a row that turns non-finite is frozen, its
 first bad step recorded, and the other rows step on unchanged, with no
 floating-point warning; the result does not depend on chunk size, thread
@@ -246,6 +253,19 @@ class _Ops:
         self.decay[self.k_modes :] = 0.0
         self.ed[self.k_modes :] = 0.0
 
+    @property
+    def diagonal(self) -> bool:
+        """Whether a step is diagonal in the sine modes: no drift, no
+        divergence term, constant sigma and no cutoff (the linear additive
+        case). Such a step maps u_hat to decay * u_hat plus its forcing."""
+        cf = self.cf
+        return (
+            cf.f_is_zero
+            and cf.g_is_zero
+            and cf.sigma_const is not None
+            and self.cutoff_radius is None
+        )
+
     def project(self, values: np.ndarray) -> np.ndarray:
         """Galerkin projection onto the active modes."""
         if self.k_modes == self.grid.n_interior:
@@ -310,7 +330,21 @@ class _Ops:
         return modes
 
 
-def _integrate(u0: np.ndarray, ops: _Ops, xi=None, psi=None, record="path"):
+# No synthesis of modes whose magnitudes sum to at most this can overflow.
+_SAFE_MODE_SUM = 1e300
+
+
+def _synthesizes_finite(modes: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Per row, whether from_modes(modes) is finite. Only the rows whose mode
+    magnitudes sum past _SAFE_MODE_SUM (or are not finite) are synthesized."""
+    ok = np.asarray(np.abs(modes).sum(axis=-1) <= _SAFE_MODE_SUM)
+    if not ok.all():
+        check = ~ok
+        ok[check] = np.isfinite(from_modes(modes[check], grid)).all(axis=-1)
+    return ok
+
+
+def _integrate(u0: np.ndarray, ops: _Ops, xi=None, psi=None, record="path", kicks=None):
     """Advance u0 (..., nx-1) over all nt steps, masking blow-ups per row.
 
     xi: (..., nt, nx-1) spatial noise density, or a callable m -> the density
@@ -319,6 +353,12 @@ def _integrate(u0: np.ndarray, ops: _Ops, xi=None, psi=None, record="path"):
     of |u|_rho^rho; a callable record is called with the state before the
     first step and after every step, and None is returned for it.
 
+    kicks, a callable m -> the mode-space forcing of step m, replaces xi and
+    psi when ops.diagonal holds: the state is then carried in sine modes,
+    u_hat <- decay * (u_hat + kicks(m)), and synthesized only where the
+    record needs nodal values or where the mode magnitudes leave open
+    whether the nodal values are finite.
+
     Returns (out, blown): blown, shaped u0.shape[:-1], holds each row's first
     non-finite step (0 if the row stayed finite). A blown row is frozen at its
     last finite state and reads NaN in a terminal or sup_rho record; stepping
@@ -326,6 +366,8 @@ def _integrate(u0: np.ndarray, ops: _Ops, xi=None, psi=None, record="path"):
     """
     grid = ops.grid
     dx, rho = grid.dx, ops.cf.rho
+    if kicks is not None and not (ops.diagonal and xi is None and psi is None):
+        raise ValueError("mode kicks need a diagonal step and no xi or psi")
     noise = xi if xi is None or callable(xi) else (lambda m: xi[..., m, :])
     u = ops.project(np.asarray(u0, dtype=float))
     blown = np.zeros(u.shape[:-1], dtype=int)
@@ -342,34 +384,44 @@ def _integrate(u0: np.ndarray, ops: _Ops, xi=None, psi=None, record="path"):
     elif record != "terminal":
         raise ValueError(f"unknown record mode '{record}'")
 
+    # The carried state: nodal values, or sine modes under kicks.
+    state = u if kicks is None else to_modes(u, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(grid.nt):
-            t = m * grid.dt
-            modes = ops.step(
-                u,
-                t,
-                xi=None if noise is None else noise(m),
-                psi=None if psi is None else psi[..., m, :],
-                chi=ops.cutoff(u),
-            )
-            new = from_modes(modes, grid)
-            bad = alive & ~np.isfinite(new).all(axis=-1)
+            if kicks is None:
+                modes = ops.step(
+                    state,
+                    m * grid.dt,
+                    xi=None if noise is None else noise(m),
+                    psi=None if psi is None else psi[..., m, :],
+                    chi=ops.cutoff(state),
+                )
+                new = from_modes(modes, grid)
+                finite = np.isfinite(new).all(axis=-1)
+            else:
+                new = ops.decay * (state + kicks(m))
+                finite = _synthesizes_finite(new, grid)
+            bad = alive & ~finite
             if bad.any():
                 blown[bad] = m + 1
                 alive &= ~bad
                 if not alive.any():
                     break
             if not alive.all():
-                new = np.where(alive[..., None], new, u)
-            u = new
+                new = np.where(alive[..., None], new, state)
+            state = new
+            if record == "terminal":
+                continue
+            u = state if kicks is None else from_modes(state, grid)
             if record == "path":
                 out[m + 1] = u
             elif record == "sup_rho":
                 out = np.maximum(out, lp_norm_values(u, dx, rho) ** rho)
-            elif callable(record):
+            else:
                 record(u)
 
     if record == "terminal":
+        u = state if kicks is None else from_modes(state, grid)
         out = u if alive.all() else np.where(alive[..., None], u, np.nan)
     elif record == "sup_rho" and not alive.all():
         out = np.where(alive, out, np.nan)
@@ -634,17 +686,22 @@ def _sample_replicas(
     first non-finite step (0 if it stayed finite), and a blown replica's
     values are NaN. The caller decides whether partial loss is acceptable.
 
-    eta is one initial Field, or a sequence of them: each replica then runs
-    from every one of them on its one noise draw, the runs stepping as one
-    stacked batch, and values and blown gain a leading axis over the
-    sequence.
-
     A tilt psi (nt, nx-1) shifts the white increments themselves,
     dW -> dW + dt dx psi / sqrt(eps), before the plain dynamics are
     integrated; paired with the Girsanov log weight of the unshifted
     increments (log_weights, None without a tilt) this is the exact discrete
     change of measure, so the reweighted estimator is unbiased for any sigma
     (psi = 0 reproduces plain sampling bit for bit).
+
+    eta may be a sequence of initial Fields and psi a sequence of tilts
+    (None for an untilted run); each replica then runs once per entry on its
+    one noise draw, the runs stepping as one stacked batch, the single eta or
+    psi serving every run. values, blown and log_weights (0 for an untilted
+    run) gain a leading axis over the runs.
+
+    When ops.diagonal holds, the runs step in sine modes on the drawn mode
+    increments and the Girsanov pairing is taken in modes (Parseval), so no
+    noise density is synthesized.
     """
     # control imports this module, so its names are looked up at call time.
     from .control import Control, girsanov_log_weight
@@ -654,29 +711,68 @@ def _sample_replicas(
         raise ValueError(f"record mode '{record}' not supported for replicas")
     nxm = grid.n_interior
     k_noise = config.noise_modes(grid)
-    tilt = None
-    if psi is not None:
+    ops = _Ops(cf, grid, config.k_modes, eps, config.cutoff_radius)
+    diagonal = ops.diagonal
+
+    etas = None if isinstance(eta, Field) else list(eta)
+    psis = psi if isinstance(psi, (list, tuple)) else None
+    if etas is not None and psis is not None and len(etas) != len(psis):
+        raise ValueError(f"{len(etas)} initial fields for {len(psis)} tilts")
+    runs = len(etas) if etas is not None else (len(psis) if psis is not None else 1)
+    lead = () if etas is None and psis is None else (runs,)
+    u_init = eta.values if etas is None else np.stack([e.values for e in etas])
+    u_init = np.broadcast_to(u_init, lead + (nxm,))
+
+    # tilts[i]: run i's tilt as a Control, or None; shifts: the tilts' shifts
+    # of the driving noise per step, as densities or (diagonal) mode increments.
+    tilts = [None] * runs
+    shifts = None
+    for i, p in enumerate(psis if psis is not None else [psi] * runs):
+        if p is None:
+            continue
+        pm = to_modes(p, grid)
         if k_noise < nxm:
             # The tilt must live in the span of the driving noise modes for the
             # change of measure to be exact.
-            pm = to_modes(psi, grid)
             pm[:, k_noise:] = 0.0
-            psi = from_modes(pm, grid)
-        tilt = Control(psi, grid)
-    ops = _Ops(cf, grid, config.k_modes, eps, config.cutoff_radius)
-    u_init = eta.values if isinstance(eta, Field) else np.stack([e.values for e in eta])
-    lead = u_init.shape[:-1]
+            p = from_modes(pm, grid)
+        tilts[i] = Control(p, grid)
+        if shifts is None:
+            shifts = np.zeros((runs, grid.nt, nxm))
+        shifts[i] = (grid.dt / np.sqrt(eps)) * (pm if diagonal else p)
+    if shifts is not None and not lead:
+        shifts = shifts[0]
     values = np.empty(lead + ((replicas, nxm) if record == "terminal" else (replicas,)))
-    log_weights = None if tilt is None else np.empty(replicas)
+    log_weights = None if shifts is None else np.zeros(lead + (replicas,))
+    scale = ops.sqrt_eps * cf.sigma_const if diagonal else None
 
     def work(rows: range, modes: np.ndarray) -> np.ndarray:
-        xi = _density(modes, grid, k_noise)
-        if tilt is not None:
-            log_weights[rows.start : rows.stop] = girsanov_log_weight(tilt, xi, eps)
-            xi += (grid.dt / np.sqrt(eps)) * psi
-        u0 = np.broadcast_to(u_init[..., None, :], lead + (len(rows), nxm))
+        if diagonal:
+            noise = modes
+            if k_noise < nxm:
+                noise[..., k_noise:] = 0.0
+        else:
+            noise = _density(modes, grid, k_noise)
         mine = (slice(None),) * len(lead) + (slice(rows.start, rows.stop),)
-        values[mine], blown = _integrate(u0, ops, xi, record=record)
+        for i, tilt in enumerate(tilts):
+            if tilt is not None:
+                lw = log_weights[i] if lead else log_weights
+                lw[rows.start : rows.stop] = girsanov_log_weight(
+                    tilt, noise, eps, in_modes=diagonal
+                )
+
+        def step_noise(m):
+            if shifts is None:
+                return noise[:, m, :]
+            return noise[:, m, :] + shifts[..., None, m, :]
+
+        u0 = np.broadcast_to(u_init[..., None, :], lead + (len(rows), nxm))
+        if diagonal:
+            values[mine], blown = _integrate(
+                u0, ops, record=record, kicks=lambda m: scale * step_noise(m)
+            )
+        else:
+            values[mine], blown = _integrate(u0, ops, step_noise, record=record)
         return blown
 
     blown = _replica_engine(grid, master, replicas, stream, work, threads, chunk_size)
