@@ -90,9 +90,7 @@ def test_replicas_match_the_stepping_oracle(config, psi, record, threads, chunk)
 
 
 def test_diagonal_result_does_not_depend_on_chunks_or_threads():
-    ref = _sample_replicas(eigenfunction(make_grid(16, 32, 0.25), 1, amplitude=0.5),
-                           ADDITIVE, 0.3, make_grid(16, 32, 0.25), 5, 40, 1,
-                           SolverConfig(k_noise=6), tilt(make_grid(16, 32, 0.25)))
+    ref, _ = sample_both(SolverConfig(k_noise=6), tilt)
     for threads, chunk in ((1, 7), (2, None), (2, 13)):
         (v, w, b), _ = sample_both(SolverConfig(k_noise=6), tilt, threads, chunk)
         assert v.tobytes() == ref[0].tobytes() and w.tobytes() == ref[1].tobytes()
@@ -175,17 +173,6 @@ def test_diagonal_forward_and_gradient_match_the_stepping_sweeps(coupling, k_mod
     close(prob.gradient(psi, v, 10.0), oracle.gradient(psi, v_o, 10.0))
 
 
-def run_is(raw, psi_values):
-    cfg = ExperimentConfig.from_raw(raw)
-    grid = cfg.grid()
-    args = (cfg.eta_field(grid), cfg.coefficients(), cfg.eps, grid, cfg.master_seed,
-            cfg.replicas, 0, cfg.solver_config())
-    plain, _, blown_p = _sample_replicas(*args)
-    tilted, logw, blown_t = _sample_replicas(*args, psi_values(grid))
-    return run_importance_sampling(cfg), _importance_result(
-        cfg, grid, plain, tilted, logw, blown_p, blown_t)
-
-
 IMPORTANCE = {
     "kind": "importance", "master_seed": "11", "nx": "16", "nt": "16", "T": "0.25",
     "family": "linear", "sigma0": "1.0", "eps": "0.2", "replicas": "300",
@@ -200,10 +187,14 @@ IMPORTANCE = {
     dict(IMPORTANCE, family="burgers", sigma1="0.2", k_modes="4"),
 ], ids=["linear", "linear_galerkin", "burgers"])
 def test_importance_one_draw_equals_two_draws(raw):
-    def psi_values(grid):
-        return ExperimentConfig.from_raw(raw).psi_control(grid).values
-
-    stacked, two_draws = run_is(raw, psi_values)
+    cfg = ExperimentConfig.from_raw(raw)
+    grid = cfg.grid()
+    args = (cfg.eta_field(grid), cfg.coefficients(), cfg.eps, grid, cfg.master_seed,
+            cfg.replicas, 0, cfg.solver_config())
+    plain, _, blown_p = _sample_replicas(*args)
+    tilted, logw, blown_t = _sample_replicas(*args, cfg.psi_control(grid).values)
+    two_draws = _importance_result(cfg, grid, plain, tilted, logw, blown_p, blown_t)
+    stacked = run_importance_sampling(cfg)
     assert stacked.replicas == two_draws.replicas == 300
     for name, value in vars(two_draws).items():
         np.testing.assert_allclose(getattr(stacked, name), value, rtol=RTOL, atol=0.0,
