@@ -81,6 +81,9 @@ class _AdjointProblem:
         self.dx = grid.dx
         self.dt = grid.dt
         self.dtdx = grid.dt * grid.dx
+        # Rows decay and ed: one synthesis of adjoint_factors * p_hat gives a
+        # stepping adjoint sweep's S p and C p together.
+        self.adjoint_factors = np.stack((self.ops.decay, self.ops.ed))
         if self.ops.diagonal:
             # Row m is decay^(nt-1-m) * ed: the weight with which the control
             # modes of step m reach v(T), and the adjoint of v(T) reaches C p
@@ -134,8 +137,7 @@ class _AdjointProblem:
             t = m * self.dt
             u = v[m]
             pm = to_modes(p, grid)
-            Sp = from_modes(ops.decay * pm, grid)
-            Cp = from_modes(ops.ed * pm, grid)
+            Sp, Cp = from_modes(self.adjoint_factors * pm, grid, overwrite=True)
             if cf.sigma_const is not None:
                 sig, sig_r = cf.sigma_const, None
             else:

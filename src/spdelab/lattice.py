@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy import fftpack  # scipy.fft's pocketfft kernel, same bits, half the per-call cost
+
+# The pocketfft kernel that scipy.fft and scipy.fftpack wrap, called directly:
+# same kernel, same arguments, same bits, without the public wrapper's
+# per-call dtype, copy, worker and norm handling, which costs more than a
+# short transform. The module is private, so the bit pins in
+# tests/test_lattice.py are the guard. Calls pass only the six positional
+# arguments (a, type, axes, inorm, out, nthreads) that scipy 1.10 already
+# takes: type 1, the last axis, no normalisation, one thread.
+from scipy.fft._pocketfft.pypocketfft import dct as _dct, dst as _dst
 
 __all__ = [
     "GridSpec",
@@ -133,13 +141,22 @@ def _cos_weights(nx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return weights
 
 
+_LAST = (-1,)
+
+
+def _check_length(arr: np.ndarray, grid: GridSpec) -> None:
+    if arr.shape[-1] != grid.n_interior:
+        raise ValueError(
+            f"length mismatch: got {arr.shape[-1]}, grid has {grid.n_interior}"
+        )
+
+
 def to_modes(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Forward sine coefficients of values along the last axis."""
-    if values.shape[-1] != grid.n_interior:
-        raise ValueError(
-            f"length mismatch: got {values.shape[-1]}, grid has {grid.n_interior}"
-        )
-    return fftpack.dst(values, type=1, axis=-1) * (grid.dx / _SQRT2)
+    _check_length(values, grid)
+    out = _dst(np.asarray(values, dtype=np.float64), 1, _LAST, 0, None, 1)
+    out *= grid.dx / _SQRT2
+    return out
 
 
 def from_modes(coeffs: np.ndarray, grid: GridSpec, overwrite: bool = False) -> np.ndarray:
@@ -147,11 +164,9 @@ def from_modes(coeffs: np.ndarray, grid: GridSpec, overwrite: bool = False) -> n
 
     overwrite=True may reuse the memory of coeffs for the result.
     """
-    if coeffs.shape[-1] != grid.n_interior:
-        raise ValueError(
-            f"length mismatch: got {coeffs.shape[-1]}, grid has {grid.n_interior}"
-        )
-    out = fftpack.dst(coeffs, type=1, axis=-1, overwrite_x=overwrite)
+    _check_length(coeffs, grid)
+    a = np.asarray(coeffs, dtype=np.float64)
+    out = _dst(a, 1, _LAST, 0, a if overwrite and a.flags.writeable else None, 1)
     out /= _SQRT2
     return out
 
@@ -164,22 +179,18 @@ def cos_analysis(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     for every mode (the continuous integral of phi_k' over [0,1] vanishes)
     without changing the convergence order.
     """
-    nxm = grid.n_interior
-    if values.shape[-1] != nxm:
-        raise ValueError(f"length mismatch: got {values.shape[-1]}, grid has {nxm}")
+    _check_length(values, grid)
     padded = np.empty(values.shape[:-1] + (grid.nx + 1,), dtype=float)
     padded[..., 1:-1] = values
     padded[..., 0] = values[..., 0]
     padded[..., -1] = values[..., -1]
-    d = fftpack.dct(padded, type=1, axis=-1)
+    d = _dct(padded, 1, _LAST, 0, padded, 1)
     return d[..., 1 : grid.nx] * _cos_weights(grid.nx)[0]
 
 
 def cos_synthesis(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Exact transpose (up to the dx weight) of cos_analysis, for adjoint sweeps."""
-    nxm = grid.n_interior
-    if coeffs.shape[-1] != nxm:
-        raise ValueError(f"length mismatch: got {coeffs.shape[-1]}, grid has {nxm}")
+    _check_length(coeffs, grid)
     _, weight, parity = _cos_weights(grid.nx)
     padded = np.empty(coeffs.shape[:-1] + (grid.nx + 1,), dtype=float)
     padded[..., 0] = padded[..., -1] = 0.0
@@ -189,7 +200,7 @@ def cos_synthesis(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     # summation without its dispatch.
     first = np.add.reduce(r, axis=-1)
     last = np.add.reduce(r * parity, axis=-1)
-    d = fftpack.dct(padded, type=1, axis=-1, overwrite_x=True)
+    d = _dct(padded, 1, _LAST, 0, padded, 1)
     out = d[..., 1 : grid.nx] / 2.0
     out[..., 0] += 0.5 * first
     out[..., -1] += 0.5 * last

@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from spdelab import action, lattice, mild_solver
 from spdelab.action import (
     ActionOptions,
+    _AdjointProblem,
     gradient_check,
     minimize_action,
     path_rate_function,
@@ -157,6 +161,36 @@ def test_gradient_check_integrated_coupling():
         h=1e-5, opts=ActionOptions(k_modes=8, coupling="integrated"),
     )
     assert err <= 1e-5
+
+
+def test_burgers_sweeps_make_three_transform_calls_per_step(monkeypatch):
+    # Forward step: one to_modes of the stacked state and control field, one
+    # cos_analysis, one from_modes. Adjoint step: one to_modes, one from_modes
+    # of the stacked S p and C p factors, one cos_synthesis.
+    calls = Counter()
+    for module in (action, mild_solver):
+        for name in ("to_modes", "from_modes", "cos_analysis", "cos_synthesis"):
+            fn = getattr(module, name, None)
+            if fn is getattr(lattice, name):
+
+                def counted(*args, _fn=fn, **kwargs):
+                    calls[_fn.__name__] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    g = make_grid(32, 6, 0.25)
+    cf = make_coefficients("burgers", sigma0=1.0, sigma1=0.2)
+    prob = _AdjointProblem(eigenfunction(g, 1, amplitude=0.5),
+                           eigenfunction(g, 1, amplitude=0.3), cf, g,
+                           ActionOptions(k_modes=8))
+    assert not prob.ops.diagonal
+    psi = 0.3 * np.random.default_rng(8).standard_normal((g.nt, g.n_interior))
+    calls.clear()
+    v = prob.forward(psi)
+    assert calls == {"to_modes": g.nt, "cos_analysis": g.nt, "from_modes": g.nt}
+    calls.clear()
+    prob.gradient(psi, v, 10.0)
+    assert calls == {"to_modes": g.nt, "from_modes": g.nt, "cos_synthesis": g.nt}
 
 
 def test_gradient_check_rejects_zero_direction():

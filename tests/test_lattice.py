@@ -14,6 +14,7 @@ from spdelab.lattice import (
     make_grid,
     to_modes,
 )
+from spdelab.noise import draw_mode_increments
 
 
 def test_make_grid_basic():
@@ -176,24 +177,58 @@ def _ref_cos_synthesis(c, g):
     return out
 
 
+_PINNED = (
+    (to_modes, _ref_to_modes),
+    (from_modes, _ref_from_modes),
+    (cos_analysis, _ref_cos_analysis),
+    (cos_synthesis, _ref_cos_synthesis),
+)
+
+
+def _pin_input(kind, g):
+    rng = np.random.default_rng(g.nx)
+    if kind == "single":
+        return rng.standard_normal(g.n_interior)
+    if kind == "batch3":
+        return rng.standard_normal((3, g.n_interior))
+    if kind == "strided":
+        # One time level of an (r, nt, nx-1) block: rows nt*(nx-1) apart.
+        return rng.standard_normal((3, 4, g.n_interior))[..., 2, :]
+    return draw_mode_increments(g, rng)  # read-only (nt, nx-1)
+
+
 @pytest.mark.parametrize("nx", _PIN_NX)
-@pytest.mark.parametrize("shape", [(), (3,)], ids=["single", "batch3"])
-def test_transforms_match_scipy_fft_formulas_bit_for_bit(nx, shape):
-    g = make_grid(nx, 1, 1.0)
-    x = np.random.default_rng(nx).standard_normal(shape + (g.n_interior,))
-    for fn, ref in (
-        (to_modes, _ref_to_modes),
-        (from_modes, _ref_from_modes),
-        (cos_analysis, _ref_cos_analysis),
-        (cos_synthesis, _ref_cos_synthesis),
-    ):
-        assert np.array_equal(fn(x.copy(), g), ref(x, g)), fn.__name__
-    assert np.array_equal(from_modes(x.copy(), g, overwrite=True), _ref_from_modes(x, g))
+@pytest.mark.parametrize("kind", ["single", "batch3", "strided", "readonly"])
+def test_transforms_match_scipy_fft_formulas_bit_for_bit(nx, kind):
+    g = make_grid(nx, 3, 1.0)
+    x = _pin_input(kind, g)
+    dense = x.copy()  # contiguous and writeable
+    for fn, ref in _PINNED:
+        assert np.array_equal(fn(x, g), ref(dense, g)), fn.__name__
     # A transform leaves its input alone unless asked to overwrite it.
-    before = x.copy()
-    for fn in (to_modes, from_modes, cos_analysis, cos_synthesis):
-        fn(x, g)
-    assert np.array_equal(x, before)
+    assert np.array_equal(x, dense)
+    # overwrite=True writes the result into the input's memory, strided or
+    # not; a read-only input is left alone and the result is a new array.
+    out = from_modes(x, g, overwrite=True)
+    assert np.array_equal(out, _ref_from_modes(dense, g))
+    assert np.shares_memory(out, x) == x.flags.writeable
+    if not x.flags.writeable:
+        assert np.array_equal(x, dense)
+
+
+@pytest.mark.parametrize("nx", _PIN_NX)
+def test_batched_rows_match_single_calls_bit_for_bit(nx):
+    # The adjoint sweep synthesizes S p and C p as two rows of one call, so a
+    # row of a batched transform must equal the one-vector transform of that
+    # row. Nine rows cover the kernel's multi-row (SIMD) path and its rest.
+    g = make_grid(nx, 1, 1.0)
+    rng = np.random.default_rng(nx + 2)
+    for rows in (2, 9):
+        x = rng.standard_normal((rows, g.n_interior))
+        for fn, _ in _PINNED:
+            batch = fn(x, g)
+            for row, got in zip(x, batch):
+                assert np.array_equal(fn(row, g), got), (fn.__name__, rows)
 
 
 @pytest.mark.parametrize("nx", _PIN_NX)
