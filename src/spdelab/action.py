@@ -115,12 +115,13 @@ class _AdjointProblem:
         return v
 
     def objective(self, psi: np.ndarray, mu: float):
+        """(F_mu, path, terminal residual, action term (1/2) iint psi^2)."""
         with np.errstate(over="ignore", invalid="ignore"):
             v = self.forward(psi)
         misfit = v[-1] - self.target
         res_sq = self.dx * float(np.sum(misfit**2))
         action = 0.5 * self.dtdx * float(np.sum(psi**2))
-        return action + 0.5 * mu * res_sq, v, float(np.sqrt(res_sq))
+        return action + 0.5 * mu * res_sq, v, float(np.sqrt(res_sq)), action
 
     def gradient(self, psi: np.ndarray, v: np.ndarray, mu: float):
         """Exact transpose of the linearized scheme, marched backwards."""
@@ -179,9 +180,9 @@ def minimize_action(
     psi = np.zeros((grid.nt, grid.n_interior))
     mu = MU0
 
-    J, v, residual = prob.objective(psi, mu)
+    J, v, residual, action = prob.objective(psi, mu)
     grad = prob.gradient(psi, v, mu)
-    trace = [(0, J, _action_of(psi, grid), residual, mu)]
+    trace = [(0, J, action, residual, mu)]
     if residual <= opts.residual_tol:
         return _result(psi, grid, residual, True, 0, mu, trace)
 
@@ -203,7 +204,7 @@ def minimize_action(
         for _ in range(50):
             cand = psi - step * grad
             try:
-                J_c, v_c, res_c = prob.objective(cand, mu)
+                J_c, v_c, res_c, action_c = prob.objective(cand, mu)
             except FloatingPointError:
                 step *= 0.5
                 continue
@@ -213,10 +214,10 @@ def minimize_action(
             step *= 0.5
         if accepted:
             prev_psi, prev_grad = psi, grad
-            psi, J, v, residual = cand, J_c, v_c, res_c
+            psi, J, v, residual, action = cand, J_c, v_c, res_c, action_c
             grad = prob.gradient(psi, v, mu)
         rel_drop = abs(trace[-1][1] - J) / max(J, 1e-300)
-        trace.append((it, J, _action_of(psi, grid), residual, mu))
+        trace.append((it, J, action, residual, mu))
         if residual < best[0] or (residual == best[0] and J < best[1]):
             best = (residual, J, psi.copy())
         if residual <= opts.residual_tol and (not accepted or rel_drop < 1e-10):
@@ -225,7 +226,7 @@ def minimize_action(
             stall += 1
             if stall >= STALL_WINDOW or not accepted:
                 mu *= 2.0
-                J, v, residual = prob.objective(psi, mu)
+                J, v, residual, action = prob.objective(psi, mu)
                 grad = prob.gradient(psi, v, mu)
                 prev_psi = prev_grad = None
                 step = 1.0 / (prob.dtdx * (1.0 + mu))
@@ -235,10 +236,6 @@ def minimize_action(
 
     res_b, _, psi_b = best
     return _result(psi_b, grid, res_b, False, opts.max_iters, mu, trace)
-
-
-def _action_of(psi: np.ndarray, grid: GridSpec) -> float:
-    return 0.5 * grid.dt * grid.dx * float(np.sum(psi**2))
 
 
 def _result(psi, grid, residual, converged, iterations, mu, trace) -> RateResult:
@@ -326,10 +323,10 @@ def gradient_check(
         raise ValueError("direction must be nonzero")
     opts = opts or ActionOptions()
     prob = _AdjointProblem(phi_target, eta, cf, grid, opts)
-    J0, v, _ = prob.objective(psi_v, mu)
+    v = prob.objective(psi_v, mu)[1]
     grad = prob.gradient(psi_v, v, mu)
     pairing = float(np.sum(grad * d))
-    J_plus, _, _ = prob.objective(psi_v + h * d, mu)
-    J_minus, _, _ = prob.objective(psi_v - h * d, mu)
+    J_plus = prob.objective(psi_v + h * d, mu)[0]
+    J_minus = prob.objective(psi_v - h * d, mu)[0]
     fd = (J_plus - J_minus) / (2.0 * h)
     return abs(pairing - fd) / max(abs(pairing), GRADIENT_FLOOR)

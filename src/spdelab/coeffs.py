@@ -317,7 +317,7 @@ def validate_assumptions(
     growth_check("g1 growth (H4)", _eval_pointwise(cset.g1, t, x, r), lin)
     growth_check(
         "g2 growth (H4)",
-        _eval_pointwise2(cset.g2, t, r),
+        _eval_pointwise(cset.g2, t, r),
         cset.K * (1.0 + r * r),
     )
 
@@ -325,9 +325,9 @@ def validate_assumptions(
     df = np.abs(_eval_pointwise(cset.f, t, x, r) - _eval_pointwise(cset.f, t, x, p))
     dg = np.abs(
         _eval_pointwise(cset.g1, t, x, r)
-        + _eval_pointwise2(cset.g2, t, r)
+        + _eval_pointwise(cset.g2, t, r)
         - _eval_pointwise(cset.g1, t, x, p)
-        - _eval_pointwise2(cset.g2, t, p)
+        - _eval_pointwise(cset.g2, t, p)
     )
     denom = cset.L * (1.0 + np.abs(r) + np.abs(p)) * np.maximum(np.abs(r - p), 1e-300)
     ratio = (df + dg) / denom
@@ -361,29 +361,17 @@ def validate_assumptions(
     return AssumptionReport(checks=checks, warnings=warnings)
 
 
-def _eval_pointwise(fn, t, x, r):
-    # Vectorized call first; scalar loop fallback for evaluators that assume
-    # scalar (t, x) arguments.
+def _eval_pointwise(fn, *args):
+    # fn(*args) with args = (..., r) sample arrays. Vectorized call first;
+    # scalar loop fallback for evaluators that assume scalar arguments.
+    r = args[-1]
     try:
-        out = np.asarray(fn(t, x, r), dtype=float)
+        out = np.asarray(fn(*args), dtype=float)
         if out.shape == r.shape:
             return out
     except Exception:
         pass
     out = np.empty_like(r)
     for i in range(r.size):
-        out[i] = fn(t[i], x[i], r[i])
-    return out
-
-
-def _eval_pointwise2(fn, t, r):
-    try:
-        out = np.asarray(fn(t, r), dtype=float)
-        if out.shape == r.shape:
-            return out
-    except Exception:
-        pass
-    out = np.empty_like(r)
-    for i in range(r.size):
-        out[i] = fn(t[i], r[i])
+        out[i] = fn(*(a[i] for a in args))
     return out

@@ -18,10 +18,11 @@ The tilt weight for one driving realization is
     log w = -(1/sqrt(eps)) sum_mj psi_mj dW_mj - (1/(2 eps)) dt dx sum psi^2,
 
 whose exponential has unit mean: the pairing uses the same cells as the
-white increments, so the discrete identity is exact in distribution.
+white increments, so the discrete identity is exact in distribution. The
+pairing is taken in sine modes, sum psi_hat_i dw_i over the driving mode
+increments (Parseval), for one realization and for a batch alike.
 girsanov_log_weight is the only implementation of this formula; the replica
-sampler of mild_solver calls it on whole replica batches, with the pairing
-taken in sine modes (Parseval) when it steps the mode increments directly.
+sampler of mild_solver calls it on whole replica batches of mode increments.
 """
 
 from __future__ import annotations
@@ -138,34 +139,29 @@ def girsanov_log_weight(
     psi: Control | np.ndarray,
     noise: NoiseRealization | np.ndarray,
     eps: float,
-    in_modes: bool = False,
 ):
     """log dP/dP-hat: the reweighting factor that makes controlled-equation
     sampling an unbiased estimator under the base measure.
 
-    noise is one realization, or a batch of spatial noise densities
-    xi = dW/dx of shape (..., nt, nx-1) on psi's grid (psi must then be a
-    Control); the weight is a float, or an array over the batch axes. With
-    in_modes=True the batch holds the active mode increments dw instead, and
-    the pairing dx sum psi xi is taken as sum psi_hat dw (Parseval). The
-    pairing is a contraction over the (nt, nx-1) cells, so a batch costs no
+    noise is one realization, or a batch of driving mode increments dw of
+    shape (..., nt, nx-1) on psi's grid, inactive modes zeroed (psi must then
+    be a Control); the weight is a float, or an array over the batch axes.
+    The cell pairing dx sum psi xi is taken in sine modes as sum psi_hat dw
+    (Parseval), a contraction over the (nt, nx-1) cells, so a batch costs no
     block-sized temporary.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if isinstance(noise, NoiseRealization):
-        grid, xi = noise.grid, noise.spatial_density
+        grid, dw = noise.grid, noise.driving_modes
     elif isinstance(psi, Control):
-        grid, xi = psi.grid, noise
+        grid, dw = psi.grid, noise
     else:
-        raise TypeError("a batch of noise densities needs psi as a Control")
+        raise TypeError("a batch of mode increments needs psi as a Control")
     values = psi.values if isinstance(psi, Control) else np.asarray(psi, dtype=float)
-    if values.shape != (grid.nt, grid.n_interior) or xi.shape[-2:] != values.shape:
+    if values.shape != (grid.nt, grid.n_interior) or dw.shape[-2:] != values.shape:
         raise ValueError("control and noise realization live on different grids")
-    if in_modes:
-        pairing = np.einsum("...ms,ms->...", xi, to_modes(values, grid))
-    else:
-        pairing = np.einsum("...ms,ms->...", xi, values) * grid.dx
+    pairing = np.einsum("...ms,ms->...", dw, to_modes(values, grid))
     norm_sq = grid.dt * grid.dx * float(np.sum(values**2))
     logw = -pairing / np.sqrt(eps) - norm_sq / (2.0 * eps)
     return float(logw) if logw.ndim == 0 else logw

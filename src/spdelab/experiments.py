@@ -49,6 +49,7 @@ from .mild_solver import (
     _raise_first_blowup,
     _require_dealiasing,
     _sample_replicas,
+    _stderr,
     galerkin_coupled_errors,
     solve_spde,
 )
@@ -265,6 +266,10 @@ class ExperimentConfig:
             k = getattr(self, key)
             if k is not None and not 0 <= k <= self.nx - 1:
                 raise ConfigError(f"config key '{key}': {k} outside 0..{self.nx - 1}")
+        for key in ("eta_mode", "psi_mode", "target_mode"):
+            k = getattr(self, key)
+            if not 1 <= k <= self.nx - 1:
+                raise ConfigError(f"config key '{key}': mode {k} outside 1..{self.nx - 1}")
         if self.kind != "validate":  # every other kind steps the scheme
             try:
                 _require_dealiasing(cf, grid, self.k_modes or self.nx - 1)
@@ -284,6 +289,10 @@ class ExperimentConfig:
                 raise ConfigError("eps_list must be strictly decreasing")
         if self.kind in ("mc-scaling", "convergence") and not self.eps_list:
             raise ConfigError("missing required config key 'eps_list'")
+        if self.kind == "convergence":
+            for k in self.k_list:
+                if not 0 <= k <= self.nx - 1:
+                    raise ConfigError(f"config key 'k_list': {k} outside 0..{self.nx - 1}")
         if self.kind in ("mc-scaling", "importance") and self.event is None:
             raise ConfigError("missing required config key 'event_threshold'")
 
@@ -423,7 +432,7 @@ def run_eps_scaling(cfg: ExperimentConfig, psi_star: Control | None = None) -> S
             terms = hits.astype(float)
         n = int(np.sum(valid))
         p_hat = float(np.mean(terms))
-        stderr = float(np.std(terms, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        stderr = float(_stderr(terms))
         censored = not p_hat > 0.0
         eps_log_p = float(eps * np.log(p_hat)) if not censored else float("nan")
         deviation = float("nan")
@@ -500,11 +509,11 @@ def _importance_result(cfg, grid, term_plain, term_tilt, logw, blown_p, blown_t)
         vrf = float("nan")
     return ISResult(
         estimate=float(np.mean(terms)),
-        stderr=float(np.std(terms, ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+        stderr=float(_stderr(terms)),
         mean_weight=float(np.mean(weights)),
-        mean_weight_stderr=float(np.std(weights, ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+        mean_weight_stderr=float(_stderr(weights)),
         plain_estimate=float(np.mean(plain_terms)),
-        plain_stderr=float(np.std(plain_terms, ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+        plain_stderr=float(_stderr(plain_terms)),
         variance_reduction=vrf,
         replicas=n,
     )
@@ -544,8 +553,9 @@ def run_convergence_studies(cfg: ExperimentConfig) -> ConvergenceReport:
         stream=0, k_modes=cfg.k_modes, threads=cfg.threads,
     )
     means = errors.mean(axis=0)
-    stderrs = errors.std(axis=0, ddof=1) / np.sqrt(cfg.replicas) if cfg.replicas > 1 else 0 * means
-    galerkin_rows = [(int(k), float(m), float(s)) for k, m, s in zip(cfg.k_list, means, stderrs)]
+    galerkin_rows = [
+        (int(k), float(m), float(s)) for k, m, s in zip(cfg.k_list, means, _stderr(errors))
+    ]
     galerkin_pass = bool(np.all(np.diff(means) < 0))
 
     # (ii) controlled-to-skeleton distance vs eps at fixed seed and control.

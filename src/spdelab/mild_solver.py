@@ -17,12 +17,15 @@ the G_{t-s} factor of the mild form. A control psi adds
 The step is written once, as _Ops.step, which every solver calls (paths,
 Picard sweeps, skeleton and controlled flows, the adjoint forward sweep and
 the path-rate prediction); _Ops also holds what is fixed for a whole solve.
-In the linear additive case (f = 0, g = 0, constant sigma, no cutoff;
-_Ops.diagonal, derived from the coefficients alone) the step is diagonal in
-the sine modes, u_hat <- decay * (u_hat + sqrt(eps) sigma dw_hat +
-ed-weighted control). There the replica sampler carries modes from step to
-step on the drawn mode increments, and action's adjoint sweeps sum the
-decay powers in one batched transform, so neither calls _Ops.step.
+The noise reaches the whole-path integrator _integrate only as sine-mode
+increments dw_hat (the drawn Brownian increments, plus a tilt's
+Cameron-Martin shift), and _integrate alone decides how to step them. In the
+linear additive case (f = 0, g = 0, constant sigma, no cutoff;
+_Ops.diagonal, derived from the coefficients alone) without a control the
+step is diagonal in the sine modes, u_hat <- decay * (u_hat + sqrt(eps)
+sigma dw_hat), and the state is carried in modes; otherwise each step's
+noise density is synthesized and _Ops.step runs. action's adjoint sweeps
+sum the decay powers of the diagonal step in one batched transform.
 
 Cutoff runs multiply the drift, noise and divergence terms by
 chi_R(|u(t_m)|_rho) evaluated explicitly at the current step (an O(dt) lag
@@ -44,7 +47,8 @@ batch on its one noise block: galerkin_coupled_errors the white run and
 its truncations, _sample_replicas one run per initial field when given a
 sequence of them or of tilts. _moment_estimates stacks its eta scales, so
 the convergence study's moment leg draws its noise once for all of them,
-and importance sampling stacks its plain and tilted runs.
+and importance sampling stacks its plain and tilted runs; off the diagonal
+path each replica-step's noise density is synthesized once for all runs.
 Blow-ups are masked per replica: a row that turns non-finite is frozen, its
 first bad step recorded, and the other rows step on unchanged, with no
 floating-point warning; the result does not depend on chunk size, thread
@@ -188,6 +192,15 @@ class MomentEstimate:
     stderr: float
     ratio: float
     replicas: int
+
+
+def _stderr(samples: np.ndarray):
+    """Standard error of the mean over the leading axis, std(ddof=1)/sqrt(n);
+    0 for a single sample."""
+    n = len(samples)
+    if n > 1:
+        return np.std(samples, axis=0, ddof=1) / np.sqrt(n)
+    return np.zeros(np.shape(samples)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +357,23 @@ def _synthesizes_finite(modes: np.ndarray, grid: GridSpec) -> np.ndarray:
     return ok
 
 
-def _integrate(u0: np.ndarray, ops: _Ops, xi=None, psi=None, record="path", kicks=None):
+def _integrate(u0: np.ndarray, ops: _Ops, dw=None, shift=None, psi=None, record="path"):
     """Advance u0 (..., nx-1) over all nt steps, masking blow-ups per row.
 
-    xi: (..., nt, nx-1) spatial noise density, or a callable m -> the density
-    of step m; psi: (nt, nx-1) control. record = "path" returns the (nt+1, ...)
+    dw: a callable m -> the sine-mode increments of step m (the drawn
+    increments, inactive noise modes zeroed), broadcasting against the state;
+    shift: (..., nt, nx-1) mode-space tilt added to every step's increments;
+    psi: (nt, nx-1) control. record = "path" returns the (nt+1, ...)
     time-major history, "terminal" the final state, "sup_rho" the running max
     of |u|_rho^rho; a callable record is called with the state before the
     first step and after every step, and None is returned for it.
 
-    kicks, a callable m -> the mode-space forcing of step m, replaces xi and
-    psi when ops.diagonal holds: the state is then carried in sine modes,
-    u_hat <- decay * (u_hat + kicks(m)), and synthesized only where the
-    record needs nodal values or where the mode magnitudes leave open
-    whether the nodal values are finite.
+    When ops.diagonal holds and there is no control, the state is carried in
+    sine modes, u_hat <- decay * (u_hat + sqrt(eps) sigma (dw(m) + shift)),
+    and synthesized only where the record needs nodal values or where the
+    mode magnitudes leave open whether the nodal values are finite.
+    Otherwise each step's noise density is synthesized from dw(m), the shift
+    once per call, and the step is _Ops.step.
 
     Returns (out, blown): blown, shaped u0.shape[:-1], holds each row's first
     non-finite step (0 if the row stayed finite). A blown row is frozen at its
@@ -366,9 +382,15 @@ def _integrate(u0: np.ndarray, ops: _Ops, xi=None, psi=None, record="path", kick
     """
     grid = ops.grid
     dx, rho = grid.dx, ops.cf.rho
-    if kicks is not None and not (ops.diagonal and xi is None and psi is None):
-        raise ValueError("mode kicks need a diagonal step and no xi or psi")
-    noise = xi if xi is None or callable(xi) else (lambda m: xi[..., m, :])
+    modal = ops.diagonal and psi is None
+    if shift is not None and not modal:
+        shift = from_modes(shift, grid)
+
+    def noise(m):
+        """Step m's shifted increments (modal path) or noise density."""
+        w = dw(m) if modal else from_modes(dw(m), grid)
+        return w if shift is None else w + shift[..., m, :]
+
     u = ops.project(np.asarray(u0, dtype=float))
     blown = np.zeros(u.shape[:-1], dtype=int)
     alive = np.ones(u.shape[:-1], dtype=bool)
@@ -384,23 +406,24 @@ def _integrate(u0: np.ndarray, ops: _Ops, xi=None, psi=None, record="path", kick
     elif record != "terminal":
         raise ValueError(f"unknown record mode '{record}'")
 
-    # The carried state: nodal values, or sine modes under kicks.
-    state = u if kicks is None else to_modes(u, grid)
+    # The carried state: sine modes on the modal path, else nodal values.
+    state = to_modes(u, grid) if modal else u
+    scale = ops.sqrt_eps * ops.cf.sigma_const if modal else None
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(grid.nt):
-            if kicks is None:
+            if modal:
+                new = ops.decay * (state if dw is None else state + scale * noise(m))
+                finite = _synthesizes_finite(new, grid)
+            else:
                 modes = ops.step(
                     state,
                     m * grid.dt,
-                    xi=None if noise is None else noise(m),
+                    xi=None if dw is None else noise(m),
                     psi=None if psi is None else psi[..., m, :],
                     chi=ops.cutoff(state),
                 )
                 new = from_modes(modes, grid)
                 finite = np.isfinite(new).all(axis=-1)
-            else:
-                new = ops.decay * (state + kicks(m))
-                finite = _synthesizes_finite(new, grid)
             bad = alive & ~finite
             if bad.any():
                 blown[bad] = m + 1
@@ -412,7 +435,7 @@ def _integrate(u0: np.ndarray, ops: _Ops, xi=None, psi=None, record="path", kick
             state = new
             if record == "terminal":
                 continue
-            u = state if kicks is None else from_modes(state, grid)
+            u = from_modes(state, grid) if modal else state
             if record == "path":
                 out[m + 1] = u
             elif record == "sup_rho":
@@ -421,7 +444,7 @@ def _integrate(u0: np.ndarray, ops: _Ops, xi=None, psi=None, record="path", kick
                 record(u)
 
     if record == "terminal":
-        u = state if kicks is None else from_modes(state, grid)
+        u = from_modes(state, grid) if modal else state
         out = u if alive.all() else np.where(alive[..., None], u, np.nan)
     elif record == "sup_rho" and not alive.all():
         out = np.where(alive, out, np.nan)
@@ -457,10 +480,11 @@ def _solve_path(
     ops = _Ops(
         cf, grid, config.k_modes, eps, config.cutoff_radius, config.control_coupling
     )
-    xi = None
+    dw = None
     if noise is not None and eps > 0 and noise.k_active > 0:
-        xi = noise.spatial_density
-    path, blown = _integrate(eta.values, ops, xi, psi)
+        modes = noise.driving_modes
+        dw = lambda m: modes[m]
+    path, blown = _integrate(eta.values, ops, dw, psi=psi)
     if blown:
         raise BlowUpError(step=int(blown))
     seed_info = noise.seed_info if noise is not None else None
@@ -597,14 +621,6 @@ def _noise_block(grid: GridSpec, master: int, replicas: range, stream: int) -> n
     return block
 
 
-def _density(modes: np.ndarray, grid: GridSpec, k_noise: int) -> np.ndarray:
-    """Spatial noise density of the first k_noise modes, computed in the memory
-    of the mode block (which it consumes), so a chunk holds one block."""
-    if k_noise < grid.n_interior:
-        modes[..., k_noise:] = 0.0
-    return from_modes(modes, grid, overwrite=True)
-
-
 # A chunk's noise block holds at most this many doubles.
 _CHUNK_DOUBLES = 1.2e7
 
@@ -698,10 +714,6 @@ def _sample_replicas(
     one noise draw, the runs stepping as one stacked batch, the single eta or
     psi serving every run. values, blown and log_weights (0 for an untilted
     run) gain a leading axis over the runs.
-
-    When ops.diagonal holds, the runs step in sine modes on the drawn mode
-    increments and the Girsanov pairing is taken in modes (Parseval), so no
-    noise density is synthesized.
     """
     # control imports this module, so its names are looked up at call time.
     from .control import Control, girsanov_log_weight
@@ -712,7 +724,6 @@ def _sample_replicas(
     nxm = grid.n_interior
     k_noise = config.noise_modes(grid)
     ops = _Ops(cf, grid, config.k_modes, eps, config.cutoff_radius)
-    diagonal = ops.diagonal
 
     etas = None if isinstance(eta, Field) else list(eta)
     psis = psi if isinstance(psi, (list, tuple)) else None
@@ -724,7 +735,7 @@ def _sample_replicas(
     u_init = np.broadcast_to(u_init, lead + (nxm,))
 
     # tilts[i]: run i's tilt as a Control, or None; shifts: the tilts' shifts
-    # of the driving noise per step, as densities or (diagonal) mode increments.
+    # of the driving mode increments per step.
     tilts = [None] * runs
     shifts = None
     for i, p in enumerate(psis if psis is not None else [psi] * runs):
@@ -739,40 +750,25 @@ def _sample_replicas(
         tilts[i] = Control(p, grid)
         if shifts is None:
             shifts = np.zeros((runs, grid.nt, nxm))
-        shifts[i] = (grid.dt / np.sqrt(eps)) * (pm if diagonal else p)
-    if shifts is not None and not lead:
-        shifts = shifts[0]
+        shifts[i] = (grid.dt / np.sqrt(eps)) * pm
+    if shifts is not None:
+        # Each run's shift broadcasts over the chunk's replica rows.
+        shifts = shifts[:, None] if lead else shifts[0]
     values = np.empty(lead + ((replicas, nxm) if record == "terminal" else (replicas,)))
     log_weights = None if shifts is None else np.zeros(lead + (replicas,))
-    scale = ops.sqrt_eps * cf.sigma_const if diagonal else None
 
     def work(rows: range, modes: np.ndarray) -> np.ndarray:
-        if diagonal:
-            noise = modes
-            if k_noise < nxm:
-                noise[..., k_noise:] = 0.0
-        else:
-            noise = _density(modes, grid, k_noise)
+        if k_noise < nxm:
+            modes[..., k_noise:] = 0.0
         mine = (slice(None),) * len(lead) + (slice(rows.start, rows.stop),)
         for i, tilt in enumerate(tilts):
             if tilt is not None:
                 lw = log_weights[i] if lead else log_weights
-                lw[rows.start : rows.stop] = girsanov_log_weight(
-                    tilt, noise, eps, in_modes=diagonal
-                )
-
-        def step_noise(m):
-            if shifts is None:
-                return noise[:, m, :]
-            return noise[:, m, :] + shifts[..., None, m, :]
-
+                lw[rows.start : rows.stop] = girsanov_log_weight(tilt, modes, eps)
         u0 = np.broadcast_to(u_init[..., None, :], lead + (len(rows), nxm))
-        if diagonal:
-            values[mine], blown = _integrate(
-                u0, ops, record=record, kicks=lambda m: scale * step_noise(m)
-            )
-        else:
-            values[mine], blown = _integrate(u0, ops, step_noise, record=record)
+        values[mine], blown = _integrate(
+            u0, ops, lambda m: modes[:, m, :], shifts, record=record
+        )
         return blown
 
     blown = _replica_engine(grid, master, replicas, stream, work, threads, chunk_size)
@@ -829,6 +825,9 @@ def galerkin_coupled_errors(
     ops = _Ops(cf, grid, k_modes, eps)
     # Stack row 0 keeps every noise mode, row j+1 the first k_list[j].
     keep = np.array([nxm] + [int(k) for k in k_list])
+    for k in keep[1:]:
+        if not 0 <= k <= nxm:
+            raise ValueError(f"k_list entry {k} outside 0..{nxm}")
     masks = (np.arange(nxm) < keep[:, None]).astype(float)[:, None, :]
     errors = np.empty((replicas, len(k_list)))
 
@@ -839,9 +838,7 @@ def galerkin_coupled_errors(
             np.maximum(sup, lp_norm_values(u[0] - u[1:], grid.dx, cf.rho), out=sup)
 
         u0 = np.broadcast_to(eta.values, (len(keep), len(rows), nxm))
-        _, blown = _integrate(
-            u0, ops, lambda m: from_modes(masks * modes[:, m, :], grid), record=observe
-        )
+        _, blown = _integrate(u0, ops, lambda m: masks * modes[:, m, :], record=observe)
         errors[rows.start : rows.stop] = sup.T
         return blown
 
@@ -879,12 +876,11 @@ def _moment_estimates(
     for eta, sup, blown in zip(etas, sups, blowns):
         _raise_first_blowup(blown, master_seed, stream)
         estimate = float(np.mean(sup))
-        stderr = float(np.std(sup, ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0
         norm_eta = lp_norm_values(eta.values, grid.dx, rho) ** rho
         out.append(
             MomentEstimate(
                 estimate=estimate,
-                stderr=stderr,
+                stderr=float(_stderr(sup)),
                 ratio=estimate / (1.0 + float(norm_eta)),
                 replicas=replicas,
             )

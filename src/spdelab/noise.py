@@ -90,11 +90,18 @@ class NoiseRealization:
         return self.mode_increments[:, : self.k_active]
 
     @cached_property
-    def spatial_density(self) -> np.ndarray:
-        """(nt, nx-1) noise density xi[m, j] = sum_{i<=k} hh_i(x_j) dw_i(m)."""
+    def driving_modes(self) -> np.ndarray:
+        """(nt, nx-1) mode increments of the driving noise: the active modes,
+        zero beyond k_active."""
         padded = np.zeros_like(self.mode_increments)
         padded[:, : self.k_active] = self.active_modes
-        xi = from_modes(padded, self.grid)
+        padded.flags.writeable = False
+        return padded
+
+    @cached_property
+    def spatial_density(self) -> np.ndarray:
+        """(nt, nx-1) noise density xi[m, j] = sum_{i<=k} hh_i(x_j) dw_i(m)."""
+        xi = from_modes(self.driving_modes, self.grid)
         xi.flags.writeable = False
         return xi
 

@@ -162,6 +162,21 @@ def test_girsanov_decomposition():
     assert abs(lw2 - (-2 * P / np.sqrt(eps) - 4 * Q / (2 * eps))) <= 1e-12
 
 
+@pytest.mark.parametrize("k_noise", [1, 6])
+def test_girsanov_truncated_realization_matches_the_cell_pairing(k_noise):
+    # The weight pairs psi with the driving modes (Parseval); on a truncated
+    # realization that is the cell pairing dx sum psi xi with the truncated
+    # density xi.
+    g = make_grid(16, 16, 0.25)
+    nz = sample_sheet_expansion(g, k_noise, 3)
+    assert nz.k_active < g.n_interior
+    psi = Control(np.random.default_rng(4).standard_normal((16, 15)), g)
+    eps = 0.3
+    P = g.dx * float(np.sum(psi.values * nz.spatial_density))
+    expected = -P / np.sqrt(eps) - psi.norm_sq / (2 * eps)
+    assert abs(girsanov_log_weight(psi, nz, eps) - expected) <= 1e-13
+
+
 def test_girsanov_requires_positive_eps():
     g = make_grid(16, 16, 0.25)
     nz = sample_sheet_expansion(g, g.n_interior, 0)
@@ -173,12 +188,12 @@ def test_girsanov_batch_matches_single_realizations():
     g = make_grid(16, 16, 0.25)
     psi = Control(np.random.default_rng(6).standard_normal((16, 15)), g)
     noises = [sample_sheet_expansion(g, g.n_interior, 8, replica=r) for r in range(5)]
-    batch = girsanov_log_weight(psi, np.stack([nz.spatial_density for nz in noises]), 0.3)
+    batch = girsanov_log_weight(psi, np.stack([nz.driving_modes for nz in noises]), 0.3)
     single = [girsanov_log_weight(psi, nz, 0.3) for nz in noises]
     assert batch.shape == (5,)
     np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0.0)
     with pytest.raises(TypeError, match="Control"):
-        girsanov_log_weight(psi.values, noises[0].spatial_density, 0.3)
+        girsanov_log_weight(psi.values, noises[0].driving_modes, 0.3)
 
 
 def test_girsanov_martingale_mean():

@@ -1,12 +1,14 @@
-"""The diagonal (linear additive) path: replicas and adjoint sweeps stepped in
-sine modes must match the nodal stepping path.
+"""The diagonal (linear additive) path: paths, replicas, Galerkin coupled
+errors and adjoint sweeps stepped in sine modes must match the nodal stepping
+path.
 
 The oracle is the same solve with cutoff_radius = 1e300: chi_R of any finite
-norm is then exactly 1.0, so the oracle steps every replica and every
+norm is then exactly 1.0, so the oracle steps every path, replica and
 adjoint step through _Ops.step, transforms and all, with the same dynamics.
 """
 
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +25,25 @@ from spdelab.experiments import (
     run_importance_sampling,
 )
 from spdelab.lattice import eigenfunction, from_modes, make_grid
-from spdelab.mild_solver import SolverConfig, _integrate, _Ops, _sample_replicas
+from spdelab.mild_solver import (
+    SolverConfig,
+    _integrate,
+    _Ops,
+    _sample_replicas,
+    galerkin_coupled_errors,
+    solve_spde,
+)
 
 RTOL = 1e-12
 DATA = Path(__file__).parent / "data"
 ADDITIVE = make_coefficients("linear", f_slope=0.0, sigma0=1.0)
 ORACLE_RADIUS = 1e300
+CONFIGS = {
+    "white": SolverConfig(),
+    "k_noise6": SolverConfig(k_noise=6),
+    "k_modes5": SolverConfig(k_modes=5),
+    "k_modes9_k_noise4": SolverConfig(k_modes=9, k_noise=4),
+}
 
 
 def close(actual, expected):
@@ -72,12 +87,7 @@ def sample_both(config, psi, threads=1, chunk=None, record="terminal", cf=ADDITI
 
 @pytest.mark.parametrize("record", ["terminal", "sup_rho"])
 @pytest.mark.parametrize("psi", [None, tilt], ids=["plain", "tilted"])
-@pytest.mark.parametrize("config", [
-    SolverConfig(),
-    SolverConfig(k_noise=6),
-    SolverConfig(k_modes=5),
-    SolverConfig(k_modes=9, k_noise=4),
-], ids=["white", "k_noise6", "k_modes5", "k_modes9_k_noise4"])
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
 @pytest.mark.parametrize("threads,chunk", [(1, None), (1, 7), (2, None), (2, 13)])
 def test_replicas_match_the_stepping_oracle(config, psi, record, threads, chunk):
     (v, w, b), (v_o, w_o, b_o) = sample_both(config, psi, threads, chunk, record)
@@ -97,6 +107,33 @@ def test_diagonal_result_does_not_depend_on_chunks_or_threads():
         assert b.tobytes() == ref[2].tobytes()
 
 
+def additive_path(config):
+    g = make_grid(16, 32, 0.25)
+    eta = eigenfunction(g, 1, amplitude=0.5)
+    return solve_spde(eta, ADDITIVE, 0.3, 5, g, config, replica=2, stream=1).fields
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+def test_solve_spde_matches_the_stepping_oracle(config):
+    close(additive_path(config), additive_path(replace(config, cutoff_radius=ORACLE_RADIUS)))
+
+
+def coupled_errors(k_modes, threads):
+    g = make_grid(16, 32, 0.25)
+    eta = eigenfunction(g, 1, amplitude=0.5)
+    return galerkin_coupled_errors(eta, ADDITIVE, 0.3, g, 5, 40, (0, 2, 6, 15),
+                                   stream=1, k_modes=k_modes, threads=threads)
+
+
+@pytest.mark.parametrize("k_modes", [None, 5])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_galerkin_coupled_errors_match_the_stepping_oracle(monkeypatch, k_modes, threads):
+    errors = coupled_errors(k_modes, threads)
+    monkeypatch.setattr(mild_solver, "_Ops",
+                        partial(mild_solver._Ops, cutoff_radius=ORACLE_RADIUS))
+    close(errors, coupled_errors(k_modes, threads))
+
+
 @pytest.mark.parametrize("psi", [None, tilt], ids=["plain", "tilted"])
 def test_overflow_blows_the_same_steps(psi):
     # sqrt(eps) * sigma0 overflows, so every replica blows up at step 1 on
@@ -107,34 +144,31 @@ def test_overflow_blows_the_same_steps(psi):
     assert np.all(np.isnan(v)) and np.all(np.isnan(v_o))
 
 
-def test_mode_kicks_record_each_rows_first_non_finite_step():
+def test_mode_increments_record_each_rows_first_non_finite_step():
     # Row 0 gets finite modes whose synthesis overflows at step 3, row 1 an
-    # infinite mode at step 5, row 2 an ordinary kick; row 3 a large but
-    # synthesizable one.
+    # infinite mode at step 5, row 2 an ordinary increment; row 3 a large but
+    # synthesizable one. sqrt(eps) * sigma0 = 1 keeps the increments exact.
     g = make_grid(16, 8, 0.001)
-    ops = _Ops(ADDITIVE, g)
-    kicks = np.full((g.nt, 4, g.n_interior), 1e-3)
-    kicks[2, 0, :] = 1e308
-    kicks[4, 1, 3] = np.inf
-    kicks[1, 3, :] = 1e290
+    ops = _Ops(ADDITIVE, g, eps=1.0)
+    dw = np.full((g.nt, 4, g.n_interior), 1e-3)
+    dw[2, 0, :] = 1e308
+    dw[4, 1, 3] = np.inf
+    dw[1, 3, :] = 1e290
     expected = []
     for row in range(4):
         state, step = np.zeros(g.n_interior), 0
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(g.nt):
-                state = ops.decay * (state + kicks[m, row])
+                state = ops.decay * (state + dw[m, row])
                 if not np.all(np.isfinite(from_modes(state, g))):
                     step = m + 1
                     break
         expected.append(step)
     assert expected == [3, 5, 0, 0]
-    out, blown = _integrate(np.zeros((4, g.n_interior)), ops, record="terminal",
-                            kicks=lambda m: kicks[m])
+    out, blown = _integrate(np.zeros((4, g.n_interior)), ops, lambda m: dw[m],
+                            record="terminal")
     assert blown.tolist() == expected
     assert np.all(np.isnan(out[:2])) and np.all(np.isfinite(out[2:]))
-    with pytest.raises(ValueError):
-        _integrate(np.zeros(g.n_interior), _Ops(make_coefficients("burgers"), g, k_modes=4),
-                   kicks=lambda m: kicks[m, 0])
 
 
 @pytest.mark.parametrize("coupling", ["direct", "integrated"])
@@ -205,8 +239,14 @@ def forbid_stepping(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the linear additive case left the diagonal path")
 
-    monkeypatch.setattr(mild_solver, "_density", fail)
     monkeypatch.setattr(mild_solver._Ops, "step", fail)
+
+
+def test_solve_spde_and_coupled_errors_stay_on_the_diagonal_path(monkeypatch):
+    forbid_stepping(monkeypatch)
+    for config in CONFIGS.values():
+        assert np.all(np.isfinite(additive_path(config)))
+    assert np.all(np.isfinite(coupled_errors(5, 2)))
 
 
 def test_golden_config_stays_on_the_diagonal_path(monkeypatch, tmp_path):

@@ -336,10 +336,20 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
         ({}, ["--threads", "-3"], "threads"),
         ({}, ["--threads", "0"], "threads"),
         ({"dump_noise": "ture"}, [], "dump_noise"),
+        ({"eta_mode": "99", "eta_amp": "1.0"}, [], "'eta_mode'"),
+        ({"eta_mode": "0"}, [], "'eta_mode'"),
+        ({"kind": "skeleton", "psi_mode": "16", "psi_amp": "0.5"}, [], "'psi_mode'"),
+        ({"kind": "minimize-action", "target_mode": "99"}, [], "'target_mode'"),
+        ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": "4, 15, 99"}, [],
+         "'k_list'"),
+        ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": "-1, 4"}, [], "'k_list'"),
+        # The default k_list, 4, 16, 64, reaches past nx - 1 = 15.
+        ({"kind": "convergence", "eps_list": "0.2, 0.1"}, [], "'k_list'"),
     ],
     ids=["family", "family_parameter", "horizon", "importance_eps", "dealiasing",
          "threads_zero", "threads_negative", "threads_flag_negative", "threads_flag_zero",
-         "bool"],
+         "bool", "eta_mode", "eta_mode_zero", "psi_mode", "target_mode", "k_list",
+         "k_list_negative", "k_list_default"],
 )
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, extra, flags, key):
     raw = base_raw(**extra)
@@ -348,7 +358,7 @@ def test_cli_bad_values_are_config_errors(tmp_path, capsys, extra, flags, key):
     assert cli_main([raw["kind"], "--config", cfg, "--out", str(out)] + flags) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
-    assert not (out / "manifest.txt").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

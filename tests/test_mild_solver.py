@@ -18,6 +18,7 @@ from spdelab.mild_solver import (
     PicardError,
     SolverConfig,
     estimate_moments,
+    galerkin_coupled_errors,
     picard_solve,
     run_replicas,
     solve_spde,
@@ -186,6 +187,8 @@ def test_k_noise_out_of_range_rejected():
             solve_spde(eta, LINEAR, 0.1, seed=0, grid=g, config=SolverConfig(k_noise=k))
         with pytest.raises(ValueError, match="k_noise"):
             sample_sheet_expansion(g, k, 0)
+        with pytest.raises(ValueError, match="k_list"):
+            galerkin_coupled_errors(eta, LINEAR, 0.1, g, 0, 2, (4, k))
 
 
 def test_galerkin_coupled_error_decreases():
