@@ -290,6 +290,9 @@ class ExperimentConfig:
         if self.kind in ("mc-scaling", "convergence") and not self.eps_list:
             raise ConfigError("missing required config key 'eps_list'")
         if self.kind == "convergence":
+            for key in ("k_list", "eta_scales"):
+                if not getattr(self, key):
+                    raise ConfigError(f"config key '{key}' must list at least one value")
             for k in self.k_list:
                 if not 0 <= k <= self.nx - 1:
                     raise ConfigError(f"config key 'k_list': {k} outside 0..{self.nx - 1}")

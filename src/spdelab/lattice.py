@@ -12,8 +12,12 @@ machine precision.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
@@ -24,7 +28,39 @@ import numpy as np
 # tests/test_lattice.py are the guard. Calls pass only the six positional
 # arguments (a, type, axes, inorm, out, nthreads) that scipy 1.10 already
 # takes: type 1, the last axis, no normalisation, one thread.
-from scipy.fft._pocketfft.pypocketfft import dct as _dct, dst as _dst
+#
+# The extension is loaded from its file rather than imported, because
+# importing it runs scipy.fft's package init (scipy.special, the array-API
+# shim, numpy.testing), which costs more than the whole rest of
+# `import spdelab`. It is registered under its own dotted name, so a later
+# `import scipy.fft` reuses this module object instead of loading it again.
+_POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+
+
+def _load_pocketfft():
+    if _POCKETFFT in sys.modules:
+        return sys.modules[_POCKETFFT]
+    scipy_spec = importlib.util.find_spec("scipy")  # locates, does not import
+    if scipy_spec is None:
+        raise ImportError("spdelab needs scipy, which is not installed")
+    stem = os.path.join(
+        scipy_spec.submodule_search_locations[0], "fft", "_pocketfft", "pypocketfft"
+    )
+    for suffix in EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location(_POCKETFFT, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_POCKETFFT] = module
+            return module
+    raise ImportError(
+        f"scipy's pocketfft extension not found: searched {stem} with suffixes "
+        f"{', '.join(EXTENSION_SUFFIXES)}"
+    )
+
+
+_pocketfft = _load_pocketfft()
+_dct, _dst = _pocketfft.dct, _pocketfft.dst
 
 __all__ = [
     "GridSpec",
@@ -126,15 +162,15 @@ _SQRT2 = np.sqrt(2.0)
 
 
 @cache
-def _cos_weights(nx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cos_weights(nx: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only per-grid constants of k = 1..nx-1 for the cosine pair: the
-    analysis weights k pi dx / sqrt(2), the synthesis weights sqrt(2) k pi and
-    the parity (-1)^k."""
+    analysis weights k pi dx / sqrt(2), and the synthesis weights sqrt(2) k pi
+    stacked over the same weights times the parity (-1)^k."""
     k = np.arange(1, nx)
+    synthesis = _SQRT2 * k * np.pi
     weights = (
         k * np.pi * (1.0 / nx) / _SQRT2,
-        _SQRT2 * k * np.pi,
-        np.where(k % 2 == 0, 1.0, -1.0),
+        np.stack([synthesis, np.where(k % 2 == 0, synthesis, -synthesis)]),
     )
     for w in weights:
         w.flags.writeable = False
@@ -191,19 +227,24 @@ def cos_analysis(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 def cos_synthesis(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Exact transpose (up to the dx weight) of cos_analysis, for adjoint sweeps."""
     _check_length(coeffs, grid)
-    _, weight, parity = _cos_weights(grid.nx)
-    padded = np.empty(coeffs.shape[:-1] + (grid.nx + 1,), dtype=float)
-    padded[..., 0] = padded[..., -1] = 0.0
-    r = np.multiply(coeffs, weight, out=padded[..., 1:-1])
-    # Endpoint-extension weights of the analysis map land on the first and
-    # last interior nodes in the transpose. np.add.reduce is np.sum's
-    # summation without its dispatch.
-    first = np.add.reduce(r, axis=-1)
-    last = np.add.reduce(r * parity, axis=-1)
-    d = _dct(padded, 1, _LAST, 0, padded, 1)
-    out = d[..., 1 : grid.nx] / 2.0
-    out[..., 0] += 0.5 * first
-    out[..., -1] += 0.5 * last
+    nx = grid.nx
+    # Row 0 is the padded DCT input r = coeffs * weight, row 1 is r times the
+    # parity (a sign flip, so exact), filled by one multiply and summed by one
+    # reduce. The endpoint-extension weights of the analysis map land those
+    # sums on the first and last interior nodes in the transpose.
+    # np.add.reduce is np.sum's summation without its dispatch.
+    padded = np.zeros(coeffs.shape[:-1] + (2, nx + 1))
+    rows = np.multiply(coeffs[..., None, :], _cos_weights(nx)[1], out=padded[..., 1:-1])
+    ends = np.add.reduce(rows, axis=-1)
+    ends *= 0.5
+    r = padded[..., 0, :]
+    d = _dct(r, 1, _LAST, 0, r, 1)
+    out = d[..., 1:nx] / 2.0
+    if nx > 2:
+        out[..., :: nx - 2] += ends
+    else:  # nx = 2: both sums land on the one interior node, first then last
+        out[..., 0] += ends[..., 0]
+        out[..., 0] += ends[..., 1]
     return out
 
 

@@ -345,11 +345,15 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
         ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": "-1, 4"}, [], "'k_list'"),
         # The default k_list, 4, 16, 64, reaches past nx - 1 = 15.
         ({"kind": "convergence", "eps_list": "0.2, 0.1"}, [], "'k_list'"),
+        # An empty list would check nothing, and the manifest would drop it.
+        ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": ""}, [], "'k_list'"),
+        ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": "4", "eta_scales": ""}, [],
+         "'eta_scales'"),
     ],
     ids=["family", "family_parameter", "horizon", "importance_eps", "dealiasing",
          "threads_zero", "threads_negative", "threads_flag_negative", "threads_flag_zero",
          "bool", "eta_mode", "eta_mode_zero", "psi_mode", "target_mode", "k_list",
-         "k_list_negative", "k_list_default"],
+         "k_list_negative", "k_list_default", "k_list_empty", "eta_scales_empty"],
 )
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, extra, flags, key):
     raw = base_raw(**extra)

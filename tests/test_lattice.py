@@ -1,7 +1,15 @@
+import importlib.util
+import re
+import subprocess
+import sys
+import textwrap
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
 
+from spdelab import lattice
 from spdelab.lattice import (
     cos_analysis,
     cos_synthesis,
@@ -240,3 +248,51 @@ def test_cos_synthesis_is_the_scaled_transpose_of_cos_analysis(nx):
     want = c @ A / g.dx
     got = cos_synthesis(c, g)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+_COLD_IMPORT = textwrap.dedent(
+    """
+    import sys
+    import numpy as np
+    import spdelab, spdelab.cli, spdelab.experiments
+    from spdelab import lattice
+
+    print(sorted(k for k in sys.modules if k.startswith("scipy")))
+    import scipy.fft
+    from scipy.fft._pocketfft import pypocketfft
+    print(pypocketfft is lattice._pocketfft is sys.modules[pypocketfft.__name__])
+    g = lattice.make_grid(32, 1, 1.0)
+    v = np.random.default_rng(5).standard_normal(g.n_interior)
+    want = scipy.fft.dst(v, type=1, axis=-1) * (g.dx / np.sqrt(2.0))
+    print(np.array_equal(lattice.to_modes(v, g), want))
+    """
+)
+
+
+def test_import_loads_no_scipy_package():
+    """`import spdelab` loads scipy's pocketfft extension and no scipy package.
+
+    scipy.fft's package init costs more than the whole rest of the import,
+    and every run pays the import before any work. A later heavy scipy import
+    goes inside the function that needs it: scipy.optimize, for an L-BFGS-B
+    minimum-action solver, costs ~0.65 s to import. A scipy.fft imported
+    afterwards reuses the extension module lattice loaded, not a second copy.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _COLD_IMPORT], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['scipy.fft._pocketfft.pypocketfft']",
+        "True",
+        "True",
+    ]
+
+
+def test_missing_pocketfft_extension_names_the_path(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, lattice._POCKETFFT)
+    fake_scipy = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake_scipy)
+    searched = str(tmp_path / "fft" / "_pocketfft" / "pypocketfft")
+    with pytest.raises(ImportError, match=re.escape(searched)):
+        lattice._load_pocketfft()
