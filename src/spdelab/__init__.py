@@ -63,7 +63,6 @@ from .experiments import (
     EventSpec,
     ExperimentConfig,
     ISResult,
-    ScalingTable,
     run_convergence_studies,
     run_eps_scaling,
     run_experiment,

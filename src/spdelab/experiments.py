@@ -18,7 +18,10 @@ runs on it (paired seeds); the convergence studies use streams 0, 1, 2 for the
 Galerkin-noise, controlled-vs-skeleton, and moment-scaling legs.
 
 Rare-event events are threshold functionals of the terminal field: its L^2 or
-L^rho norm, a single sine-mode coefficient, or a point value.
+L^rho norm, a single sine-mode coefficient, or a point value. Both rare-event
+studies take their tilt from _tilt (psi_file, psi_amp or tilt = optimal, at
+most one), keep the _survivors of every run and reduce each run through
+EventSpec.weighted_hits, exp(log w) 1{hit}, where an untilted run has log w = 0.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ from .storage import (
 __all__ = [
     "EventSpec",
     "ExperimentConfig",
-    "ScalingTable",
     "ScalingRow",
     "ISResult",
     "ConvergenceReport",
@@ -136,8 +138,9 @@ class EventSpec:
             return to_modes(terminal, grid)[..., i]
         return terminal[..., i]
 
-    def hits(self, terminal: np.ndarray, grid: GridSpec, rho: float) -> np.ndarray:
-        return self.values(terminal, grid, rho) >= self.threshold
+    def weighted_hits(self, terminal, log_weights, grid: GridSpec, rho: float) -> np.ndarray:
+        """exp(log w) 1{F(u(T)) >= threshold}: the estimator's term per replica."""
+        return np.exp(log_weights) * (self.values(terminal, grid, rho) >= self.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +260,7 @@ class ExperimentConfig:
         if self.kind == "importance" and not self.eps > 0:
             raise ConfigError("config key 'eps' must be positive for importance sampling")
         if self.replicas < 1:
-            raise ConfigError("replica count must be >= 1")
+            raise ConfigError(f"config key 'replicas': {self.replicas} must be >= 1")
         if self.threads < 1:
             raise ConfigError(f"config key 'threads': {self.threads} must be >= 1")
         if self.tilt not in ("none", "optimal"):
@@ -296,8 +299,17 @@ class ExperimentConfig:
             for k in self.k_list:
                 if not 0 <= k <= self.nx - 1:
                     raise ConfigError(f"config key 'k_list': {k} outside 0..{self.nx - 1}")
-        if self.kind in ("mc-scaling", "importance") and self.event is None:
-            raise ConfigError("missing required config key 'event_threshold'")
+        if self.psi_file:
+            self.psi_control(grid)
+        if self.kind in ("mc-scaling", "importance"):
+            if self.event is None:
+                raise ConfigError("missing required config key 'event_threshold'")
+            tilts = [key for key, on in (("psi_file", self.psi_file), ("psi_amp", self.psi_amp),
+                                         ("tilt", self.tilt == "optimal")) if on]
+            if len(tilts) > 1:
+                raise ConfigError(f"config keys {tilts} each set a tilt; {self.kind} takes one")
+            if self.tilt == "optimal" and self.event.kind == "point_value":
+                raise ConfigError("config key 'tilt': optimal has no point_value target")
 
     # -- derived objects ---------------------------------------------------
 
@@ -329,10 +341,13 @@ class ExperimentConfig:
 
     def psi_control(self, grid: GridSpec) -> Control | None:
         if self.psi_file:
-            data, nx, _ = read_snapshot(self.psi_file)
+            try:
+                data, nx, _ = read_snapshot(self.psi_file)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"config key 'psi_file': {exc}") from exc
             if nx != grid.nx or data.shape[0] != grid.nt:
                 raise ConfigError(
-                    f"psi_file grid ({nx}, {data.shape[0]}) does not match "
+                    f"config key 'psi_file': grid ({nx}, {data.shape[0]}) does not match "
                     f"config ({grid.nx}, {grid.nt})"
                 )
             return Control(data, grid)
@@ -378,33 +393,40 @@ class ScalingRow:
     blown: int = 0
 
 
-@dataclass
-class ScalingTable:
-    rows: list
-    reference_action: float | None = None
+def _tilt(cfg: ExperimentConfig, grid: GridSpec, cf: CoefficientSet) -> np.ndarray | None:
+    """The study's tilt (nt, nx-1): psi_file, else psi_amp != 0, else the
+    tilt = optimal solve, else None. _validate admits at most one of them."""
+    psi = cfg.psi_control(grid)
+    if psi is None and cfg.tilt == "optimal":
+        psi = _tilt_control(cfg, grid, cf)
+    return None if psi is None else psi.values
 
 
 def _tilt_control(cfg: ExperimentConfig, grid: GridSpec, cf: CoefficientSet) -> Control:
     """Optimal tilt: steer the skeleton flow to the cheapest event boundary point."""
     event = cfg.event
-    if event.kind in ("l2_norm", "lp_norm"):
-        mode = 1
-        amp = event.threshold / lp_norm_values(
-            eigenfunction(grid, 1).values, grid.dx, cfg.rho if event.kind == "lp_norm" else 2.0
-        )
-    elif event.kind == "mode_coeff":
-        mode = int(event.param)
-        amp = event.threshold
-    else:
-        raise ConfigError(
-            "tilt = optimal supports l2_norm, lp_norm and mode_coeff events; "
-            "supply psi_file for point events"
-        )
+    if event.kind == "mode_coeff":
+        mode, amp = int(event.param), event.threshold
+    else:  # l2_norm or lp_norm; _validate rejects point_value
+        rho = cfg.rho if event.kind == "lp_norm" else 2.0
+        mode, amp = 1, event.threshold / lp_norm_values(eigenfunction(grid, 1).values, grid.dx, rho)
     target = eigenfunction(grid, mode, amplitude=float(amp))
     return minimize_action(target, cfg.eta_field(grid), cf, grid, cfg.action_options()).psi_star
 
 
-def run_eps_scaling(cfg: ExperimentConfig, psi_star: Control | None = None) -> ScalingTable:
+def _survivors(blown: np.ndarray, master: int, stream: int) -> np.ndarray:
+    """Mask of the replicas that blew up in no run; blown is (replicas,) or
+    (runs, replicas). When none survived, raise BlowUpError for replica 0 at
+    the step of its first blown run, runs in order (the plain one first)."""
+    runs = blown.reshape(-1, blown.shape[-1])
+    valid = ~runs.any(axis=0)
+    if not valid.any():
+        steps = runs[:, 0]
+        _raise_first_blowup(steps[steps > 0][:1], master, stream)
+    return valid
+
+
+def run_eps_scaling(cfg: ExperimentConfig) -> list[ScalingRow]:
     """Monte Carlo P(event) for each eps, plain or Girsanov-tilted.
 
     Emits (eps, p_hat, stderr, eps log p_hat); zero-hit cells are censored
@@ -415,9 +437,7 @@ def run_eps_scaling(cfg: ExperimentConfig, psi_star: Control | None = None) -> S
     cf = cfg.coefficients()
     scfg = cfg.solver_config()
     eta = cfg.eta_field(grid)
-    if cfg.tilt == "optimal" and psi_star is None:
-        psi_star = _tilt_control(cfg, grid, cf)
-    psi = psi_star.values if psi_star is not None else None
+    psi = _tilt(cfg, grid, cf)
 
     rows = []
     for i, eps in enumerate(cfg.eps_list):
@@ -425,15 +445,8 @@ def run_eps_scaling(cfg: ExperimentConfig, psi_star: Control | None = None) -> S
             eta, cf, eps, grid, cfg.master_seed, cfg.replicas, i, scfg, psi,
             threads=cfg.threads,
         )
-        valid = blown == 0
-        if not np.any(valid):
-            _raise_first_blowup(blown, cfg.master_seed, i)
-        hits = cfg.event.hits(terminals[valid], grid, cfg.rho)
-        if logw is not None:
-            terms = np.exp(logw[valid]) * hits
-        else:
-            terms = hits.astype(float)
-        n = int(np.sum(valid))
+        valid = _survivors(blown, cfg.master_seed, i)
+        terms = cfg.event.weighted_hits(terminals[valid], logw[valid], grid, cfg.rho)
         p_hat = float(np.mean(terms))
         stderr = float(_stderr(terms))
         censored = not p_hat > 0.0
@@ -441,10 +454,9 @@ def run_eps_scaling(cfg: ExperimentConfig, psi_star: Control | None = None) -> S
         deviation = float("nan")
         if cfg.reference_action is not None and not censored:
             deviation = abs(eps_log_p + cfg.reference_action)
-        rows.append(
-            ScalingRow(eps, p_hat, stderr, eps_log_p, censored, deviation, cfg.replicas - n)
-        )
-    return ScalingTable(rows, cfg.reference_action)
+        blown_n = cfg.replicas - terms.size
+        rows.append(ScalingRow(eps, p_hat, stderr, eps_log_p, censored, deviation, blown_n))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -464,52 +476,39 @@ class ISResult:
     replicas: int
 
 
-def run_importance_sampling(cfg: ExperimentConfig, psi_star: Control | None = None) -> ISResult:
+def run_importance_sampling(cfg: ExperimentConfig) -> ISResult:
     """Tilted estimate of P(event) at cfg.eps, with a paired-seed plain baseline.
 
     Each replica's controlled path is reweighted by exp(girsanov log weight);
     the plain baseline runs on the same derived noise streams so the
     variance-reduction factor is a like-for-like comparison. Both runs of a
-    replica step as one stacked batch on its one draw of stream 0.
+    replica step as one stacked batch on its one draw of stream 0; without a
+    tilt the plain run is the only one and serves as both.
     """
     grid = cfg.grid()
     cf = cfg.coefficients()
-    scfg = cfg.solver_config()
-    eta = cfg.eta_field(grid)
-    if psi_star is None:
-        psi_star = cfg.psi_control(grid)
-    if psi_star is None and cfg.tilt == "optimal":
-        psi_star = _tilt_control(cfg, grid, cf)
-    if psi_star is None:
-        term, _, blown = _sample_replicas(
-            eta, cf, cfg.eps, grid, cfg.master_seed, cfg.replicas, 0, scfg,
-            threads=cfg.threads,
-        )
-        return _importance_result(cfg, grid, term, term, np.zeros(cfg.replicas), blown, blown)
-    terms, logw, blown = _sample_replicas(
-        eta, cf, cfg.eps, grid, cfg.master_seed, cfg.replicas, 0, scfg,
-        [None, psi_star.values], threads=cfg.threads,
+    psi = _tilt(cfg, grid, cf)
+    terminals, logw, blown = _sample_replicas(
+        cfg.eta_field(grid), cf, cfg.eps, grid, cfg.master_seed, cfg.replicas, 0,
+        cfg.solver_config(), [None] if psi is None else [None, psi], threads=cfg.threads,
     )
-    return _importance_result(cfg, grid, terms[0], terms[1], logw[1], blown[0], blown[1])
+    return _importance_result(cfg, grid, terminals, logw, blown)
 
 
-def _importance_result(cfg, grid, term_plain, term_tilt, logw, blown_p, blown_t) -> ISResult:
-    """Reduce the plain and tilted terminals of one study to its ISResult."""
-    valid = (blown_p == 0) & (blown_t == 0)
-    if not np.any(valid):
-        # Both passes use stream 0; name the first blown replica with the
-        # step of the pass it blew up in (the plain one if both did).
-        _raise_first_blowup(np.where(blown_p > 0, blown_p, blown_t), cfg.master_seed, 0)
+def _importance_result(cfg, grid, terminals, log_weights, blown) -> ISResult:
+    """Reduce a study's stacked runs to its ISResult: run 0 is the plain
+    baseline and the last run the tilted one."""
+    valid = _survivors(blown, cfg.master_seed, 0)
     n = int(np.sum(valid))
-    weights = np.exp(logw[valid])
-    terms = weights * cfg.event.hits(term_tilt[valid], grid, cfg.rho)
-    plain_terms = cfg.event.hits(term_plain[valid], grid, cfg.rho).astype(float)
+    plain_terms, terms = (
+        cfg.event.weighted_hits(terminals[i][valid], log_weights[i][valid], grid, cfg.rho)
+        for i in (0, -1)
+    )
+    weights = np.exp(log_weights[-1][valid])
 
     var_tilt = float(np.var(terms, ddof=1)) if n > 1 else 0.0
     var_plain = float(np.var(plain_terms, ddof=1)) if n > 1 else 0.0
-    vrf = var_plain / var_tilt if var_tilt > 0 else float("nan")
-    if var_plain == 0.0:
-        vrf = float("nan")
+    vrf = var_plain / var_tilt if var_tilt > 0 and var_plain > 0 else float("nan")
     return ISResult(
         estimate=float(np.mean(terms)),
         stderr=float(_stderr(terms)),
@@ -693,7 +692,7 @@ def run_experiment(
             f"iterations = {res.iterations}, converged = {res.converged}"
         )
     elif cfg.kind == "mc-scaling":
-        _write_rows(out / "scaling.csv", run_eps_scaling(cfg).rows)
+        _write_rows(out / "scaling.csv", run_eps_scaling(cfg))
     elif cfg.kind == "importance":
         _write_rows(out / "importance.csv", [run_importance_sampling(cfg)])
     elif cfg.kind == "convergence":

@@ -705,15 +705,15 @@ def _sample_replicas(
     A tilt psi (nt, nx-1) shifts the white increments themselves,
     dW -> dW + dt dx psi / sqrt(eps), before the plain dynamics are
     integrated; paired with the Girsanov log weight of the unshifted
-    increments (log_weights, None without a tilt) this is the exact discrete
+    increments (log_weights, 0 without a tilt) this is the exact discrete
     change of measure, so the reweighted estimator is unbiased for any sigma
     (psi = 0 reproduces plain sampling bit for bit).
 
     eta may be a sequence of initial Fields and psi a sequence of tilts
     (None for an untilted run); each replica then runs once per entry on its
     one noise draw, the runs stepping as one stacked batch, the single eta or
-    psi serving every run. values, blown and log_weights (0 for an untilted
-    run) gain a leading axis over the runs.
+    psi serving every run. values, blown and log_weights gain a leading axis
+    over the runs.
     """
     # control imports this module, so its names are looked up at call time.
     from .control import Control, girsanov_log_weight
@@ -755,7 +755,7 @@ def _sample_replicas(
         # Each run's shift broadcasts over the chunk's replica rows.
         shifts = shifts[:, None] if lead else shifts[0]
     values = np.empty(lead + ((replicas, nxm) if record == "terminal" else (replicas,)))
-    log_weights = None if shifts is None else np.zeros(lead + (replicas,))
+    log_weights = np.zeros(lead + (replicas,))
 
     def work(rows: range, modes: np.ndarray) -> np.ndarray:
         if k_noise < nxm:

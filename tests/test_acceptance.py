@@ -230,8 +230,7 @@ def test_criterion_11_ldp_scaling_trend():
         "event_kind": "l2_norm", "event_threshold": f"{r:.17g}",
         "tilt": "optimal", "reference_action": f"{I_star:.17g}",
     }
-    table = run_eps_scaling(ExperimentConfig.from_raw(raw))
-    devs = [row.deviation for row in table.rows]
+    devs = [row.deviation for row in run_eps_scaling(ExperimentConfig.from_raw(raw))]
     monotone = all(devs[i + 1] < devs[i] for i in range(len(devs) - 1))
     rel = devs[-1] / I_star
     elapsed = time.time() - t0

@@ -218,6 +218,19 @@ def test_path_rate_round_trip():
     assert abs(I_rec - I_true) / I_true <= 0.05
 
 
+def test_path_rate_round_trip_integrated_coupling():
+    # With every mode kept the residual inversion is exact, up to rounding.
+    g = make_grid(32, 64, 0.25)
+    cf = make_coefficients("linear", f_slope=0.5, sigma0=1.0)
+    ramp = (g.t[1:] / g.T)[:, None]
+    psi = Control(ramp * eigenfunction(g, 1).values, g)
+    sk = solve_skeleton(make_field(g, np.zeros(g.n_interior)), cf, psi, g,
+                        SolverConfig(control_coupling="integrated"))
+    I_rec, rec = path_rate_function(sk, cf, g, coupling="integrated")
+    assert np.max(np.abs(rec.values - psi.values)) <= 1e-10
+    np.testing.assert_allclose(I_rec, rate_functional(psi), rtol=1e-12, atol=0.0)
+
+
 def test_path_rate_uncontrolled_flow_is_free():
     g = make_grid(32, 128, 0.25)
     cf = make_coefficients("reaction", f_slope=0.3, g1_slope=0.1, g2_quad=0.05,

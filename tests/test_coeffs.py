@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from spdelab.action import ActionOptions, gradient_check
 from spdelab.coeffs import (
     CHI_MAX_SLOPE,
     CoefficientSet,
@@ -10,6 +13,8 @@ from spdelab.coeffs import (
     truncate_coefficients,
     validate_assumptions,
 )
+from spdelab.control import Control
+from spdelab.lattice import eigenfunction, make_field, make_grid
 
 
 def test_chi_plateau_and_support():
@@ -125,6 +130,23 @@ def test_truncated_derivative_consistency():
     h = 1e-7
     fd = (tn.f(0.0, 0.5, r + h) - tn.f(0.0, 0.5, r - h)) / (2 * h)
     assert np.max(np.abs(fd - tn.f_r(0.0, 0.5, r))) <= 1e-5
+
+
+def test_central_difference_fallback_matches_analytic_derivatives():
+    cf = make_coefficients("reaction", f_slope=0.2, g1_slope=0.1, g2_quad=0.05,
+                           sigma0=1.0, sigma1=0.3)
+    fd = replace(cf, df_dr=None, dg1_dr=None, dg2_dr=None, dsigma_dr=None)
+    x = np.linspace(0.05, 0.95, 201)
+    r = np.linspace(-5.0, 5.0, 201)
+    for name in ("f_r", "g_r", "sigma_r"):
+        assert np.max(np.abs(getattr(fd, name)(0.1, x, r) - getattr(cf, name)(0.1, x, r))) <= 1e-8
+    g = make_grid(32, 64, 0.25)
+    rng = np.random.default_rng(7)
+    psi = Control(0.2 * rng.standard_normal((g.nt, g.n_interior)), g)
+    d = Control(rng.standard_normal((g.nt, g.n_interior)), g)
+    err = gradient_check(eigenfunction(g, 1), make_field(g, np.zeros(g.n_interior)), fd, psi, d,
+                         h=1e-5, opts=ActionOptions(k_modes=8))
+    assert err <= 1e-6
 
 
 def test_truncation_level_validation():

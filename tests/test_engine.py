@@ -70,7 +70,7 @@ def test_masking_reproduces_retry(threads, chunk):
             threads=threads, chunk_size=chunk,
         )
         indices, digest = RETRY[stream]
-        assert logw is None
+        assert not np.any(logw)
         assert list(np.flatnonzero(blown)) == indices
         assert np.all(np.isnan(term[blown > 0]))
         survivors = np.ascontiguousarray(term[blown == 0])
@@ -100,8 +100,8 @@ def test_engine_threads_stress():
 def test_no_runtime_warning_escapes_blown_run():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = run_eps_scaling(ExperimentConfig.from_raw(BLOWUP))
-    assert [r.blown for r in table.rows] == [13, 8, 0]
+        rows = run_eps_scaling(ExperimentConfig.from_raw(BLOWUP))
+    assert [r.blown for r in rows] == [13, 8, 0]
 
 
 @pytest.mark.parametrize("threads,chunk", [(1, 7), (2, 7), (1, 60), (2, 13)])
@@ -154,6 +154,18 @@ def test_eps_scaling_all_blown_names_first_blown_replica():
         run_eps_scaling(cfg)
     assert (err.value.replica, err.value.step) == (0, blown[0])
     assert err.value.seed == SeedDerivation(cfg.master_seed, 0, 0)
+
+
+def test_cli_blowup_exits_1_naming_step_replica_and_seed(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    raw = dict(BLOWUP, sigma1="50.0", eps_list="1.0", replicas="4")
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+    out = tmp_path / "o"
+    assert cli_main(["mc-scaling", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: solution blew up at step 12, replica 0, "
+                   "seed SeedDerivation(master=7, replica=0, stream=0)\n")
+    assert not (out / "manifest.txt").exists()
 
 
 def test_importance_all_blown_names_replica_of_blown_set():
@@ -212,7 +224,7 @@ def test_threads_split_a_single_memory_chunk(monkeypatch, tilted):
     if tilted:
         assert w1.tobytes() == w2.tobytes()
     else:
-        assert w1 is None and w2 is None
+        assert not np.any(w1) and not np.any(w2)
 
 
 CONVERGENCE = {

@@ -7,7 +7,6 @@ import pytest
 
 from spdelab import mild_solver
 from spdelab.cli import main as cli_main
-from spdelab.control import Control
 from spdelab.experiments import (
     EventSpec,
     ExperimentConfig,
@@ -153,8 +152,8 @@ def test_event_functionals():
 def test_scaling_always_true_event():
     raw = base_raw(kind="mc-scaling", eps_list="0.2, 0.1", replicas="50",
                    event_kind="l2_norm", event_threshold="-1e300")
-    table = run_eps_scaling(ExperimentConfig.from_raw(raw))
-    for row in table.rows:
+    rows = run_eps_scaling(ExperimentConfig.from_raw(raw))
+    for row in rows:
         assert row.p_hat == 1.0
         assert row.eps_log_p == 0.0
         assert not row.censored
@@ -163,8 +162,8 @@ def test_scaling_always_true_event():
 def test_scaling_zero_hits_censored_not_fatal():
     raw = base_raw(kind="mc-scaling", eps_list="0.2, 0.1", replicas="50",
                    event_kind="l2_norm", event_threshold="1e6")
-    table = run_eps_scaling(ExperimentConfig.from_raw(raw))
-    for row in table.rows:
+    rows = run_eps_scaling(ExperimentConfig.from_raw(raw))
+    for row in rows:
         assert row.censored
         assert np.isnan(row.eps_log_p)
 
@@ -172,20 +171,50 @@ def test_scaling_zero_hits_censored_not_fatal():
 def test_scaling_monotone_in_eps():
     raw = base_raw(kind="mc-scaling", eps_list="0.4, 0.2, 0.1", replicas="600",
                    event_kind="l2_norm", event_threshold="0.2")
-    table = run_eps_scaling(ExperimentConfig.from_raw(raw))
-    for a, b in zip(table.rows, table.rows[1:]):
+    rows = run_eps_scaling(ExperimentConfig.from_raw(raw))
+    for a, b in zip(rows, rows[1:]):
         assert b.p_hat <= a.p_hat + 2 * np.hypot(a.stderr, b.stderr)
+
+
+def test_scaling_tilts_by_psi_amp_as_by_psi_file(tmp_path):
+    raw = base_raw(kind="mc-scaling", eps_list="0.2, 0.1", replicas="200",
+                   event_kind="l2_norm", event_threshold="0.2")
+    by_amp = ExperimentConfig.from_raw(dict(raw, psi_amp="0.5"))
+    g = by_amp.grid()
+    write_snapshot(tmp_path / "psi.spdefld", by_amp.psi_control(g).values, nx=16, T=0.25)
+    by_file = ExperimentConfig.from_raw(dict(raw, psi_file=str(tmp_path / "psi.spdefld")))
+    amp, file, plain = (run_eps_scaling(c) for c in (by_amp, by_file, ExperimentConfig.from_raw(raw)))
+    assert [(r.p_hat, r.stderr) for r in amp] == [(r.p_hat, r.stderr) for r in file]
+    assert [r.p_hat for r in amp] != [r.p_hat for r in plain]
+
+
+def test_point_event_scaling_tilts_by_psi_file_as_importance(tmp_path):
+    # One eps on stream 0: the scaling row is the importance study's tilted
+    # estimate, not its plain one.
+    g = make_grid(16, 32, 0.25)
+    psi = np.tile(eigenfunction(g, 1, amplitude=1.0).values, (g.nt, 1))
+    write_snapshot(tmp_path / "psi.spdefld", psi, nx=16, T=0.25)
+    common = dict(replicas="300", psi_file=tmp_path / "psi.spdefld",
+                  event_kind="point_value", event_param="0.5", event_threshold="0.3")
+    (row,) = run_eps_scaling(
+        ExperimentConfig.from_raw(base_raw(kind="mc-scaling", eps_list="0.1", **common))
+    )
+    res = run_importance_sampling(
+        ExperimentConfig.from_raw(base_raw(kind="importance", eps="0.1", **common))
+    )
+    assert (row.p_hat, row.stderr) == (res.estimate, res.stderr)
+    assert res.estimate != res.plain_estimate
 
 
 # -- importance sampling ----------------------------------------------------------
 
 
-def test_zero_tilt_reproduces_plain_sampling():
-    raw = base_raw(kind="importance", replicas="200", eps="0.2",
+def test_zero_tilt_reproduces_plain_sampling(tmp_path):
+    g = make_grid(16, 32, 0.25)
+    write_snapshot(tmp_path / "psi.spdefld", np.zeros((g.nt, g.n_interior)), nx=16, T=0.25)
+    raw = base_raw(kind="importance", replicas="200", eps="0.2", psi_file=tmp_path / "psi.spdefld",
                    event_kind="l2_norm", event_threshold="0.2")
-    cfg = ExperimentConfig.from_raw(raw)
-    g = cfg.grid()
-    res = run_importance_sampling(cfg, psi_star=Control(np.zeros((g.nt, g.n_interior)), g))
+    res = run_importance_sampling(ExperimentConfig.from_raw(raw))
     assert res.estimate == res.plain_estimate
     assert res.mean_weight == 1.0
 
@@ -349,13 +378,30 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
         ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": ""}, [], "'k_list'"),
         ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": "4", "eta_scales": ""}, [],
          "'eta_scales'"),
+        ({"control_coupling": "sideways"}, [], "control_coupling"),
+        ({"kind": "mc-scaling", "eps_list": "0.2, 0", "event_threshold": "0.1"}, [],
+         "eps_list"),
+        ({"replicas": "0"}, [], "'replicas'"),
+        ({"tilt": "sideways"}, [], "tilt"),
+        ({"kind": "skeleton", "psi_file": "missing.spdefld"}, [], "'psi_file'"),
+        # psi_16x8.spdefld has nt = 8, the config nt = 32.
+        ({"kind": "skeleton", "psi_file": "psi_16x8.spdefld"}, [], "'psi_file'"),
+        ({"kind": "importance", "psi_amp": "0.5", "tilt": "optimal", "event_threshold": "0.1"},
+         [], "['psi_amp', 'tilt']"),
+        ({"kind": "mc-scaling", "eps_list": "0.2", "tilt": "optimal",
+          "event_kind": "point_value", "event_param": "0.5", "event_threshold": "0.1"}, [],
+         "'tilt'"),
     ],
     ids=["family", "family_parameter", "horizon", "importance_eps", "dealiasing",
          "threads_zero", "threads_negative", "threads_flag_negative", "threads_flag_zero",
          "bool", "eta_mode", "eta_mode_zero", "psi_mode", "target_mode", "k_list",
-         "k_list_negative", "k_list_default", "k_list_empty", "eta_scales_empty"],
+         "k_list_negative", "k_list_default", "k_list_empty", "eta_scales_empty",
+         "control_coupling", "eps_list_zero", "replicas_zero", "tilt",
+         "psi_file_missing", "psi_file_grid", "two_tilt_sources", "optimal_point_tilt"],
 )
-def test_cli_bad_values_are_config_errors(tmp_path, capsys, extra, flags, key):
+def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, extra, flags, key):
+    monkeypatch.chdir(tmp_path)
+    write_snapshot(tmp_path / "psi_16x8.spdefld", np.zeros((8, 15)), nx=16, T=0.25)
     raw = base_raw(**extra)
     cfg = write_cfg(tmp_path / "c.cfg", raw)
     out = tmp_path / "o"

@@ -116,10 +116,10 @@ def test_mc_scaling_with_blowups():
         "eta_amp": "1.0", "eps_list": "1.2, 1.0, 0.1", "replicas": "60",
         "tilt": "none", "event_threshold": "1.0",
     }
-    table = run_eps_scaling(ExperimentConfig.from_raw(raw))
-    assert [r.blown for r in table.rows] == [13, 8, 0]
-    close([r.p_hat for r in table.rows], [0.0425531914893617, 0.057692307692307696, 0.0])
-    close([r.stderr for r in table.rows], [0.029760791752350448, 0.03264902644719867, 0.0])
+    rows = run_eps_scaling(ExperimentConfig.from_raw(raw))
+    assert [r.blown for r in rows] == [13, 8, 0]
+    close([r.p_hat for r in rows], [0.0425531914893617, 0.057692307692307696, 0.0])
+    close([r.stderr for r in rows], [0.029760791752350448, 0.03264902644719867, 0.0])
 
 
 
