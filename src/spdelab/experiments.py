@@ -152,6 +152,12 @@ _EVENT_KEYS = ("event_kind", "event_param", "event_threshold")
 # Fields without a key of their own: family_params holds the _FAMILY_KEYS,
 # event the _EVENT_KEYS.
 _COMPOSITE = ("family_params", "event")
+# The kinds that read each tilt key; any other kind rejects the key when set.
+_TILT_READERS = {
+    "psi_file": ("skeleton", "mc-scaling", "importance", "convergence"),
+    "psi_amp": ("skeleton", "mc-scaling", "importance", "convergence"),
+    "tilt": ("mc-scaling", "importance"),
+}
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -299,13 +305,16 @@ class ExperimentConfig:
             for k in self.k_list:
                 if not 0 <= k <= self.nx - 1:
                     raise ConfigError(f"config key 'k_list': {k} outside 0..{self.nx - 1}")
+        tilts = [key for key, on in (("psi_file", self.psi_file), ("psi_amp", self.psi_amp),
+                                     ("tilt", self.tilt == "optimal")) if on]
+        for key in tilts:
+            if self.kind not in _TILT_READERS[key]:
+                raise ConfigError(f"config key '{key}': {self.kind} does not read it")
         if self.psi_file:
             self.psi_control(grid)
         if self.kind in ("mc-scaling", "importance"):
             if self.event is None:
                 raise ConfigError("missing required config key 'event_threshold'")
-            tilts = [key for key, on in (("psi_file", self.psi_file), ("psi_amp", self.psi_amp),
-                                         ("tilt", self.tilt == "optimal")) if on]
             if len(tilts) > 1:
                 raise ConfigError(f"config keys {tilts} each set a tilt; {self.kind} takes one")
             if self.tilt == "optimal" and self.event.kind == "point_value":

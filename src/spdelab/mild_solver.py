@@ -36,7 +36,10 @@ convergence is measurable pathwise.
 All stepping broadcasts over leading axes, so replica batches integrate in
 lockstep; a single path is the batch of one. Replica Monte Carlo runs through
 one engine, _replica_engine, which draws each chunk's mode increments once
-and runs the chunks in order or on worker threads. A chunk's noise block
+and runs the chunks in order or on worker threads. _noise_block, the one
+place Monte Carlo noise is drawn, derives the chunk's Philox keys in one
+pass (noise.philox_keys) and re-keys the chunk's own generator for each
+replica, filling that replica's row in place. A chunk's noise block
 holds at most _CHUNK_DOUBLES doubles and, with threads > 1, at most
 ceil(replicas / threads) rows, so every worker has a chunk even when all
 replicas fit in memory at once; min(threads, chunk count) workers run.
@@ -75,7 +78,7 @@ from .lattice import (
 from .noise import (
     NoiseRealization,
     SeedDerivation,
-    draw_mode_increments,
+    philox_keys,
     sample_sheet_expansion,
 )
 
@@ -612,12 +615,24 @@ def picard_solve(
 
 
 def _noise_block(grid: GridSpec, master: int, replicas: range, stream: int) -> np.ndarray:
-    """(len(replicas), nt, nx-1) mode increments of the derived streams."""
+    """(len(replicas), nt, nx-1) mode increments of the derived streams.
+
+    Row i is draw_mode_increments(grid, SeedDerivation(master, replicas[i],
+    stream).generator()) bit for bit: the chunk's one Philox is re-keyed to
+    each replica's key at counter zero and fills that row in place, and the
+    block is scaled by sqrt(dt) once.
+    """
     block = np.empty((len(replicas), grid.nt, grid.n_interior))
-    for i, r in enumerate(replicas):
-        block[i] = draw_mode_increments(
-            grid, SeedDerivation(master, r, stream).generator()
-        )
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    # A fresh Philox's state: counter zero, empty buffer (buffer_pos 4), no
+    # cached 32-bit half (has_uint32 0); only the key changes per replica.
+    state = bits.state
+    for row, key in zip(block, philox_keys(master, replicas, stream)):
+        state["state"]["key"] = key
+        bits.state = state
+        rng.standard_normal(out=row)
+    block *= np.sqrt(grid.dt)
     return block
 
 

@@ -17,6 +17,14 @@ Seed derivation is a pure function of (master, replica, stream): the triple
 feeds numpy's SeedSequence hash mix as entropy plus spawn key, keyed into a
 counter-based Philox generator. Distinct triples give independent streams
 regardless of scheduling; test vectors are frozen in the test suite.
+
+A counter-based stream needs only its key, not a generator object of its
+own. philox_keys runs the SeedSequence algorithm (hash the master's words
+into a 4-word pool, mix the pool, mix in the spawn-key words of replica and
+stream, then generate_state(2, uint64)) vectorized over a range of
+replicas, so the replica engine re-keys one Philox per chunk instead of
+hashing and building a generator per replica. tests/test_noise.py pins
+these keys to numpy's own SeedSequence(...).generate_state(2, np.uint64).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .lattice import GridSpec, from_modes
 
 __all__ = [
     "SeedDerivation",
+    "philox_keys",
     "NoiseRealization",
     "draw_mode_increments",
     "sample_sheet_expansion",
@@ -53,6 +62,86 @@ class SeedDerivation:
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(self.seed_sequence()))
+
+
+# numpy SeedSequence constants (bit_generator.pyx): pool size, hash and mix
+# multipliers, all on 32-bit words.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence makes of an int n >= 0
+    ([0] for 0)."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_keys(entropy: list) -> np.ndarray:
+    """(n, 2) uint64 SeedSequence(entropy).generate_state(2, uint64) for
+    at least _POOL entropy words, each an int or a uint64 array of n words.
+
+    Every product is of two 32-bit words, so uint64 arithmetic masked to 32
+    bits is exact; a difference may wrap, which the mask also undoes.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const = _INIT_B
+    state = []
+    for value in pool:  # two uint64 words are the pool's four uint32 words
+        value = value ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state.append(value ^ value >> 16)
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+
+def philox_keys(master: int, replicas: range, stream: int) -> np.ndarray:
+    """(len(replicas), 2) uint64 Philox keys of SeedDerivation(master, r,
+    stream).generator() for r in replicas, in one vectorized pass.
+
+    A Philox at counter zero under key i draws what that generator draws.
+    Replicas below 2**32 are one spawn-key word, the rest two; the two
+    groups are hashed apart.
+    """
+    entropy = _words(int(master) & 0xFFFFFFFFFFFFFFFF)
+    entropy += [0] * (_POOL - len(entropy))
+    tail = _words(int(stream))
+    r = np.array(replicas, dtype=np.uint64)
+    keys = np.empty((len(r), 2), dtype=np.uint64)
+    short = r <= _MASK32
+    if short.any():
+        keys[short] = _seed_keys(entropy + [r[short]] + tail)
+    if not short.all():
+        wide = r[~short]
+        keys[~short] = _seed_keys(entropy + [wide & _MASK32, wide >> 32] + tail)
+    return keys
 
 
 def draw_mode_increments(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,8 @@ from spdelab.experiments import (
     run_eps_scaling,
     run_importance_sampling,
 )
-from spdelab.lattice import eigenfunction, make_field
+from spdelab.coeffs import make_coefficients
+from spdelab.lattice import eigenfunction, make_field, make_grid
 from spdelab.mild_solver import (
     BlowUpError,
     _moment_estimates,
@@ -26,7 +27,7 @@ from spdelab.mild_solver import (
     run_replicas,
     solve_spde,
 )
-from spdelab.noise import SeedDerivation
+from spdelab.noise import SeedDerivation, draw_mode_increments
 
 DATA = Path(__file__).parent / "data"
 
@@ -225,6 +226,46 @@ def test_threads_split_a_single_memory_chunk(monkeypatch, tilted):
         assert w1.tobytes() == w2.tobytes()
     else:
         assert not np.any(w1) and not np.any(w2)
+
+
+@pytest.mark.parametrize("rows", [range(0, 9), range(5, 14)], ids=["from_zero", "offset"])
+def test_noise_block_is_the_per_replica_stack(rows):
+    grid = make_grid(16, 12, 0.25)
+    block = mild_solver._noise_block(grid, 90125, rows, 2)
+    expected = np.stack(
+        [draw_mode_increments(grid, SeedDerivation(90125, r, 2).generator()) for r in rows]
+    )
+    assert block.tobytes() == expected.tobytes()
+
+
+def test_noise_block_builds_no_seed_sequence(monkeypatch):
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    mild_solver._noise_block(make_grid(16, 12, 0.25), 7, range(50), 0)
+    assert built == []
+    SeedDerivation(7, 0, 0).generator()  # per-replica seeding would be counted
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("tilted", [False, True], ids=["plain", "tilted"])
+def test_threaded_chunks_equal_the_serial_draw(tilted):
+    # Linear additive case, one serial chunk against 6 chunks on two workers,
+    # each chunk drawing with its own generator.
+    grid = make_grid(16, 16, 0.25)
+    cf = make_coefficients("linear", f_slope=0.0, sigma0=1.0)
+    eta = eigenfunction(grid, 1, amplitude=0.5)
+    psi = np.tile(eigenfunction(grid, 1, amplitude=2.0).values, (grid.nt, 1)) if tilted else None
+    args = (eta, cf, 0.5, grid, 11, 23, 1, None, psi)
+    serial = _sample_replicas(*args)
+    threaded = _sample_replicas(*args, threads=2, chunk_size=4)
+    for a, b in zip(serial, threaded):
+        assert a.tobytes() == b.tobytes()
 
 
 CONVERGENCE = {

@@ -391,17 +391,29 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
         ({"kind": "mc-scaling", "eps_list": "0.2", "tilt": "optimal",
           "event_kind": "point_value", "event_param": "0.5", "event_threshold": "0.1"}, [],
          "'tilt'"),
+        # Each kind rejects a tilt key it does not read.
+        ({"psi_amp": "3"}, [], "'psi_amp'"),
+        ({"tilt": "optimal"}, [], "'tilt'"),
+        ({"psi_file": "psi_16x32.spdefld"}, [], "'psi_file'"),
+        ({"kind": "minimize-action", "psi_amp": "0.5"}, [], "'psi_amp'"),
+        ({"kind": "skeleton", "psi_amp": "0.5", "tilt": "optimal"}, [], "'tilt'"),
+        ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": "4", "tilt": "optimal"}, [],
+         "'tilt'"),
+        ({"kind": "validate", "psi_amp": "0.5"}, [], "'psi_amp'"),
     ],
     ids=["family", "family_parameter", "horizon", "importance_eps", "dealiasing",
          "threads_zero", "threads_negative", "threads_flag_negative", "threads_flag_zero",
          "bool", "eta_mode", "eta_mode_zero", "psi_mode", "target_mode", "k_list",
          "k_list_negative", "k_list_default", "k_list_empty", "eta_scales_empty",
          "control_coupling", "eps_list_zero", "replicas_zero", "tilt",
-         "psi_file_missing", "psi_file_grid", "two_tilt_sources", "optimal_point_tilt"],
+         "psi_file_missing", "psi_file_grid", "two_tilt_sources", "optimal_point_tilt",
+         "simulate_psi_amp", "simulate_tilt", "simulate_psi_file", "minimize_action_psi_amp",
+         "skeleton_tilt", "convergence_tilt", "validate_psi_amp"],
 )
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, extra, flags, key):
     monkeypatch.chdir(tmp_path)
     write_snapshot(tmp_path / "psi_16x8.spdefld", np.zeros((8, 15)), nx=16, T=0.25)
+    write_snapshot(tmp_path / "psi_16x32.spdefld", np.zeros((32, 15)), nx=16, T=0.25)
     raw = base_raw(**extra)
     cfg = write_cfg(tmp_path / "c.cfg", raw)
     out = tmp_path / "o"

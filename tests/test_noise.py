@@ -5,6 +5,7 @@ from spdelab.lattice import make_grid
 from spdelab.noise import (
     SeedDerivation,
     partial_sum_identity,
+    philox_keys,
     sample_sheet_expansion,
 )
 
@@ -22,6 +23,31 @@ SEED_VECTORS = {
 def test_seed_derivation_vectors():
     for key, expected in SEED_VECTORS.items():
         draws = SeedDerivation(*key).generator().standard_normal(3)
+        assert np.array_equal(draws, np.array(expected))
+
+
+# philox_keys reimplements numpy's SeedSequence; these pin it to numpy's own
+# for masters of one and two words, the largest and a negative (masked) one,
+# replicas on both sides of 2**32 (one and two spawn-key words) and a stream
+# of two words.
+@pytest.mark.parametrize("master", [0, 90125, 2**40 + 3, 2**64 - 1, -5])
+@pytest.mark.parametrize("stream", [0, 3, 2**33 + 5])
+def test_philox_keys_match_seed_sequence(master, stream):
+    for replicas in (range(0, 6), range(2**32 - 2, 2**32 + 2), range(2**40, 2**40 + 2)):
+        keys = philox_keys(master, replicas, stream)
+        expected = [
+            np.random.SeedSequence(entropy=master & (2**64 - 1), spawn_key=(r, stream))
+            .generate_state(2, np.uint64)
+            for r in replicas
+        ]
+        assert keys.dtype == np.uint64 and keys.shape == (len(replicas), 2)
+        assert keys.tobytes() == np.array(expected, dtype=np.uint64).tobytes()
+
+
+def test_philox_key_draws_the_frozen_stream():
+    for (master, replica, stream), expected in SEED_VECTORS.items():
+        key = philox_keys(master, range(replica, replica + 1), stream)[0]
+        draws = np.random.Generator(np.random.Philox(key=key)).standard_normal(3)
         assert np.array_equal(draws, np.array(expected))
 
 
