@@ -17,6 +17,15 @@ builds only v(T), as decay^nt eta_hat plus the control modes of every step
 weighted by decay^(nt-1-m) ed, and the adjoint sweep gets every step's
 C p from the same weights, one batched transform each way.
 
+The forward sweep and the objective take a stack of controls and step its
+rows in lockstep, each row with the bits of its own sweep. The line search
+uses this: its first trial is one row, and after a rejection the next
+LADDER halvings of the step run as one stacked sweep, of which the first
+row to pass Armijo is taken, as the one-trial-at-a-time search would take
+it. A stepping sweep costs about as much for six rows as for one, since its
+time goes into per-step calls. A diagonal sweep is one batched transform
+whose cost grows with its rows, so there the search tries one row at a time.
+
 path_rate_function inverts the discrete dynamics along a given path: the
 one-step residual left over after the heat update, drift, and divergence
 contributions is attributed to the control term and divided by sigma
@@ -47,6 +56,7 @@ GRADIENT_FLOOR = 1e-12
 MU0 = 10.0  # initial penalty weight
 STALL_WINDOW = 25  # iterations above tolerance before mu doubles
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+LADDER = 6  # backtracking halvings evaluated together as one stacked sweep
 
 
 @dataclass(frozen=True)
@@ -93,35 +103,41 @@ class _AdjointProblem:
             self.free = self.ops.decay**grid.nt * to_modes(self.eta, grid)
 
     def forward(self, psi: np.ndarray):
-        """Path of the controlled deterministic flow under psi.
+        """Paths of the controlled deterministic flow under the controls psi
+        (..., nt, nx-1), shaped (..., nt+1, nx-1).
 
-        When the step is diagonal only v(T) is built, from one batched
-        transform of the control fields, and the returned array holds just
-        that row: the adjoint of a diagonal step never reads the states.
-        Non-finite states raise FloatingPointError so the optimizer's line
-        search can reject an overlong step instead of propagating NaNs.
+        Every row steps through the same _Ops.step calls, so a stack of L
+        controls costs nt calls of each transform, as one control does, and
+        each row's path has the bits of its own single sweep. When the step
+        is diagonal only v(T) is built, from one batched transform of the
+        control fields, and the returned array holds just that row per
+        control: the adjoint of a diagonal step never reads the states.
+        Non-finite states are returned as they are; objective flags them.
         """
         grid, ops = self.grid, self.ops
         if ops.diagonal:
             c_hat = to_modes(ops.control_field(0.0, self.eta, psi), grid)
-            v = from_modes(self.free + np.sum(self.reach * c_hat, axis=0), grid)[None]
-        else:
-            v = np.empty((grid.nt + 1, grid.n_interior))
-            v[0] = self.eta
-            for m in range(grid.nt):
-                v[m + 1] = from_modes(ops.step(v[m], m * self.dt, psi=psi[m]), grid)
-        if not np.all(np.isfinite(v)):
-            raise FloatingPointError("controlled flow blew up during optimization")
+            v = from_modes(self.free + np.sum(self.reach * c_hat, axis=-2), grid)
+            return v[..., None, :]
+        v = np.empty(psi.shape[:-2] + (grid.nt + 1, grid.n_interior))
+        v[..., 0, :] = self.eta
+        for m in range(grid.nt):
+            modes = ops.step(v[..., m, :], m * self.dt, psi=psi[..., m, :])
+            v[..., m + 1, :] = from_modes(modes, grid)
         return v
 
     def objective(self, psi: np.ndarray, mu: float):
-        """(F_mu, path, terminal residual, action term (1/2) iint psi^2)."""
+        """(F_mu, path, squared terminal residual, action term (1/2) iint psi^2)
+        for each control of psi (..., nt, nx-1), as arrays over its leading
+        axes. Each row's sums are reduced as for that row alone. F_mu is inf
+        on a row whose path is not finite, so a line search rejects it."""
         with np.errstate(over="ignore", invalid="ignore"):
             v = self.forward(psi)
-        misfit = v[-1] - self.target
-        res_sq = self.dx * float(np.sum(misfit**2))
-        action = 0.5 * self.dtdx * float(np.sum(psi**2))
-        return action + 0.5 * mu * res_sq, v, float(np.sqrt(res_sq)), action
+            res_sq = self.dx * np.sum((v[..., -1, :] - self.target) ** 2, axis=-1)
+            sq = psi**2
+            action = 0.5 * self.dtdx * np.sum(sq.reshape(sq.shape[:-2] + (-1,)), axis=-1)
+            J = action + 0.5 * mu * res_sq
+        return np.where(np.isfinite(v).all(axis=(-2, -1)), J, np.inf), v, res_sq, action
 
     def gradient(self, psi: np.ndarray, v: np.ndarray, mu: float):
         """Exact transpose of the linearized scheme, marched backwards."""
@@ -180,7 +196,11 @@ def minimize_action(
     psi = np.zeros((grid.nt, grid.n_interior))
     mu = MU0
 
-    J, v, residual, action = prob.objective(psi, mu)
+    J, v, res_sq, action = prob.objective(psi, mu)
+    if not np.isfinite(J):
+        raise FloatingPointError("controlled flow blew up during optimization")
+    J, res_sq, action = float(J), float(res_sq), float(action)
+    residual = float(np.sqrt(res_sq))
     grad = prob.gradient(psi, v, mu)
     trace = [(0, J, action, residual, mu)]
     if residual <= opts.residual_tol:
@@ -199,22 +219,12 @@ def minimize_action(
             den = float(np.sum(dg * dg))
             if num > 0 and den > 0:
                 step = num / den
-        accepted = False
-        g_sq = float(np.sum(grad * grad))
-        for _ in range(50):
-            cand = psi - step * grad
-            try:
-                J_c, v_c, res_c, action_c = prob.objective(cand, mu)
-            except FloatingPointError:
-                step *= 0.5
-                continue
-            if J_c <= J - ARMIJO * step * g_sq:
-                accepted = True
-                break
-            step *= 0.5
+        step, trial = _backtrack(prob, psi, grad, J, step, mu)
+        accepted = trial is not None
         if accepted:
             prev_psi, prev_grad = psi, grad
-            psi, J, v, residual, action = cand, J_c, v_c, res_c, action_c
+            psi, J, v, res_sq, action = trial
+            residual = float(np.sqrt(res_sq))
             grad = prob.gradient(psi, v, mu)
         rel_drop = abs(trace[-1][1] - J) / max(J, 1e-300)
         trace.append((it, J, action, residual, mu))
@@ -226,7 +236,8 @@ def minimize_action(
             stall += 1
             if stall >= STALL_WINDOW or not accepted:
                 mu *= 2.0
-                J, v, residual, action = prob.objective(psi, mu)
+                # Same psi, so the same path: only the penalty weight changes.
+                J = action + 0.5 * mu * res_sq
                 grad = prob.gradient(psi, v, mu)
                 prev_psi = prev_grad = None
                 step = 1.0 / (prob.dtdx * (1.0 + mu))
@@ -236,6 +247,30 @@ def minimize_action(
 
     res_b, _, psi_b = best
     return _result(psi_b, grid, res_b, False, opts.max_iters, mu, trace)
+
+
+def _backtrack(prob: _AdjointProblem, psi, grad, J: float, step: float, mu: float):
+    """Armijo backtracking from step over at most 50 halvings, laddered as
+    the module docstring says. Halving is exact, so each trial step is the
+    float of the one-trial-at-a-time search. Returns (step, (psi, J, path,
+    squared residual, action)) of the accepted trial, or (step halved past
+    the last trial, None)."""
+    ladder = 1 if prob.ops.diagonal else LADDER
+    g_sq = float(np.sum(grad * grad))
+    tried = 0
+    while tried < 50:
+        steps = step * 0.5 ** np.arange(min(ladder, 50 - tried) if tried else 1)
+        cands = psi - steps[:, None, None] * grad
+        J_c, v_c, res_sq, action = prob.objective(cands, mu)
+        passed = J_c <= J - ARMIJO * steps * g_sq
+        if passed.any():
+            i = int(np.argmax(passed))
+            return float(steps[i]), (
+                cands[i], float(J_c[i]), v_c[i], float(res_sq[i]), float(action[i])
+            )
+        step = float(steps[-1]) * 0.5
+        tried += len(steps)
+    return step, None
 
 
 def _result(psi, grid, residual, converged, iterations, mu, trace) -> RateResult:
@@ -323,10 +358,10 @@ def gradient_check(
         raise ValueError("direction must be nonzero")
     opts = opts or ActionOptions()
     prob = _AdjointProblem(phi_target, eta, cf, grid, opts)
-    v = prob.objective(psi_v, mu)[1]
-    grad = prob.gradient(psi_v, v, mu)
+    J, v = prob.objective(np.stack((psi_v, psi_v + h * d, psi_v - h * d)), mu)[:2]
+    if not np.all(np.isfinite(J)):
+        raise FloatingPointError("controlled flow blew up during the gradient check")
+    grad = prob.gradient(psi_v, v[0], mu)
     pairing = float(np.sum(grad * d))
-    J_plus = prob.objective(psi_v + h * d, mu)[0]
-    J_minus = prob.objective(psi_v - h * d, mu)[0]
-    fd = (J_plus - J_minus) / (2.0 * h)
+    fd = (float(J[1]) - float(J[2])) / (2.0 * h)
     return abs(pairing - fd) / max(abs(pairing), GRADIENT_FLOOR)

@@ -17,6 +17,47 @@ from spdelab.lattice import eigen_values, eigenfunction, make_field, make_grid
 from spdelab.mild_solver import SolverConfig
 
 ADDITIVE = make_coefficients("linear", f_slope=0.0, sigma0=1.0)
+BURGERS = make_coefficients("burgers", sigma0=1.0, sigma1=0.2)
+
+
+def burgers_problem(coupling="direct"):
+    """A nodal (stepping) Burgers problem with 8 active modes."""
+    g = make_grid(32, 6, 0.25)
+    return _AdjointProblem(eigenfunction(g, 1, amplitude=0.5),
+                           eigenfunction(g, 1, amplitude=0.3), BURGERS, g,
+                           ActionOptions(k_modes=8, coupling=coupling))
+
+
+def assert_rows_are_single_sweeps(prob, psi, mu=10.0):
+    """Each row of the stacked forward and objective over psi (L, nt, nx-1)
+    has the bytes of that row's own single sweep."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a row may blow up
+        v = prob.forward(psi)
+        singles = [prob.forward(row.copy()) for row in psi]
+    stacked = prob.objective(psi, mu)
+    for row, one in enumerate(psi):
+        assert v[row].tobytes() == singles[row].tobytes()
+        for got, want in zip(stacked, prob.objective(one.copy(), mu)):
+            assert np.asarray(got[row]).tobytes() == np.asarray(want).tobytes()
+    return stacked
+
+
+def count_forward_calls(monkeypatch) -> list:
+    """Patch _AdjointProblem.forward to record the rows of each call."""
+    rows = []
+    forward = _AdjointProblem.forward
+
+    def counted(self, psi):
+        rows.append(int(np.prod(psi.shape[:-2])))
+        return forward(self, psi)
+
+    monkeypatch.setattr(_AdjointProblem, "forward", counted)
+    return rows
+
+
+def rate_result_bytes(res):
+    return (np.array(res.trace).tobytes(), res.psi_star.values.tobytes(), res.action,
+            res.residual, res.converged, res.iterations, res.mu_final)
 
 
 def lq_oracle_action(grid, modes_amps, T):
@@ -178,11 +219,8 @@ def test_burgers_sweeps_make_three_transform_calls_per_step(monkeypatch):
                     return _fn(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)
-    g = make_grid(32, 6, 0.25)
-    cf = make_coefficients("burgers", sigma0=1.0, sigma1=0.2)
-    prob = _AdjointProblem(eigenfunction(g, 1, amplitude=0.5),
-                           eigenfunction(g, 1, amplitude=0.3), cf, g,
-                           ActionOptions(k_modes=8))
+    prob = burgers_problem()
+    g = prob.grid
     assert not prob.ops.diagonal
     psi = 0.3 * np.random.default_rng(8).standard_normal((g.nt, g.n_interior))
     calls.clear()
@@ -191,6 +229,83 @@ def test_burgers_sweeps_make_three_transform_calls_per_step(monkeypatch):
     calls.clear()
     prob.gradient(psi, v, 10.0)
     assert calls == {"to_modes": g.nt, "from_modes": g.nt, "cos_synthesis": g.nt}
+    # A stacked sweep steps all its rows through the same calls.
+    calls.clear()
+    prob.forward(psi * np.arange(1.0, 6.0)[:, None, None])
+    assert calls == {"to_modes": g.nt, "cos_analysis": g.nt, "from_modes": g.nt}
+
+
+@pytest.mark.parametrize("coupling", ["direct", "integrated"])
+def test_stacked_sweep_rows_equal_single_sweeps(coupling):
+    prob = burgers_problem(coupling)
+    g = prob.grid
+    psi = 0.3 * np.random.default_rng(9).standard_normal((5, g.nt, g.n_interior))
+    J, v, res_sq, act = assert_rows_are_single_sweeps(prob, psi)
+    assert v.shape == (5, g.nt + 1, g.n_interior)
+    assert J.shape == res_sq.shape == act.shape == (5,)
+    assert np.all(np.isfinite(J))
+    # Any leading shape: a (2, 2) stack gives the same rows.
+    square = prob.objective(psi[:4].reshape(2, 2, g.nt, g.n_interior), 10.0)
+    for got, want in zip(square, prob.objective(psi[:4], 10.0)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_non_finite_row_is_rejected_and_leaves_the_others():
+    prob = burgers_problem()
+    g = prob.grid
+    psi = 0.3 * np.random.default_rng(10).standard_normal((3, g.nt, g.n_interior))
+    psi[1, 2] = 1e200
+    J = assert_rows_are_single_sweeps(prob, psi)[0]
+    assert J[1] == np.inf
+    assert np.all(np.isfinite(J[[0, 2]]))
+
+
+def test_gradient_check_is_one_stacked_sweep(monkeypatch):
+    g = make_grid(32, 64, 0.25)
+    cf = make_coefficients("reaction", f_slope=0.2, g1_slope=0.1, g2_quad=0.05,
+                           sigma0=1.0, sigma1=0.3)
+    rng = np.random.default_rng(7)
+    psi = 0.2 * rng.standard_normal((g.nt, g.n_interior))
+    d = rng.standard_normal((g.nt, g.n_interior))
+    target, eta = eigenfunction(g, 1), make_field(g, np.zeros(g.n_interior))
+    opts, h, mu = ActionOptions(k_modes=8, coupling="integrated"), 1e-5, 10.0
+    # The same check computed from three single sweeps.
+    prob = _AdjointProblem(target, eta, cf, g, opts)
+    pairing = float(np.sum(prob.gradient(psi, prob.forward(psi), mu) * d))
+    J_plus = float(prob.objective(psi + h * d, mu)[0])
+    J_minus = float(prob.objective(psi - h * d, mu)[0])
+    fd = (J_plus - J_minus) / (2.0 * h)
+    expected = abs(pairing - fd) / max(abs(pairing), action.GRADIENT_FLOOR)
+    sweeps = count_forward_calls(monkeypatch)
+    assert gradient_check(target, eta, cf, psi, d, h=h, mu=mu, opts=opts) == expected
+    assert sweeps == [3]
+    with pytest.raises(FloatingPointError, match="blew up"):
+        gradient_check(target, eta, cf, psi, d, h=1e200, mu=mu, opts=opts)
+
+
+# nt = 16 is the frozen small Burgers case of test_frozen.py; nt = 8 is the
+# perfbench burgers_action study at its smoke-test size. The sweep counts are
+# exact: (stacked ladder, one trial per sweep).
+@pytest.mark.parametrize("nt, sweeps", [(16, (357, 578)), (8, (380, 612))],
+                         ids=["frozen_small", "burgers_action_nt8"])
+def test_ladder_reproduces_the_sequential_search(monkeypatch, nt, sweeps):
+    g = make_grid(32, nt, 0.5)
+    rows = count_forward_calls(monkeypatch)
+
+    def solve():
+        rows.clear()
+        res = minimize_action(eigenfunction(g, 1, amplitude=0.5),
+                              make_field(g, np.zeros(g.n_interior)), BURGERS, g,
+                              ActionOptions(k_modes=8))
+        return rate_result_bytes(res), len(rows), max(rows)
+
+    ladder = action.LADDER
+    laddered, n_ladder, widest = solve()
+    monkeypatch.setattr(action, "LADDER", 1)
+    sequential, n_sequential, single = solve()
+    assert laddered == sequential
+    assert (n_ladder, n_sequential) == sweeps
+    assert (widest, single) == (ladder, 1)
 
 
 def test_gradient_check_rejects_zero_direction():

@@ -207,6 +207,23 @@ def test_diagonal_forward_and_gradient_match_the_stepping_sweeps(coupling, k_mod
     close(prob.gradient(psi, v, 10.0), oracle.gradient(psi, v_o, 10.0))
 
 
+@pytest.mark.parametrize("coupling", ["direct", "integrated"])
+def test_diagonal_stacked_sweep_rows_equal_single_sweeps(coupling):
+    g = make_grid(32, 48, 0.3)
+    prob = _AdjointProblem(eigenfunction(g, 1, amplitude=1.2), eigenfunction(g, 1, amplitude=0.4),
+                           ADDITIVE, g, ActionOptions(k_modes=6, coupling=coupling))
+    assert prob.ops.diagonal
+    rng = np.random.default_rng(11)
+    psi = tilt(g) + 0.3 * rng.standard_normal((4, g.nt, g.n_interior))
+    v = prob.forward(psi)
+    assert v.shape == (4, 1, g.n_interior)
+    stacked = prob.objective(psi, 10.0)
+    for row, one in enumerate(psi):
+        assert v[row].tobytes() == prob.forward(one.copy()).tobytes()
+        for got, want in zip(stacked, prob.objective(one.copy(), 10.0)):
+            assert got[row].tobytes() == want.tobytes()
+
+
 IMPORTANCE = {
     "kind": "importance", "master_seed": "11", "nx": "16", "nt": "16", "T": "0.25",
     "family": "linear", "sigma0": "1.0", "eps": "0.2", "replicas": "300",
