@@ -51,7 +51,6 @@ from .mild_solver import (
     estimate_moments,
     picard_solve,
     solve_spde,
-    step_mild,
 )
 from .noise import (
     NoiseRealization,

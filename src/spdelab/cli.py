@@ -64,7 +64,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BlowUpError, ValueError, OSError) as exc:
+    except (BlowUpError, FloatingPointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {out}")

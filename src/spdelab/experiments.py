@@ -265,6 +265,12 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if self.kind == "importance" and not self.eps > 0:
             raise ConfigError("config key 'eps' must be positive for importance sampling")
+        if not self.eps >= 0:
+            raise ConfigError(f"config key 'eps': {self.eps} must be >= 0")
+        if self.n_samples < 1:
+            raise ConfigError(f"config key 'n_samples': {self.n_samples} must be >= 1")
+        if not self.box_r > 0:
+            raise ConfigError(f"config key 'box_r': {self.box_r} must be positive")
         if self.replicas < 1:
             raise ConfigError(f"config key 'replicas': {self.replicas} must be >= 1")
         if self.threads < 1:
@@ -424,13 +430,12 @@ def _tilt_control(cfg: ExperimentConfig, grid: GridSpec, cf: CoefficientSet) -> 
 
 
 def _survivors(blown: np.ndarray, master: int, stream: int) -> np.ndarray:
-    """Mask of the replicas that blew up in no run; blown is (replicas,) or
-    (runs, replicas). When none survived, raise BlowUpError for replica 0 at
-    the step of its first blown run, runs in order (the plain one first)."""
-    runs = blown.reshape(-1, blown.shape[-1])
-    valid = ~runs.any(axis=0)
+    """Mask of the replicas that blew up in no run; blown is (runs, replicas).
+    When none survived, raise BlowUpError for replica 0 at the step of its
+    first blown run, runs in order (the plain one first)."""
+    valid = ~blown.any(axis=0)
     if not valid.any():
-        steps = runs[:, 0]
+        steps = blown[:, 0]
         _raise_first_blowup(steps[steps > 0][:1], master, stream)
     return valid
 
@@ -451,11 +456,11 @@ def run_eps_scaling(cfg: ExperimentConfig) -> list[ScalingRow]:
     rows = []
     for i, eps in enumerate(cfg.eps_list):
         terminals, logw, blown = _sample_replicas(
-            eta, cf, eps, grid, cfg.master_seed, cfg.replicas, i, scfg, psi,
+            [eta], cf, eps, grid, cfg.master_seed, cfg.replicas, i, scfg, [psi],
             threads=cfg.threads,
         )
         valid = _survivors(blown, cfg.master_seed, i)
-        terms = cfg.event.weighted_hits(terminals[valid], logw[valid], grid, cfg.rho)
+        terms = cfg.event.weighted_hits(terminals[0][valid], logw[0][valid], grid, cfg.rho)
         p_hat = float(np.mean(terms))
         stderr = float(_stderr(terms))
         censored = not p_hat > 0.0
@@ -497,9 +502,10 @@ def run_importance_sampling(cfg: ExperimentConfig) -> ISResult:
     grid = cfg.grid()
     cf = cfg.coefficients()
     psi = _tilt(cfg, grid, cf)
+    psis = [None] if psi is None else [None, psi]
     terminals, logw, blown = _sample_replicas(
-        cfg.eta_field(grid), cf, cfg.eps, grid, cfg.master_seed, cfg.replicas, 0,
-        cfg.solver_config(), [None] if psi is None else [None, psi], threads=cfg.threads,
+        [cfg.eta_field(grid)] * len(psis), cf, cfg.eps, grid, cfg.master_seed,
+        cfg.replicas, 0, cfg.solver_config(), psis, threads=cfg.threads,
     )
     return _importance_result(cfg, grid, terminals, logw, blown)
 

@@ -38,24 +38,25 @@ lockstep; a single path is the batch of one. Replica Monte Carlo runs through
 one engine, _replica_engine, which draws each chunk's mode increments once
 and runs the chunks in order or on worker threads. _noise_block, the one
 place Monte Carlo noise is drawn, derives the chunk's Philox keys in one
-pass (noise.philox_keys) and re-keys the chunk's own generator for each
-replica, filling that replica's row in place. A chunk's noise block
-holds at most _CHUNK_DOUBLES doubles and, with threads > 1, at most
+pass (noise.philox_keys, the one seed derivation, which also keys a single
+path's noise.sample_sheet_expansion) and re-keys the chunk's own generator
+for each replica, filling that replica's row in place. A chunk's noise
+block holds at most _CHUNK_DOUBLES doubles and, with threads > 1, at most
 ceil(replicas / threads) rows, so every worker has a chunk even when all
 replicas fit in memory at once; min(threads, chunk count) workers run.
 Its consumers are _sample_replicas (plain or Girsanov-tilted terminal and
 sup-norm samples, behind run_replicas and the experiment studies) and
 galerkin_coupled_errors. Both step several runs of a replica as one stacked
 batch on its one noise block: galerkin_coupled_errors the white run and
-its truncations, _sample_replicas one run per initial field when given a
-sequence of them or of tilts. _moment_estimates stacks its eta scales, so
-the convergence study's moment leg draws its noise once for all of them,
-and importance sampling stacks its plain and tilted runs; off the diagonal
-path each replica-step's noise density is synthesized once for all runs.
-Blow-ups are masked per replica: a row that turns non-finite is frozen, its
-first bad step recorded, and the other rows step on unchanged, with no
-floating-point warning; the result does not depend on chunk size, thread
-count or stacking.
+its truncations, _sample_replicas one run per entry of its list of initial
+fields (and tilts), every result leading with an axis over the runs.
+_moment_estimates stacks its eta scales, so the convergence study's moment
+leg draws its noise once for all of them, and importance sampling stacks
+its plain and tilted runs; off the diagonal path each replica-step's noise
+density is synthesized once for all runs. Blow-ups are masked per replica:
+a row that turns non-finite is frozen, its first bad step recorded, and the
+other rows step on unchanged, with no floating-point warning; the result
+does not depend on chunk size, thread count or stacking.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ __all__ = [
     "MomentEstimate",
     "BlowUpError",
     "PicardError",
-    "step_mild",
     "solve_spde",
     "picard_solve",
     "estimate_moments",
@@ -499,29 +499,6 @@ def _solve_path(
 # ---------------------------------------------------------------------------
 
 
-def step_mild(
-    state: Field,
-    t: float,
-    cf: CoefficientSet,
-    white_slice: np.ndarray,
-    eps: float,
-    dt: float,
-    k_modes: int | None = None,
-) -> Field:
-    """One scheme step from a field, given the white increments dW of the step."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    grid = state.grid
-    ops = _Ops(cf, GridSpec(grid.nx, 1, dt), k_modes, eps)
-    xi = None
-    if white_slice is not None:
-        xi = np.asarray(white_slice, dtype=float) / grid.dx
-    out = from_modes(ops.step(state.values, t, xi), grid)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(step=1)
-    return Field(out, grid)
-
-
 def solve_spde(
     eta: Field,
     cf: CoefficientSet,
@@ -617,10 +594,10 @@ def picard_solve(
 def _noise_block(grid: GridSpec, master: int, replicas: range, stream: int) -> np.ndarray:
     """(len(replicas), nt, nx-1) mode increments of the derived streams.
 
-    Row i is draw_mode_increments(grid, SeedDerivation(master, replicas[i],
-    stream).generator()) bit for bit: the chunk's one Philox is re-keyed to
-    each replica's key at counter zero and fills that row in place, and the
-    block is scaled by sqrt(dt) once.
+    Row i is the mode_increments of sample_sheet_expansion(grid, k, master,
+    replicas[i], stream), for any k, bit for bit: the chunk's one Philox is
+    re-keyed to each replica's key at counter zero and fills that row in
+    place, and the block is scaled by sqrt(dt) once.
     """
     block = np.empty((len(replicas), grid.nt, grid.n_interior))
     bits = np.random.Philox(key=0)
@@ -647,7 +624,6 @@ def _replica_engine(
     stream: int,
     work,
     threads: int = 1,
-    chunk_size: int | None = None,
 ) -> np.ndarray:
     """Run work(rows, modes) over consecutive chunks of replicas 0..replicas-1.
 
@@ -655,17 +631,17 @@ def _replica_engine(
     the streams (master, r, stream), drawn once; work integrates and reduces
     it, writes only its own rows of its outputs, and returns the first
     non-finite step of each of its runs, shaped (..., len(rows)) (0 where a
-    run stayed finite). Without a chunk_size a chunk holds at most
-    _CHUNK_DOUBLES of noise and, with threads > 1, at most
-    ceil(replicas / threads) rows, so every worker gets a chunk. Chunks run
-    in order, or on min(threads, chunk count) worker threads. Returns the
-    blow-up steps of all runs, shaped (..., replicas).
+    run stayed finite). A chunk holds at most _CHUNK_DOUBLES of noise and,
+    with threads > 1, at most ceil(replicas / threads) rows, so every worker
+    gets a chunk. Chunks run in order, or on min(threads, chunk count)
+    worker threads. Returns the blow-up steps of all runs, shaped
+    (..., replicas).
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     if threads < 1:
         raise ValueError(f"threads={threads} must be >= 1")
-    chunk = chunk_size or min(
+    chunk = min(
         max(1, int(_CHUNK_DOUBLES / max(grid.nt * grid.n_interior, 1))),
         -(-replicas // threads),
     )
@@ -697,7 +673,7 @@ def _raise_first_blowup(blown: np.ndarray, master: int, stream: int) -> None:
 
 
 def _sample_replicas(
-    eta: Field | list[Field],
+    etas: list[Field],
     cf: CoefficientSet,
     eps: float,
     grid: GridSpec,
@@ -705,30 +681,28 @@ def _sample_replicas(
     replicas: int,
     stream: int = 0,
     config: SolverConfig | None = None,
-    psi: np.ndarray | None = None,
+    psis: list | None = None,
     record: str = "terminal",
     threads: int = 1,
-    chunk_size: int | None = None,
 ):
-    """(values, log_weights, blown) of replicas 0..replicas-1, plain or tilted.
+    """(values, log_weights, blown) of replicas 0..replicas-1, one run per
+    initial Field of etas, plain or tilted.
 
-    values holds each replica's terminal field (record="terminal") or its
-    sup-in-time |u|_rho^rho (record="sup_rho"); blown holds each replica's
-    first non-finite step (0 if it stayed finite), and a blown replica's
-    values are NaN. The caller decides whether partial loss is acceptable.
+    Each replica runs once per entry of etas on its one noise draw, the runs
+    stepping as one stacked batch; every result leads with an axis over the
+    runs. values holds each replica's terminal field (record="terminal") or
+    its sup-in-time |u|_rho^rho (record="sup_rho"); blown holds each
+    replica's first non-finite step (0 if it stayed finite), and a blown
+    replica's values are NaN. The caller decides whether partial loss is
+    acceptable.
 
-    A tilt psi (nt, nx-1) shifts the white increments themselves,
+    psis, when given, holds each run's tilt (nt, nx-1), or None for an
+    untilted run. A tilt psi shifts the white increments themselves,
     dW -> dW + dt dx psi / sqrt(eps), before the plain dynamics are
     integrated; paired with the Girsanov log weight of the unshifted
     increments (log_weights, 0 without a tilt) this is the exact discrete
     change of measure, so the reweighted estimator is unbiased for any sigma
     (psi = 0 reproduces plain sampling bit for bit).
-
-    eta may be a sequence of initial Fields and psi a sequence of tilts
-    (None for an untilted run); each replica then runs once per entry on its
-    one noise draw, the runs stepping as one stacked batch, the single eta or
-    psi serving every run. values, blown and log_weights gain a leading axis
-    over the runs.
     """
     # control imports this module, so its names are looked up at call time.
     from .control import Control, girsanov_log_weight
@@ -736,24 +710,20 @@ def _sample_replicas(
     config = config or SolverConfig()
     if record not in ("terminal", "sup_rho"):
         raise ValueError(f"record mode '{record}' not supported for replicas")
+    runs = len(etas)
+    psis = [None] * runs if psis is None else psis
+    if len(psis) != runs:
+        raise ValueError(f"{runs} initial fields for {len(psis)} tilts")
     nxm = grid.n_interior
     k_noise = config.noise_modes(grid)
     ops = _Ops(cf, grid, config.k_modes, eps, config.cutoff_radius)
-
-    etas = None if isinstance(eta, Field) else list(eta)
-    psis = psi if isinstance(psi, (list, tuple)) else None
-    if etas is not None and psis is not None and len(etas) != len(psis):
-        raise ValueError(f"{len(etas)} initial fields for {len(psis)} tilts")
-    runs = len(etas) if etas is not None else (len(psis) if psis is not None else 1)
-    lead = () if etas is None and psis is None else (runs,)
-    u_init = eta.values if etas is None else np.stack([e.values for e in etas])
-    u_init = np.broadcast_to(u_init, lead + (nxm,))
+    u_init = np.stack([e.values for e in etas])
 
     # tilts[i]: run i's tilt as a Control, or None; shifts: the tilts' shifts
     # of the driving mode increments per step.
     tilts = [None] * runs
     shifts = None
-    for i, p in enumerate(psis if psis is not None else [psi] * runs):
+    for i, p in enumerate(psis):
         if p is None:
             continue
         pm = to_modes(p, grid)
@@ -764,29 +734,26 @@ def _sample_replicas(
             p = from_modes(pm, grid)
         tilts[i] = Control(p, grid)
         if shifts is None:
-            shifts = np.zeros((runs, grid.nt, nxm))
-        shifts[i] = (grid.dt / np.sqrt(eps)) * pm
-    if shifts is not None:
-        # Each run's shift broadcasts over the chunk's replica rows.
-        shifts = shifts[:, None] if lead else shifts[0]
-    values = np.empty(lead + ((replicas, nxm) if record == "terminal" else (replicas,)))
-    log_weights = np.zeros(lead + (replicas,))
+            # Each run's shift broadcasts over the chunk's replica rows.
+            shifts = np.zeros((runs, 1, grid.nt, nxm))
+        shifts[i, 0] = (grid.dt / np.sqrt(eps)) * pm
+    values = np.empty((runs, replicas) + ((nxm,) if record == "terminal" else ()))
+    log_weights = np.zeros((runs, replicas))
 
     def work(rows: range, modes: np.ndarray) -> np.ndarray:
         if k_noise < nxm:
             modes[..., k_noise:] = 0.0
-        mine = (slice(None),) * len(lead) + (slice(rows.start, rows.stop),)
+        mine = slice(rows.start, rows.stop)
         for i, tilt in enumerate(tilts):
             if tilt is not None:
-                lw = log_weights[i] if lead else log_weights
-                lw[rows.start : rows.stop] = girsanov_log_weight(tilt, modes, eps)
-        u0 = np.broadcast_to(u_init[..., None, :], lead + (len(rows), nxm))
-        values[mine], blown = _integrate(
+                log_weights[i, mine] = girsanov_log_weight(tilt, modes, eps)
+        u0 = np.broadcast_to(u_init[:, None, :], (runs, len(rows), nxm))
+        values[:, mine], blown = _integrate(
             u0, ops, lambda m: modes[:, m, :], shifts, record=record
         )
         return blown
 
-    blown = _replica_engine(grid, master, replicas, stream, work, threads, chunk_size)
+    blown = _replica_engine(grid, master, replicas, stream, work, threads)
     return values, log_weights, blown
 
 
@@ -801,7 +768,6 @@ def run_replicas(
     config: SolverConfig | None = None,
     record: str = "terminal",
     threads: int = 1,
-    chunk_size: int | None = None,
 ):
     """Integrate independent replicas on derived streams; order-stable output.
 
@@ -810,11 +776,11 @@ def run_replicas(
     Raises BlowUpError for the lowest-index replica that blew up.
     """
     values, _, blown = _sample_replicas(
-        eta, cf, eps, grid, master_seed, replicas, stream, config,
-        record=record, threads=threads, chunk_size=chunk_size,
+        [eta], cf, eps, grid, master_seed, replicas, stream, config,
+        record=record, threads=threads,
     )
-    _raise_first_blowup(blown, master_seed, stream)
-    return values
+    _raise_first_blowup(blown[0], master_seed, stream)
+    return values[0]
 
 
 def galerkin_coupled_errors(

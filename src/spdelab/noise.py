@@ -13,18 +13,18 @@ to k modes shares its first k mode increments with the full one bit for bit.
 That nesting makes degenerate-noise (spectral Galerkin) convergence studies
 pathwise rather than in-distribution.
 
-Seed derivation is a pure function of (master, replica, stream): the triple
-feeds numpy's SeedSequence hash mix as entropy plus spawn key, keyed into a
-counter-based Philox generator. Distinct triples give independent streams
-regardless of scheduling; test vectors are frozen in the test suite.
-
-A counter-based stream needs only its key, not a generator object of its
-own. philox_keys runs the SeedSequence algorithm (hash the master's words
-into a 4-word pool, mix the pool, mix in the spawn-key words of replica and
-stream, then generate_state(2, uint64)) vectorized over a range of
-replicas, so the replica engine re-keys one Philox per chunk instead of
-hashing and building a generator per replica. tests/test_noise.py pins
-these keys to numpy's own SeedSequence(...).generate_state(2, np.uint64).
+Seed derivation is a pure function of (master, replica, stream), and
+philox_keys is its one implementation: the triple is hashed as numpy's
+SeedSequence would hash entropy master plus spawn key (replica, stream)
+(hash the master's words into a 4-word pool, mix the pool, mix in the
+spawn-key words, then generate_state(2, uint64)) into the key of a
+counter-based Philox generator at counter zero. A counter-based stream needs
+only its key, so philox_keys runs vectorized over a range of replicas: the
+replica engine re-keys one Philox per chunk, and sample_sheet_expansion keys
+one for a single realization. Distinct triples give independent streams
+regardless of scheduling; tests/test_noise.py pins the keys to numpy's own
+SeedSequence(...).generate_state(2, np.uint64) and the draws to frozen
+vectors.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "SeedDerivation",
     "philox_keys",
     "NoiseRealization",
-    "draw_mode_increments",
     "sample_sheet_expansion",
     "partial_sum_identity",
 ]
@@ -48,20 +47,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeedDerivation:
-    """Stream key (master, replica, stream) for reproducible parallel sampling."""
+    """The seed triple (master, replica, stream) of one realization's stream,
+    as philox_keys derives it."""
 
     master: int
     replica: int = 0
     stream: int = 0
-
-    def seed_sequence(self) -> np.random.SeedSequence:
-        return np.random.SeedSequence(
-            entropy=int(self.master) & 0xFFFFFFFFFFFFFFFF,
-            spawn_key=(int(self.replica), int(self.stream)),
-        )
-
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(self.seed_sequence()))
 
 
 # numpy SeedSequence constants (bit_generator.pyx): pool size, hash and mix
@@ -123,13 +114,18 @@ def _seed_keys(entropy: list) -> np.ndarray:
 
 
 def philox_keys(master: int, replicas: range, stream: int) -> np.ndarray:
-    """(len(replicas), 2) uint64 Philox keys of SeedDerivation(master, r,
-    stream).generator() for r in replicas, in one vectorized pass.
+    """(len(replicas), 2) uint64 Philox keys of the streams (master, r,
+    stream) for r in replicas, in one vectorized pass.
 
-    A Philox at counter zero under key i draws what that generator draws.
-    Replicas below 2**32 are one spawn-key word, the rest two; the two
-    groups are hashed apart.
+    Key i is SeedSequence(entropy=master mod 2**64, spawn_key=(replicas[i],
+    stream)).generate_state(2, uint64), so a Philox at counter zero under it
+    draws what Philox(that SeedSequence) draws. Replicas below 2**32 are one
+    spawn-key word, the rest two; the two groups are hashed apart. Like a
+    spawn key, replicas and stream must be >= 0.
     """
+    if stream < 0:
+        # _words would alias it to a large stream.
+        raise ValueError(f"stream={stream} must be >= 0")
     entropy = _words(int(master) & 0xFFFFFFFFFFFFFFFF)
     entropy += [0] * (_POOL - len(entropy))
     tail = _words(int(stream))
@@ -142,17 +138,6 @@ def philox_keys(master: int, replicas: range, stream: int) -> np.ndarray:
         wide = r[~short]
         keys[~short] = _seed_keys(entropy + [wide & _MASK32, wide >> 32] + tail)
     return keys
-
-
-def draw_mode_increments(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
-    """One (nt, nx-1) block of mode increments, variance dt per entry.
-
-    The full block is always drawn in one call so that realizations with
-    different active mode counts stay nested on a shared stream.
-    """
-    block = rng.standard_normal((grid.nt, grid.n_interior)) * np.sqrt(grid.dt)
-    block.flags.writeable = False
-    return block
 
 
 @dataclass
@@ -221,14 +206,19 @@ def sample_sheet_expansion(
     """Truncated sheet expansion: first k_noise modes active, stream-nested.
 
     k_noise = 0 yields the zero realization; k_noise = nx-1 (grid.n_interior)
-    is the white-noise realization of the stream key.
+    is the white-noise realization of the stream key. The full read-only
+    (nt, nx-1) block, variance dt per entry, is drawn in one call, so that
+    realizations with different active mode counts stay nested on a shared
+    stream.
     """
     k_noise = int(k_noise)
     if not 0 <= k_noise <= grid.n_interior:
         raise ValueError(f"k_noise={k_noise} outside 0..{grid.n_interior}")
-    info = SeedDerivation(seed, replica, stream)
-    block = draw_mode_increments(grid, info.generator())
-    return NoiseRealization(grid, info, block, k_noise)
+    key = philox_keys(seed, range(replica, replica + 1), stream)[0]
+    rng = np.random.Generator(np.random.Philox(key=key))
+    block = rng.standard_normal((grid.nt, grid.n_interior)) * np.sqrt(grid.dt)
+    block.flags.writeable = False
+    return NoiseRealization(grid, SeedDerivation(seed, replica, stream), block, k_noise)
 
 
 def partial_sum_identity(k: int, x) -> np.ndarray | float:

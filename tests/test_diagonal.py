@@ -73,15 +73,18 @@ def test_diagonal_holds_only_for_the_linear_additive_case():
     assert not _Ops(ADDITIVE, g, cutoff_radius=ORACLE_RADIUS).diagonal
 
 
-def sample_both(config, psi, threads=1, chunk=None, record="terminal", cf=ADDITIVE,
-                eps=0.3, replicas=40):
+def sample_both(monkeypatch, config, psi, threads=1, chunk=None, record="terminal",
+                cf=ADDITIVE, eps=0.3, replicas=40):
     g = make_grid(16, 32, 0.25)
     eta = eigenfunction(g, 1, amplitude=0.5)
     psi = None if psi is None else psi(g)
+    if chunk is not None:
+        monkeypatch.setattr(mild_solver, "_CHUNK_DOUBLES", chunk * g.nt * g.n_interior)
     runs = []
     for cfg in (config, replace(config, cutoff_radius=ORACLE_RADIUS)):
-        runs.append(_sample_replicas(eta, cf, eps, g, 5, replicas, 1, cfg, psi,
-                                     record=record, threads=threads, chunk_size=chunk))
+        (v,), (w,), (b,) = _sample_replicas([eta], cf, eps, g, 5, replicas, 1, cfg, [psi],
+                                            record=record, threads=threads)
+        runs.append((v, w, b))
     return runs
 
 
@@ -89,8 +92,8 @@ def sample_both(config, psi, threads=1, chunk=None, record="terminal", cf=ADDITI
 @pytest.mark.parametrize("psi", [None, tilt], ids=["plain", "tilted"])
 @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
 @pytest.mark.parametrize("threads,chunk", [(1, None), (1, 7), (2, None), (2, 13)])
-def test_replicas_match_the_stepping_oracle(config, psi, record, threads, chunk):
-    (v, w, b), (v_o, w_o, b_o) = sample_both(config, psi, threads, chunk, record)
+def test_replicas_match_the_stepping_oracle(monkeypatch, config, psi, record, threads, chunk):
+    (v, w, b), (v_o, w_o, b_o) = sample_both(monkeypatch, config, psi, threads, chunk, record)
     assert not np.any(b) and not np.any(b_o)
     close(v, v_o)
     if psi is None:
@@ -99,10 +102,11 @@ def test_replicas_match_the_stepping_oracle(config, psi, record, threads, chunk)
         close(w, w_o)
 
 
-def test_diagonal_result_does_not_depend_on_chunks_or_threads():
-    ref, _ = sample_both(SolverConfig(k_noise=6), tilt)
+def test_diagonal_result_does_not_depend_on_chunks_or_threads(monkeypatch):
+    ref, _ = sample_both(monkeypatch, SolverConfig(k_noise=6), tilt)
     for threads, chunk in ((1, 7), (2, None), (2, 13)):
-        (v, w, b), _ = sample_both(SolverConfig(k_noise=6), tilt, threads, chunk)
+        monkeypatch.undo()
+        (v, w, b), _ = sample_both(monkeypatch, SolverConfig(k_noise=6), tilt, threads, chunk)
         assert v.tobytes() == ref[0].tobytes() and w.tobytes() == ref[1].tobytes()
         assert b.tobytes() == ref[2].tobytes()
 
@@ -135,11 +139,11 @@ def test_galerkin_coupled_errors_match_the_stepping_oracle(monkeypatch, k_modes,
 
 
 @pytest.mark.parametrize("psi", [None, tilt], ids=["plain", "tilted"])
-def test_overflow_blows_the_same_steps(psi):
+def test_overflow_blows_the_same_steps(monkeypatch, psi):
     # sqrt(eps) * sigma0 overflows, so every replica blows up at step 1 on
     # both paths and reads NaN.
     cf = make_coefficients("linear", f_slope=0.0, sigma0=1e308)
-    (v, _, b), (v_o, _, b_o) = sample_both(SolverConfig(), psi, cf=cf, eps=4.0)
+    (v, _, b), (v_o, _, b_o) = sample_both(monkeypatch, SolverConfig(), psi, cf=cf, eps=4.0)
     assert np.all(b == 1) and np.array_equal(b, b_o)
     assert np.all(np.isnan(v)) and np.all(np.isnan(v_o))
 
@@ -240,10 +244,10 @@ IMPORTANCE = {
 def test_importance_one_draw_equals_two_draws(raw):
     cfg = ExperimentConfig.from_raw(raw)
     grid = cfg.grid()
-    args = (cfg.eta_field(grid), cfg.coefficients(), cfg.eps, grid, cfg.master_seed,
+    args = ([cfg.eta_field(grid)], cfg.coefficients(), cfg.eps, grid, cfg.master_seed,
             cfg.replicas, 0, cfg.solver_config())
-    draws = [_sample_replicas(*args), _sample_replicas(*args, cfg.psi_control(grid).values)]
-    two_draws = _importance_result(cfg, grid, *map(np.stack, zip(*draws)))
+    draws = [_sample_replicas(*args), _sample_replicas(*args, [cfg.psi_control(grid).values])]
+    two_draws = _importance_result(cfg, grid, *map(np.concatenate, zip(*draws)))
     stacked = run_importance_sampling(cfg)
     assert stacked.replicas == two_draws.replicas == 300
     for name, value in vars(two_draws).items():

@@ -18,6 +18,7 @@ from spdelab.experiments import (
     run_importance_sampling,
 )
 from spdelab.coeffs import make_coefficients
+from spdelab.control import solve_controlled
 from spdelab.lattice import eigenfunction, make_field, make_grid
 from spdelab.mild_solver import (
     BlowUpError,
@@ -27,7 +28,7 @@ from spdelab.mild_solver import (
     run_replicas,
     solve_spde,
 )
-from spdelab.noise import SeedDerivation, draw_mode_increments
+from spdelab.noise import SeedDerivation, sample_sheet_expansion
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,6 +56,12 @@ def blowup_setup():
     return cfg, grid, cfg.coefficients(), cfg.eta_field(grid), cfg.solver_config()
 
 
+def force_chunk(monkeypatch, grid, rows):
+    """Make the engine's memory bound hold exactly `rows` replicas of noise."""
+    if rows is not None:
+        monkeypatch.setattr(mild_solver, "_CHUNK_DOUBLES", rows * grid.nt * grid.n_interior)
+
+
 def single_path_step(cfg, grid, cf, eta, scfg, eps, replica, stream):
     with pytest.raises(BlowUpError) as err:
         solve_spde(eta, cf, eps, cfg.master_seed, grid, scfg, replica=replica, stream=stream)
@@ -63,12 +70,13 @@ def single_path_step(cfg, grid, cf, eta, scfg, eps, replica, stream):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("chunk", [7, 60])
-def test_masking_reproduces_retry(threads, chunk):
+def test_masking_reproduces_retry(monkeypatch, threads, chunk):
     cfg, grid, cf, eta, scfg = blowup_setup()
+    force_chunk(monkeypatch, grid, chunk)
     for stream, eps in enumerate(cfg.eps_list):
-        term, logw, blown = _sample_replicas(
-            eta, cf, eps, grid, cfg.master_seed, cfg.replicas, stream, scfg, None,
-            threads=threads, chunk_size=chunk,
+        (term,), (logw,), (blown,) = _sample_replicas(
+            [eta], cf, eps, grid, cfg.master_seed, cfg.replicas, stream, scfg,
+            threads=threads,
         )
         indices, digest = RETRY[stream]
         assert not np.any(logw)
@@ -82,15 +90,16 @@ def test_masking_reproduces_retry(threads, chunk):
             assert blown[r] == single_path_step(cfg, grid, cf, eta, scfg, eps, r, stream)
 
 
-def test_engine_threads_stress():
+def test_engine_threads_stress(monkeypatch):
     # More workers than cores and a short switch interval: chunks writing
     # their own rows of shared arrays must still give the serial result.
     cfg, grid, cf, eta, scfg = blowup_setup()
+    force_chunk(monkeypatch, grid, 3)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        term, _, blown = _sample_replicas(eta, cf, 1.2, grid, cfg.master_seed, cfg.replicas,
-                                          0, scfg, None, threads=4, chunk_size=3)
+        (term,), _, (blown,) = _sample_replicas([eta], cf, 1.2, grid, cfg.master_seed,
+                                                cfg.replicas, 0, scfg, threads=4)
     finally:
         sys.setswitchinterval(old)
     indices, digest = RETRY[0]
@@ -106,12 +115,13 @@ def test_no_runtime_warning_escapes_blown_run():
 
 
 @pytest.mark.parametrize("threads,chunk", [(1, 7), (2, 7), (1, 60), (2, 13)])
-def test_run_replicas_names_lowest_blown_replica(threads, chunk):
+def test_run_replicas_names_lowest_blown_replica(monkeypatch, threads, chunk):
     cfg, grid, cf, eta, scfg = blowup_setup()
     step = single_path_step(cfg, grid, cf, eta, scfg, 1.0, 1, 1)
+    force_chunk(monkeypatch, grid, chunk)
     with pytest.raises(BlowUpError) as err:
         run_replicas(eta, cf, 1.0, grid, cfg.master_seed, cfg.replicas, stream=1,
-                     config=scfg, threads=threads, chunk_size=chunk)
+                     config=scfg, threads=threads)
     assert err.value.replica == 1
     assert err.value.step == step
     assert err.value.seed == SeedDerivation(cfg.master_seed, 1, 1)
@@ -148,8 +158,8 @@ def test_eps_scaling_all_blown_names_first_blown_replica():
     raw = dict(BLOWUP, sigma1="50.0", eps_list="1.0", replicas="4")
     cfg = ExperimentConfig.from_raw(raw)
     grid = cfg.grid()
-    _, _, blown = _sample_replicas(cfg.eta_field(grid), cfg.coefficients(), 1.0, grid,
-                                   cfg.master_seed, 4, 0, cfg.solver_config(), None)
+    _, _, (blown,) = _sample_replicas([cfg.eta_field(grid)], cfg.coefficients(), 1.0, grid,
+                                      cfg.master_seed, 4, 0, cfg.solver_config())
     assert np.all(blown > 0)
     with pytest.raises(BlowUpError) as err:
         run_eps_scaling(cfg)
@@ -180,10 +190,10 @@ def test_importance_all_blown_names_replica_of_blown_set():
     }
     cfg = ExperimentConfig.from_raw(raw)
     grid = cfg.grid()
-    args = (cfg.eta_field(grid), cfg.coefficients(), cfg.eps, grid, cfg.master_seed,
+    args = ([cfg.eta_field(grid)], cfg.coefficients(), cfg.eps, grid, cfg.master_seed,
             cfg.replicas, 0, cfg.solver_config())
-    _, _, blown_plain = _sample_replicas(*args, None)
-    _, _, blown_tilt = _sample_replicas(*args, cfg.psi_control(grid).values)
+    _, _, (blown_plain,) = _sample_replicas(*args, [None])
+    _, _, (blown_tilt,) = _sample_replicas(*args, [cfg.psi_control(grid).values])
     assert not np.any(blown_plain) and np.all(blown_tilt > 0)
     with pytest.raises(BlowUpError) as err:
         run_importance_sampling(cfg)
@@ -213,7 +223,7 @@ def test_threads_split_a_single_memory_chunk(monkeypatch, tilted):
     for threads in (1, 2):
         seen.clear()
         results[threads] = _sample_replicas(
-            eta, cf, 1.2, grid, cfg.master_seed, cfg.replicas, 0, scfg, psi, threads=threads
+            [eta], cf, 1.2, grid, cfg.master_seed, cfg.replicas, 0, scfg, [psi], threads=threads
         )
         chunks[threads] = list(seen)
     assert chunks[1] == [range(cfg.replicas)]
@@ -232,10 +242,16 @@ def test_threads_split_a_single_memory_chunk(monkeypatch, tilted):
 def test_noise_block_is_the_per_replica_stack(rows):
     grid = make_grid(16, 12, 0.25)
     block = mild_solver._noise_block(grid, 90125, rows, 2)
-    expected = np.stack(
-        [draw_mode_increments(grid, SeedDerivation(90125, r, 2).generator()) for r in rows]
-    )
+    shape = (grid.nt, grid.n_interior)
+    expected = np.stack([
+        np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=90125, spawn_key=(r, 2))
+        )).standard_normal(shape) * np.sqrt(grid.dt)
+        for r in rows
+    ])
     assert block.tobytes() == expected.tobytes()
+    singles = [sample_sheet_expansion(grid, 5, 90125, r, 2).mode_increments for r in rows]
+    assert block.tobytes() == np.stack(singles).tobytes()
 
 
 def test_noise_block_builds_no_seed_sequence(monkeypatch):
@@ -247,23 +263,32 @@ def test_noise_block_builds_no_seed_sequence(monkeypatch):
         return seed_sequence(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", counting)
-    mild_solver._noise_block(make_grid(16, 12, 0.25), 7, range(50), 0)
+    grid = make_grid(16, 12, 0.25)
+    cf = make_coefficients("linear", f_slope=0.0, sigma0=1.0)
+    eta = eigenfunction(grid, 1, amplitude=0.5)
+    psi = np.ones((grid.nt, grid.n_interior))
+    mild_solver._noise_block(grid, 7, range(50), 0)
+    sample_sheet_expansion(grid, grid.n_interior, 7, 3, 1)
+    solve_spde(eta, cf, 0.5, 7, grid, replica=2)
+    solve_controlled(eta, cf, psi, 0.5, 7, grid, stream=1)
     assert built == []
-    SeedDerivation(7, 0, 0).generator()  # per-replica seeding would be counted
+    # The per-path recipe this replaced would be counted.
+    np.random.Philox(np.random.SeedSequence(entropy=7, spawn_key=(0, 0)))
     assert len(built) == 1
 
 
 @pytest.mark.parametrize("tilted", [False, True], ids=["plain", "tilted"])
-def test_threaded_chunks_equal_the_serial_draw(tilted):
+def test_threaded_chunks_equal_the_serial_draw(monkeypatch, tilted):
     # Linear additive case, one serial chunk against 6 chunks on two workers,
     # each chunk drawing with its own generator.
     grid = make_grid(16, 16, 0.25)
     cf = make_coefficients("linear", f_slope=0.0, sigma0=1.0)
     eta = eigenfunction(grid, 1, amplitude=0.5)
     psi = np.tile(eigenfunction(grid, 1, amplitude=2.0).values, (grid.nt, 1)) if tilted else None
-    args = (eta, cf, 0.5, grid, 11, 23, 1, None, psi)
+    args = ([eta], cf, 0.5, grid, 11, 23, 1, None, [psi])
     serial = _sample_replicas(*args)
-    threaded = _sample_replicas(*args, threads=2, chunk_size=4)
+    force_chunk(monkeypatch, grid, 4)
+    threaded = _sample_replicas(*args, threads=2)
     for a, b in zip(serial, threaded):
         assert a.tobytes() == b.tobytes()
 

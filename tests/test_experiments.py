@@ -400,6 +400,11 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
         ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": "4", "tilt": "optimal"}, [],
          "'tilt'"),
         ({"kind": "validate", "psi_amp": "0.5"}, [], "'psi_amp'"),
+        # Each kind rejects these, whether or not it reads the key.
+        ({"eps": "-0.1"}, [], "'eps'"),
+        ({"kind": "validate", "n_samples": "0"}, [], "'n_samples'"),
+        ({"kind": "validate", "box_r": "0"}, [], "'box_r'"),
+        ({"box_r": "-1"}, [], "'box_r'"),
     ],
     ids=["family", "family_parameter", "horizon", "importance_eps", "dealiasing",
          "threads_zero", "threads_negative", "threads_flag_negative", "threads_flag_zero",
@@ -408,7 +413,8 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
          "control_coupling", "eps_list_zero", "replicas_zero", "tilt",
          "psi_file_missing", "psi_file_grid", "two_tilt_sources", "optimal_point_tilt",
          "simulate_psi_amp", "simulate_tilt", "simulate_psi_file", "minimize_action_psi_amp",
-         "skeleton_tilt", "convergence_tilt", "validate_psi_amp"],
+         "skeleton_tilt", "convergence_tilt", "validate_psi_amp", "eps_negative",
+         "n_samples_zero", "box_r_zero", "simulate_box_r_negative"],
 )
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, extra, flags, key):
     monkeypatch.chdir(tmp_path)
@@ -490,6 +496,26 @@ def test_cli_subprocess_entry(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout
+
+
+@pytest.mark.parametrize("extra", [
+    {"kind": "minimize-action"},
+    {"kind": "importance", "eps": "0.1", "replicas": "4", "tilt": "optimal",
+     "event_threshold": "0.5"},
+], ids=["minimize_action", "optimal_tilt"])
+def test_cli_optimizer_blowup_exits_1_without_traceback(tmp_path, extra):
+    # The uncontrolled start of the optimization already blows up.
+    raw = base_raw(family="burgers", f_slope=None, nx=32, nt=8, k_modes=8, eta_amp=400,
+                   **extra)
+    cfg = write_cfg(tmp_path / "c.cfg", raw)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdelab", raw["kind"], "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: controlled flow blew up during optimization\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_psi_file_loading(tmp_path):

@@ -22,7 +22,6 @@ from spdelab.lattice import (
     make_grid,
     to_modes,
 )
-from spdelab.noise import draw_mode_increments
 
 
 def test_make_grid_basic():
@@ -202,7 +201,9 @@ def _pin_input(kind, g):
     if kind == "strided":
         # One time level of an (r, nt, nx-1) block: rows nt*(nx-1) apart.
         return rng.standard_normal((3, 4, g.n_interior))[..., 2, :]
-    return draw_mode_increments(g, rng)  # read-only (nt, nx-1)
+    block = rng.standard_normal((g.nt, g.n_interior)) * np.sqrt(g.dt)
+    block.flags.writeable = False  # read-only (nt, nx-1), like a noise block
+    return block
 
 
 @pytest.mark.parametrize("nx", _PIN_NX)

@@ -20,10 +20,25 @@ SEED_VECTORS = {
 }
 
 
+def numpy_stream(master, replica, stream):
+    """numpy's own generator for the documented derivation of (master, replica, stream)."""
+    seq = np.random.SeedSequence(entropy=master & (2**64 - 1), spawn_key=(replica, stream))
+    return np.random.Generator(np.random.Philox(seq))
+
+
 def test_seed_derivation_vectors():
     for key, expected in SEED_VECTORS.items():
-        draws = SeedDerivation(*key).generator().standard_normal(3)
+        draws = numpy_stream(*key).standard_normal(3)
         assert np.array_equal(draws, np.array(expected))
+
+
+def test_sheet_expansion_draws_the_frozen_stream():
+    # nx = 4 gives 3 modes and one step of dt = 1, so sqrt(dt) is exact.
+    grid = make_grid(4, 1, 1.0)
+    for key, expected in SEED_VECTORS.items():
+        noise = sample_sheet_expansion(grid, 3, *key)
+        assert noise.seed_info == SeedDerivation(*key)
+        assert noise.mode_increments.tobytes() == np.array([expected]).tobytes()
 
 
 # philox_keys reimplements numpy's SeedSequence; these pin it to numpy's own
@@ -176,15 +191,25 @@ def test_mode_white_consistency():
 
 
 def test_seed_derivation_is_pure():
-    a = SeedDerivation(9, 2, 1).generator().standard_normal(4)
-    b = SeedDerivation(9, 2, 1).generator().standard_normal(4)
-    assert np.array_equal(a, b)
+    g = make_grid(16, 8, 0.5)
+    a = sample_sheet_expansion(g, 5, 9, 2, 1).mode_increments
+    b = sample_sheet_expansion(g, 5, 9, 2, 1).mode_increments
+    expected = numpy_stream(9, 2, 1).standard_normal((g.nt, g.n_interior)) * np.sqrt(g.dt)
+    assert a.tobytes() == b.tobytes() == expected.tobytes()
+    assert not a.flags.writeable
 
 
 def test_invalid_inputs():
     g = make_grid(16, 8, 0.5)
     with pytest.raises(ValueError, match="k_noise"):
         sample_sheet_expansion(g, -1, 0)
+    # numpy's SeedSequence rejects a negative spawn key; so does the derivation.
+    with pytest.raises(ValueError, match="stream"):
+        sample_sheet_expansion(g, 3, 0, stream=-1)
+    with pytest.raises(ValueError, match="stream"):
+        philox_keys(0, range(4), -1)
+    with pytest.raises(OverflowError):
+        philox_keys(0, range(-1, 2), 0)
     with pytest.raises(ValueError):
         partial_sum_identity(4, 1.5)
     with pytest.raises(ValueError):
