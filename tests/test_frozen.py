@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spdelab.action import ActionOptions, minimize_action
-from spdelab.coeffs import make_coefficients
+from spdelab.coeffs import make_coefficients, truncate_coefficients, validate_assumptions
 from spdelab.experiments import (
     ExperimentConfig,
     galerkin_coupled_errors,
@@ -143,6 +143,70 @@ def test_threaded_convergence_study():
     assert [r[0] for r in report.galerkin_rows] == [2, 4, 8]
     close([r[1] for r in report.galerkin_rows],
           [0.14905170410197588, 0.03453699759801747, 0.0006355258103491146])
+
+
+REACTION = make_coefficients("reaction", f_slope=0.5, g1_slope=0.3, g2_quad=0.7,
+                             sigma0=1.0, sigma1=0.2)
+CHECKS = ("sigma growth (H2)", "f growth (H5)", "g1 growth (H4)", "g2 growth (H4)",
+          "f,g local Lipschitz (H3)", "sigma global Lipschitz (H2)")
+# Every check passes in these five sets; each row is one check's worst ratio
+# and its witness (t, x, r), in CHECKS order.
+ASSUMPTION_REPORTS = {
+    "linear": (
+        make_coefficients("linear", f_slope=0.5, sigma0=2.0), (-100.0, 100.0), 1000, 3, [
+            (0.8455156555120412, 0.7534544462569464, 0.5003828149958125, -0.1827102117871533),
+            (0.24752389730460617, 0.6973859535679194, 0.023981263213644244, -99.96511766860957),
+            (0.0, 0.08564916714362436, 0.1821719505148166, -7.305220222335478),
+            (0.0, 0.08564916714362436, 0.1821719505148166, -7.305220222335478),
+            (0.05598036673537729, 0.6437725172509348, 0.0014110312058930319,
+             -5.735301810823728),
+            (0.0, 0.08564916714362436, 0.1821719505148166, -7.305220222335478),
+        ]),
+    "burgers": (
+        make_coefficients("burgers", sigma0=1.0, sigma1=0.3), (-3.0, 3.0), 500, 1, [
+            (0.9986813405866769, 0.5134678232710247, 0.13013957679285992,
+             0.0018873545588262708),
+            (0.0, 0.5118216247002567, 0.4216035573870036, 0.25395900890488443),
+            (0.0, 0.5118216247002567, 0.4216035573870036, 0.25395900890488443),
+            (0.8999654167630976, 0.07994250560811889, 0.5115154737487803, -2.999423756640026),
+            (0.42513689559291773, 0.8559122943833432, 0.36493916872495114, -2.9269393392358976),
+            (1.0000000000000202, 0.28546522878557845, 0.8869324087540136, -0.9981823110982879),
+        ]),
+    "reaction": (
+        REACTION, (-100.0, 100.0), 1000, 5, [
+            (0.9767681822255183, 0.4883478310464564, 0.4622142314914617, 0.029908302510435192),
+            (0.49504924901776076, 0.45757426202007856, 0.5964133644334717, 99.99477873028698),
+            (0.29702954941065646, 0.45757426202007856, 0.5964133644334717, 99.99477873028698),
+            (0.6999299996904118, 0.45757426202007856, 0.5964133644334717, 99.99477873028698),
+            (0.5156534021789527, 0.5705249400713531, 0.12776496668648585, 2.23198965523099),
+            (1.000000000000006, 0.041209850179512286, 0.95198273748848, 86.94358077685428),
+        ]),
+    "rho4": (
+        make_coefficients("linear", rho=4.0), (-100.0, 100.0), 200, 0, [
+            (0.8420404542664484, 0.8413172796123832, 0.19061756040401823, 0.18759139769734645),
+        ] + [(0.0, 0.6369616873214543, 0.319681636282665, -59.566381204903074)] * 5),
+    "trunc2": (
+        truncate_coefficients(REACTION, 2), (-5.0, 5.0), 500, 2, [
+            (0.9979648678720352, 0.9647618088753547, 0.8637831309072677, 0.0025504031692422657),
+            (0.3361225978595833, 0.8935666217992796, 0.13230635595108264, 2.073437224453799),
+            (0.20167355871575, 0.8935666217992796, 0.13230635595108264, 2.073437224453799),
+            (0.5659398687129304, 0.9068400198646038, 0.619349028346813, -2.09280501032588),
+            (0.41988344492554225, 0.39162483308002616, 0.418304650020899, 2.617861378209194),
+            (0.2608052643920218, 0.39162483308002616, 0.418304650020899, 2.617861378209194),
+        ]),
+}
+
+
+@pytest.mark.parametrize("case", list(ASSUMPTION_REPORTS))
+def test_assumption_report(case):
+    cf, r_range, n_samples, seed, rows = ASSUMPTION_REPORTS[case]
+    report = validate_assumptions(cf, r_range=r_range, n_samples=n_samples, seed=seed)
+    assert [c.name for c in report.checks] == list(CHECKS)
+    assert [c.ok for c in report.checks] == [True] * len(CHECKS)
+    close([(c.worst_ratio,) + c.witness for c in report.checks], rows)
+    rho_warning = ["(H1) requires rho > 6; set has rho = 4.0"]
+    assert report.warnings == (rho_warning if case == "rho4" else [])
+
 
 # The manifest echo and CSV header of three configs, recorded before the
 # config keys were read from the dataclass fields. Between them they set
