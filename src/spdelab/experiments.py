@@ -180,9 +180,14 @@ def _conv(raw: dict, key: str, hint, default=None, required: bool = False):
             raise ConfigError(f"missing required config key '{key}'")
         return default
     try:
-        return _parse(hint, raw[key])
+        value = _parse(hint, raw[key])
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"config key '{key}': cannot parse {raw[key]!r}") from exc
+    # Every float must be finite, except rho: rho = inf is the sup norm.
+    floats = [v for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, float)]
+    if key != "rho" and not np.all(np.isfinite(floats)):
+        raise ConfigError(f"config key '{key}': {raw[key]!r} is not finite")
+    return value
 
 
 @dataclass

@@ -488,8 +488,10 @@ def _solve_path(
         modes = noise.driving_modes
         dw = lambda m: modes[m]
     path, blown = _integrate(eta.values, ops, dw, psi=psi)
-    if blown:
+    if blown and dw is None:
         raise BlowUpError(step=int(blown))
+    if blown:  # a noise-driven path names its seed triple, as a blown replica does
+        raise BlowUpError(int(blown), replica=noise.seed_info.replica, seed=noise.seed_info)
     seed_info = noise.seed_info if noise is not None else None
     return _path_solution(path, grid, eps, cf, seed_info, config)
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -206,3 +207,20 @@ def test_validate_empty_box():
         validate_assumptions(cf, r_range=(1.0, 1.0), n_samples=10)
     with pytest.raises(ValueError, match="n_samples"):
         validate_assumptions(cf, n_samples=0)
+
+
+def test_validate_broadcasts_scalar_result():
+    cf = make_coefficients("linear", sigma0=1.0)
+    constant = CoefficientSet(f=cf.f, g1=cf.g1, g2=cf.g2, sigma=lambda t, x, r: 1.0,
+                              K=cf.K, L=cf.L, L_sigma=cf.L_sigma)
+    expected = validate_assumptions(cf, n_samples=500, seed=4)
+    assert validate_assumptions(constant, n_samples=500, seed=4) == expected
+
+
+def test_validate_runs_evaluators_on_arrays_only():
+    # The solvers call sigma on whole arrays, so the checks do too: a
+    # scalar-only evaluator raises instead of being looped per sample.
+    cf = make_coefficients("linear", sigma0=1.0)
+    scalar_only = replace(cf, sigma=lambda t, x, r: 1.0 + 0.1 * math.sin(r))
+    with pytest.raises(TypeError):
+        validate_assumptions(scalar_only, n_samples=100, seed=0)

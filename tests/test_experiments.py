@@ -405,6 +405,21 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
         ({"kind": "validate", "n_samples": "0"}, [], "'n_samples'"),
         ({"kind": "validate", "box_r": "0"}, [], "'box_r'"),
         ({"box_r": "-1"}, [], "'box_r'"),
+        # Every float key but rho must be finite; each of these ran into the
+        # solver, or ran to the end, before.
+        ({"eta_amp": "nan"}, [], "'eta_amp'"),
+        ({"kind": "skeleton", "psi_amp": "nan"}, [], "'psi_amp'"),
+        ({"kind": "minimize-action", "target_amp": "nan"}, [], "'target_amp'"),
+        ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": "4", "eta_scales": "1, nan"},
+         [], "'eta_scales'"),
+        ({"T": "inf"}, [], "'T'"),
+        ({"eps": "inf"}, [], "'eps'"),
+        ({"kind": "mc-scaling", "eps_list": "inf, 0.1", "event_threshold": "0.1"}, [],
+         "'eps_list'"),
+        ({"kind": "minimize-action", "residual_tol": "nan", "max_iters": "2"}, [],
+         "'residual_tol'"),
+        ({"kind": "mc-scaling", "eps_list": "0.2", "replicas": "2", "event_threshold": "0.1",
+          "reference_action": "nan"}, [], "'reference_action'"),
     ],
     ids=["family", "family_parameter", "horizon", "importance_eps", "dealiasing",
          "threads_zero", "threads_negative", "threads_flag_negative", "threads_flag_zero",
@@ -414,7 +429,9 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
          "psi_file_missing", "psi_file_grid", "two_tilt_sources", "optimal_point_tilt",
          "simulate_psi_amp", "simulate_tilt", "simulate_psi_file", "minimize_action_psi_amp",
          "skeleton_tilt", "convergence_tilt", "validate_psi_amp", "eps_negative",
-         "n_samples_zero", "box_r_zero", "simulate_box_r_negative"],
+         "n_samples_zero", "box_r_zero", "simulate_box_r_negative", "eta_amp_nan",
+         "psi_amp_nan", "target_amp_nan", "eta_scales_nan", "T_inf", "eps_inf",
+         "eps_list_inf", "residual_tol_nan", "reference_action_nan"],
 )
 def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, extra, flags, key):
     monkeypatch.chdir(tmp_path)
@@ -427,6 +444,30 @@ def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, extra, 
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert not out.exists()
+
+
+def test_cli_rho_inf_runs(tmp_path):
+    # rho = inf is the sup norm, the one float key that may be infinite.
+    cfg = write_cfg(tmp_path / "c.cfg", base_raw(rho="inf", eps="0.1"))
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "rho = inf" in (tmp_path / "o" / "manifest.txt").read_text()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind,extra", [("simulate", {"eps": "50"}),
+                                        ("mc-scaling", {"eps_list": "50", "replicas": "3",
+                                                        "event_threshold": "1.0"})],
+                         ids=["simulate", "mc_scaling"])
+def test_cli_blowup_names_seed_triple(tmp_path, capsys, kind, extra):
+    # A single path and replica 0 of the same draw blow up alike.
+    raw = base_raw(kind=kind, family="burgers", f_slope=None, sigma0="1", sigma1="6",
+                   k_modes="8", nx="32", nt="128", eta_amp="1", **extra)
+    cfg = write_cfg(tmp_path / "c.cfg", raw)
+    assert cli_main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: solution blew up at step 14, replica 0, "
+        "seed SeedDerivation(master=7, replica=0, stream=0)\n"
+    )
 
 
 @pytest.mark.parametrize(
