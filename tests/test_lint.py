@@ -14,7 +14,7 @@ def _catch_all_handlers(path):
         if not isinstance(node, ast.ExceptHandler):
             continue
         caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-        if any(t is None or isinstance(t, ast.Name) and t.id in CATCH_ALL for t in caught):
+        if any(t is None or (isinstance(t, ast.Name) and t.id in CATCH_ALL) for t in caught):
             yield node.lineno
 
 
