@@ -26,7 +26,7 @@ EventSpec.weighted_hits, exp(log w) 1{hit}, where an untilted run has log w = 0.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -78,16 +78,6 @@ __all__ = [
     "run_experiment",
     "VALID_KINDS",
 ]
-
-VALID_KINDS = (
-    "simulate",
-    "skeleton",
-    "minimize-action",
-    "mc-scaling",
-    "importance",
-    "convergence",
-    "validate",
-)
 
 EVENT_KINDS = ("l2_norm", "lp_norm", "mode_coeff", "point_value")
 
@@ -149,15 +139,33 @@ class EventSpec:
 
 _FAMILY_KEYS = ("f_slope", "g1_slope", "g2_quad", "sigma0", "sigma1")
 _EVENT_KEYS = ("event_kind", "event_param", "event_threshold")
-# Fields without a key of their own: family_params holds the _FAMILY_KEYS,
-# event the _EVENT_KEYS.
-_COMPOSITE = ("family_params", "event")
-# The kinds that read each tilt key; any other kind rejects the key when set.
-_TILT_READERS = {
-    "psi_file": ("skeleton", "mc-scaling", "importance", "convergence"),
-    "psi_amp": ("skeleton", "mc-scaling", "importance", "convergence"),
-    "tilt": ("mc-scaling", "importance"),
+# The config keys each kind reads: the _COMMON ones and its _READS entry. Any
+# other key set in a config is an error, and manifest.txt records only these.
+_COMMON = ("kind", "master_seed", "nx", "nt", "T", "family", *_FAMILY_KEYS, "rho", "out_dir")
+_ETA = ("k_modes", "eta_mode", "eta_amp")
+_PSI = ("psi_mode", "psi_amp", "psi_file")
+_EVENT_STUDY = (*_ETA, "replicas", "k_noise", "threads", "tilt", *_EVENT_KEYS, *_PSI,
+                "control_coupling", "residual_tol", "max_iters")
+_READS = {
+    "simulate": (*_ETA, "eps", "k_noise", "dump_noise"),
+    "skeleton": (*_ETA, *_PSI, "control_coupling"),
+    "minimize-action": (*_ETA, "control_coupling", "residual_tol", "max_iters",
+                        "target_mode", "target_amp"),
+    "mc-scaling": (*_EVENT_STUDY, "eps_list", "reference_action"),
+    "importance": (*_EVENT_STUDY, "eps"),
+    "convergence": (*_ETA, *_PSI, "eps", "eps_list", "replicas", "k_noise", "threads",
+                    "control_coupling", "k_list", "eta_scales"),
+    "validate": ("box_r", "n_samples"),
 }
+VALID_KINDS = tuple(_READS)
+
+
+def _reads(kind: str, event_kind: str | None) -> set[str]:
+    """The keys kind reads; a norm event (l2_norm, lp_norm) takes no event_param."""
+    keys = {*_COMMON, *_READS[kind]}
+    if event_kind in ("l2_norm", "lp_norm"):
+        keys.discard("event_param")
+    return keys
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -232,29 +240,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_raw(cls, raw: dict[str, str]) -> "ExperimentConfig":
-        kind = raw.get("kind")
-        if kind is None:
-            raise ConfigError("missing required config key 'kind'")
+        for key in ("kind", "master_seed"):
+            if key not in raw:
+                raise ConfigError(f"missing required config key '{key}'")
+        kind, event_kind = raw["kind"], raw.get("event_kind", "l2_norm")
         if kind not in VALID_KINDS:
             raise ConfigError(f"unknown kind '{kind}'; valid kinds: {VALID_KINDS}")
-        keyed = [f for f in fields(cls) if f.name not in _COMPOSITE]
-        known = {f.name for f in keyed}.union(_FAMILY_KEYS, _EVENT_KEYS)
         # manifest.txt writes the version line; it is not a setting.
-        unknown = sorted(set(raw) - known - {"version"})
-        if unknown:
-            raise ConfigError(f"unknown config key '{unknown[0]}'")
+        unread = sorted(set(raw) - _reads(kind, event_kind) - {"version"})
+        if unread and unread[0] not in set(_COMMON).union(*_READS.values()):
+            raise ConfigError(f"unknown config key '{unread[0]}'")
+        if unread:
+            raise ConfigError(f"config key '{unread[0]}': {kind} does not read it")
+        # Every key left is read; a field's key is parsed by its annotation.
         hints = get_type_hints(cls)
-        values = {
-            f.name: _conv(raw, f.name, hints[f.name], required=True)
-            for f in keyed
-            if f.name in raw or f.default is MISSING
-        }
+        values = {key: _conv(raw, key, hints[key]) for key in raw if key in hints}
         if values.get("k_modes") == 0:
             values["k_modes"] = None
         values["family_params"] = {k: _conv(raw, k, float) for k in _FAMILY_KEYS if k in raw}
         if "event_kind" in raw or "event_threshold" in raw:
             values["event"] = EventSpec(
-                kind=raw.get("event_kind", "l2_norm"),
+                kind=event_kind,
                 param=_conv(raw, "event_param", float, 1.0),
                 threshold=_conv(raw, "event_threshold", float, required=True),
             )
@@ -316,16 +322,13 @@ class ExperimentConfig:
             for k in self.k_list:
                 if not 0 <= k <= self.nx - 1:
                     raise ConfigError(f"config key 'k_list': {k} outside 0..{self.nx - 1}")
-        tilts = [key for key, on in (("psi_file", self.psi_file), ("psi_amp", self.psi_amp),
-                                     ("tilt", self.tilt == "optimal")) if on]
-        for key in tilts:
-            if self.kind not in _TILT_READERS[key]:
-                raise ConfigError(f"config key '{key}': {self.kind} does not read it")
         if self.psi_file:
             self.psi_control(grid)
         if self.kind in ("mc-scaling", "importance"):
             if self.event is None:
                 raise ConfigError("missing required config key 'event_threshold'")
+            tilts = [key for key, on in (("psi_file", self.psi_file), ("psi_amp", self.psi_amp),
+                                         ("tilt", self.tilt == "optimal")) if on]
             if len(tilts) > 1:
                 raise ConfigError(f"config keys {tilts} each set a tilt; {self.kind} takes one")
             if self.tilt == "optimal" and self.event.kind == "point_value":
@@ -377,23 +380,23 @@ class ExperimentConfig:
         return Control(np.tile(profile, (grid.nt, 1)), grid)
 
     def echo(self) -> dict:
-        """Effective configuration as re-runnable key = value pairs.
+        """Effective configuration of the keys the kind reads, as re-runnable
+        key = value pairs.
 
         Unset (None), off (False) and empty keys are left out, and so is
         out_dir, so a manifest re-runs wherever it is pointed. Off is tested
         by identity: a zero such as eta_amp = 0 equals False and is kept.
         """
-        out = dict(self.family_params)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            unset = value is None or value is False or value in ((), "")
-            if unset or f.name in _COMPOSITE + ("out_dir",):
-                continue
-            out[f.name] = ", ".join(map(format_value, value)) if isinstance(value, tuple) else value
+        values = {**vars(self), **self.family_params}
         if self.event is not None:
-            out["event_kind"] = self.event.kind
-            out["event_param"] = self.event.param
-            out["event_threshold"] = self.event.threshold
+            values.update(event_kind=self.event.kind, event_param=self.event.param,
+                          event_threshold=self.event.threshold)
+        out = {}
+        for key in _reads(self.kind, self.event and self.event.kind) - {"out_dir"}:
+            value = values.get(key)
+            if value is None or value is False or value in ((), ""):
+                continue
+            out[key] = ", ".join(map(format_value, value)) if isinstance(value, tuple) else value
         return out
 
 
@@ -549,7 +552,6 @@ def _importance_result(cfg, grid, terminals, log_weights, blown) -> ISResult:
 @dataclass
 class ConvergenceReport:
     galerkin_rows: list  # (k, mean_error, stderr)
-    galerkin_errors: np.ndarray  # (replicas, len(k_list)) per-seed coupled errors
     galerkin_pass: bool
     controlled_rows: list  # (eps, distance)
     controlled_pass: bool
@@ -608,7 +610,6 @@ def run_convergence_studies(cfg: ExperimentConfig) -> ConvergenceReport:
 
     return ConvergenceReport(
         galerkin_rows=galerkin_rows,
-        galerkin_errors=errors,
         galerkin_pass=galerkin_pass,
         controlled_rows=controlled_rows,
         controlled_pass=controlled_pass,
@@ -672,11 +673,10 @@ def run_experiment(
     if cfg.out_dir is None:
         raise ConfigError("missing required config key 'out_dir' (or pass --out)")
     out = Path(cfg.out_dir)
+    # The manifest goes first, so a run that fails still says what it ran.
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
+        _write_manifest(out, cfg)
     except OSError as exc:
         raise ConfigError(f"output directory {out} is not writable: {exc}") from exc
 
@@ -745,5 +745,4 @@ def run_experiment(
         )
         for w in report.warnings:
             print(f"warning: {w}")
-    _write_manifest(out, cfg)
     return out

@@ -176,7 +176,25 @@ def test_cli_blowup_exits_1_naming_step_replica_and_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("error: solution blew up at step 12, replica 0, "
                    "seed SeedDerivation(master=7, replica=0, stream=0)\n")
-    assert not (out / "manifest.txt").exists()
+    # The manifest is written before the work, results only on success.
+    assert (out / "manifest.txt").exists() and not (out / "scaling.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_simulate_blowup_leaves_only_the_manifest(tmp_path, capsys):
+    raw = {
+        "kind": "simulate", "master_seed": "7", "family": "burgers", "sigma0": "1",
+        "sigma1": "6", "k_modes": "4", "nx": "16", "nt": "16", "T": "0.25",
+        "eta_amp": "1", "eps": "50",
+    }
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+    out = tmp_path / "o"
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: solution blew up at step 12, replica 0, "
+                                       "seed SeedDerivation(master=7, replica=0, stream=0)\n")
+    assert [p.name for p in out.iterdir()] == ["manifest.txt"]
+    assert "eps = 50\n" in (out / "manifest.txt").read_text()
 
 
 def test_importance_all_blown_names_replica_of_blown_set():

@@ -1,5 +1,7 @@
+import importlib.util
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,11 @@ import pytest
 from spdelab import mild_solver
 from spdelab.cli import main as cli_main
 from spdelab.experiments import (
+    _COMMON,
+    _EVENT_KEYS,
+    _FAMILY_KEYS,
+    _READS,
+    VALID_KINDS,
     EventSpec,
     ExperimentConfig,
     run_convergence_studies,
@@ -41,6 +48,15 @@ def base_raw(**extra):
     }
     raw.update(extra)
     return {k: str(v) for k, v in raw.items() if v is not None}
+
+
+# A small mc-scaling config, for the keys that only the Monte Carlo kinds read.
+MC_RAW = {"kind": "mc-scaling", "eps_list": "0.2", "event_threshold": "0.1"}
+
+
+def write_cfg(path, raw):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+    return str(path)
 
 
 # -- storage -----------------------------------------------------------------
@@ -266,10 +282,71 @@ def test_golden_config_byte_identical_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_manifest_is_re_runnable(tmp_path):
-    out1 = run_experiment(DATA / "golden_mc_scaling.cfg", out_dir=tmp_path / "a")
+# One small config per kind, setting most keys the kind reads.
+KIND_CONFIGS = {
+    "simulate": dict(eps="0.1", k_noise="6", eta_amp="0.5", dump_noise="1"),
+    "skeleton": dict(kind="skeleton", psi_mode="2", psi_amp="0.5",
+                     control_coupling="integrated"),
+    "minimize-action": dict(kind="minimize-action", nt="16", k_modes="8", eta_amp="0.2",
+                            target_mode="1", target_amp="0.5", max_iters="30",
+                            residual_tol="0.01"),
+    "mc-scaling": dict(kind="mc-scaling", eps_list="0.2, 0.1", replicas="20", threads="2",
+                       tilt="optimal", max_iters="30", event_threshold="0.2",
+                       reference_action="0.5"),
+    "importance": dict(kind="importance", eps="0.2", replicas="20", k_noise="8",
+                       psi_amp="0.5", event_kind="point_value", event_param="0.5",
+                       event_threshold="0.2"),
+    "convergence": dict(kind="convergence", eps="0.1", eps_list="0.1, 0.05", replicas="10",
+                        k_list="2, 8", eta_scales="1, 2", eta_amp="1", psi_amp="0.3"),
+    "validate": dict(kind="validate", f_slope=None, family="burgers", box_r="10",
+                     n_samples="200"),
+}
+
+
+@pytest.mark.parametrize("kind", [*VALID_KINDS, "golden"])
+def test_manifest_is_re_runnable(tmp_path, kind):
+    cfg = DATA / "golden_mc_scaling.cfg"
+    if kind != "golden":
+        cfg = write_cfg(tmp_path / "c.cfg", base_raw(**KIND_CONFIGS[kind]))
+    out1 = run_experiment(cfg, out_dir=tmp_path / "a")
     out2 = run_experiment(out1 / "manifest.txt", out_dir=tmp_path / "b")
-    assert (out1 / "scaling.csv").read_bytes() == (out2 / "scaling.csv").read_bytes()
+    files = sorted(p.name for p in out1.iterdir())
+    assert files == sorted(p.name for p in out2.iterdir()) and len(files) > 1
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_every_config_key_is_read_by_some_kind():
+    # from_raw parses the keys that are fields by their annotation, so a
+    # table entry that is no field, family key or event key would be
+    # accepted and ignored.
+    read = set(_COMMON).union(*_READS.values())
+    keys = {f.name for f in fields(ExperimentConfig)} - {"family_params", "event"}
+    assert read == keys | set(_FAMILY_KEYS) | set(_EVENT_KEYS)
+
+
+def _load_workloads():
+    """perfbench/workloads.py's WORKLOADS; the module imports only the stdlib."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+BENCH_WORKLOADS = _load_workloads()
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+def test_benchmark_workloads_parse(tmp_path, name, tiny):
+    # The benchmark runs each workload through the CLI with --seed and --out,
+    # so a key table that rejects one of its configs fails here first.
+    w = BENCH_WORKLOADS[name]
+    raw = {k: str(v) for k, v in w.settings(tiny).items()}
+    raw.update(kind=w.command, master_seed="5", out_dir=str(tmp_path / "o"))
+    assert ExperimentConfig.from_raw(raw).kind == w.command
 
 
 def test_run_experiment_requires_out_dir(tmp_path):
@@ -281,9 +358,7 @@ def test_run_experiment_requires_out_dir(tmp_path):
 
 def test_simulate_and_skeleton_outputs(tmp_path):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(
-        "\n".join(f"{k} = {v}" for k, v in base_raw(eta_amp=1.0, eps=0.1).items()) + "\n"
-    )
+    cfg.write_text("\n".join(f"{k} = {v}" for k, v in base_raw(eta_amp=1.0).items()) + "\n")
     out = run_experiment(cfg, out_dir=tmp_path / "sim")
     data, nx, T = read_snapshot(out / "path.spdefld")
     assert nx == 16 and T == 0.25 and data.shape == (33, 15)
@@ -337,17 +412,18 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o2")]) == 2
 
 
-def write_cfg(path, raw):
-    path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
-    return str(path)
-
-
 def test_cli_rejects_unknown_key(tmp_path, capsys):
     raw = base_raw(kind="mc-scaling", eps_list="0.2, 0.1", event_threshold="0.1", replica="5")
     cfg = write_cfg(tmp_path / "c.cfg", raw)
     assert cli_main(["mc-scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "'replica'" in err
+    assert "config error: unknown config key 'replica'" in err
+
+
+def test_cli_names_the_kind_that_does_not_read_a_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg", base_raw(**MC_RAW, eps="3"))
+    assert cli_main(["mc-scaling", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: config key 'eps': mc-scaling does not read it\n"
 
 
 @pytest.mark.parametrize(
@@ -360,10 +436,10 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
          "eps"),
         # Quadratic transport on nx = 16 with all 15 modes breaks nx >= 4*k_modes.
         ({"family": "burgers", "f_slope": None}, [], "k_modes"),
-        ({"threads": "0"}, [], "threads"),
-        ({"threads": "-3"}, [], "threads"),
-        ({}, ["--threads", "-3"], "threads"),
-        ({}, ["--threads", "0"], "threads"),
+        ({**MC_RAW, "threads": "0"}, [], "threads"),
+        ({**MC_RAW, "threads": "-3"}, [], "threads"),
+        (MC_RAW, ["--threads", "-3"], "threads"),
+        (MC_RAW, ["--threads", "0"], "threads"),
         ({"dump_noise": "ture"}, [], "dump_noise"),
         ({"eta_mode": "99", "eta_amp": "1.0"}, [], "'eta_mode'"),
         ({"eta_mode": "0"}, [], "'eta_mode'"),
@@ -378,11 +454,11 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
         ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": ""}, [], "'k_list'"),
         ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": "4", "eta_scales": ""}, [],
          "'eta_scales'"),
-        ({"control_coupling": "sideways"}, [], "control_coupling"),
+        ({"kind": "skeleton", "control_coupling": "sideways"}, [], "control_coupling"),
         ({"kind": "mc-scaling", "eps_list": "0.2, 0", "event_threshold": "0.1"}, [],
          "eps_list"),
-        ({"replicas": "0"}, [], "'replicas'"),
-        ({"tilt": "sideways"}, [], "tilt"),
+        ({**MC_RAW, "replicas": "0"}, [], "'replicas'"),
+        ({**MC_RAW, "tilt": "sideways"}, [], "tilt"),
         ({"kind": "skeleton", "psi_file": "missing.spdefld"}, [], "'psi_file'"),
         # psi_16x8.spdefld has nt = 8, the config nt = 32.
         ({"kind": "skeleton", "psi_file": "psi_16x8.spdefld"}, [], "'psi_file'"),
@@ -391,7 +467,7 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
         ({"kind": "mc-scaling", "eps_list": "0.2", "tilt": "optimal",
           "event_kind": "point_value", "event_param": "0.5", "event_threshold": "0.1"}, [],
          "'tilt'"),
-        # Each kind rejects a tilt key it does not read.
+        # Each kind rejects a key it does not read, from the file or a flag.
         ({"psi_amp": "3"}, [], "'psi_amp'"),
         ({"tilt": "optimal"}, [], "'tilt'"),
         ({"psi_file": "psi_16x32.spdefld"}, [], "'psi_file'"),
@@ -400,7 +476,13 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
         ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": "4", "tilt": "optimal"}, [],
          "'tilt'"),
         ({"kind": "validate", "psi_amp": "0.5"}, [], "'psi_amp'"),
-        # Each kind rejects these, whether or not it reads the key.
+        ({**MC_RAW, "event_kind": "l2_norm", "event_param": "5"}, [], "'event_param'"),
+        ({"kind": "minimize-action"}, ["--threads", "2"], "'threads'"),
+        ({"kind": "importance", "eps": "0.1", "event_threshold": "0.1",
+          "reference_action": "0.5"}, [], "'reference_action'"),
+        ({}, ["--threads", "2"], "'threads'"),
+        ({}, ["--coupling", "integrated"], "'control_coupling'"),
+        # Out-of-range values; box_r on simulate fails as unread.
         ({"eps": "-0.1"}, [], "'eps'"),
         ({"kind": "validate", "n_samples": "0"}, [], "'n_samples'"),
         ({"kind": "validate", "box_r": "0"}, [], "'box_r'"),
@@ -428,7 +510,9 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
          "control_coupling", "eps_list_zero", "replicas_zero", "tilt",
          "psi_file_missing", "psi_file_grid", "two_tilt_sources", "optimal_point_tilt",
          "simulate_psi_amp", "simulate_tilt", "simulate_psi_file", "minimize_action_psi_amp",
-         "skeleton_tilt", "convergence_tilt", "validate_psi_amp", "eps_negative",
+         "skeleton_tilt", "convergence_tilt", "validate_psi_amp", "norm_event_param",
+         "minimize_action_threads_flag", "importance_reference_action",
+         "simulate_threads_flag", "simulate_coupling_flag", "eps_negative",
          "n_samples_zero", "box_r_zero", "simulate_box_r_negative", "eta_amp_nan",
          "psi_amp_nan", "target_amp_nan", "eta_scales_nan", "T_inf", "eps_inf",
          "eps_list_inf", "residual_tol_nan", "reference_action_nan"],
@@ -496,12 +580,9 @@ def test_cli_bad_event_param_exits_before_any_replica(
 
 
 def test_cli_seed_and_threads_override(tmp_path):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(
-        "\n".join(f"{k} = {v}" for k, v in base_raw(eps=0.1).items()) + "\n"
-    )
+    cfg = write_cfg(tmp_path / "c.cfg", base_raw(**MC_RAW, replicas="10"))
     assert cli_main([
-        "simulate", "--config", str(cfg), "--out", str(tmp_path / "a"),
+        "mc-scaling", "--config", cfg, "--out", str(tmp_path / "a"),
         "--seed", "99", "--threads", "2",
     ]) == 0
     manifest = (tmp_path / "a" / "manifest.txt").read_text()

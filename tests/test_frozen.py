@@ -208,11 +208,10 @@ def test_assumption_report(case):
     assert report.warnings == (rho_warning if case == "rho4" else [])
 
 
-# The manifest echo and CSV header of three configs, recorded before the
-# config keys were read from the dataclass fields. Between them they set
-# every optional key: family parameters, k_noise, k_modes = 0 (all modes),
-# eta_amp = 0, dump_noise, reference_action, a mode_coeff event and the
-# integrated coupling.
+# The manifest echo and CSV header of three configs. A manifest records only
+# the keys its kind reads, defaults included. Between them the configs set
+# family parameters, k_noise, k_modes = 0 (all modes), eta_amp = 0,
+# dump_noise, reference_action and a mode_coeff event.
 SIMULATE_CFG = """\
 kind = simulate
 master_seed = 3
@@ -230,7 +229,6 @@ k_modes = 0
 k_noise = 6
 eta_amp = 0
 dump_noise = 1
-control_coupling = integrated
 """
 
 IMPORTANCE_CFG = """\
@@ -250,97 +248,69 @@ psi_amp = 0.5
 event_kind = mode_coeff
 event_param = 1
 event_threshold = 0.3
-reference_action = 0.5
 """
 
 MANIFEST_HEAD = "# spdelab experiment manifest (re-runnable as a config file)\nversion = 0.1.0\n"
 
 SIMULATE_MANIFEST = MANIFEST_HEAD + """\
 T = 0.25
-box_r = 100
-control_coupling = integrated
 dump_noise = 1
 eps = 0.10000000000000001
 eta_amp = 0
 eta_mode = 1
-eta_scales = 1, 2, 4
 f_slope = 0.5
 family = reaction
 g1_slope = 0.10000000000000001
 g2_quad = 0
-k_list = 4, 16, 64
 k_noise = 6
 kind = simulate
 master_seed = 3
-max_iters = 3000
-n_samples = 20000
 nt = 8
 nx = 16
-psi_amp = 0
-psi_mode = 1
-replicas = 1000
-residual_tol = 0.001
 rho = 8
 sigma0 = 1
 sigma1 = 0.10000000000000001
-target_amp = 1
-target_mode = 1
-threads = 1
-tilt = none
 """
 
 IMPORTANCE_MANIFEST = MANIFEST_HEAD + """\
 T = 0.25
-box_r = 100
 control_coupling = direct
 eps = 0.20000000000000001
 eta_amp = 0.40000000000000002
 eta_mode = 1
-eta_scales = 1, 2, 4
 event_kind = mode_coeff
 event_param = 1
 event_threshold = 0.29999999999999999
 family = linear
-k_list = 4, 16, 64
 k_modes = 4
 kind = importance
 master_seed = 11
 max_iters = 3000
-n_samples = 20000
 nt = 16
 nx = 16
 psi_amp = 0.5
 psi_mode = 1
-reference_action = 0.5
 replicas = 40
 residual_tol = 0.001
 rho = 8
 sigma0 = 1
-target_amp = 1
-target_mode = 1
 threads = 1
 tilt = none
 """
 
 GOLDEN_MANIFEST = MANIFEST_HEAD + """\
 T = 0.25
-box_r = 100
 control_coupling = direct
-eps = 0.10000000000000001
 eps_list = 0.40000000000000002, 0.20000000000000001, 0.10000000000000001
 eta_amp = 0
 eta_mode = 1
-eta_scales = 1, 2, 4
 event_kind = l2_norm
-event_param = 1
 event_threshold = 0.14999999999999999
 f_slope = 0
 family = linear
-k_list = 4, 16, 64
 kind = mc-scaling
 master_seed = 424242
 max_iters = 3000
-n_samples = 20000
 nt = 64
 nx = 16
 psi_amp = 0
@@ -350,8 +320,6 @@ replicas = 400
 residual_tol = 0.001
 rho = 8
 sigma0 = 1
-target_amp = 1
-target_mode = 1
 threads = 1
 tilt = optimal
 """
