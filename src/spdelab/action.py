@@ -64,7 +64,6 @@ class ActionOptions:
     residual_tol: float = 1e-3
     max_iters: int = 3000
     k_modes: int | None = None
-    coupling: str = "direct"
 
 
 @dataclass
@@ -84,7 +83,7 @@ class _AdjointProblem:
     def __init__(self, phi_target, eta, cf, grid, opts: ActionOptions):
         self.grid = grid
         self.cf = cf
-        self.ops = _Ops(cf, grid, opts.k_modes, coupling=opts.coupling)
+        self.ops = _Ops(cf, grid, opts.k_modes)
         self.eta = self.ops.project(np.asarray(eta.values, dtype=float))
         self.target = np.asarray(phi_target.values, dtype=float)
         self.x = grid.x
@@ -143,12 +142,11 @@ class _AdjointProblem:
         """Exact transpose of the linearized scheme, marched backwards."""
         grid, cf, ops = self.grid, self.cf, self.ops
         p = mu * self.dx * (v[-1] - self.target)
-        direct = ops.coupling == "direct"
         if ops.diagonal:
             # The adjoint modes at step m are decay^(nt-1-m) p_hat(T), so every
             # step's C p comes from one batched synthesis.
             sCp = cf.sigma_const * from_modes(self.reach * to_modes(p, grid), grid)
-            return self.dtdx * psi + (sCp if direct else self.dx * _rev_cumsum(sCp))
+            return self.dtdx * psi + sCp
         grad = np.empty_like(psi)
         for m in range(grid.nt - 1, -1, -1):
             t = m * self.dt
@@ -160,22 +158,13 @@ class _AdjointProblem:
             else:
                 sig = cf.sigma(t, self.x, u)
                 sig_r = cf.sigma_r(t, self.x, u)
-            if direct:
-                grad[m] = self.dtdx * psi[m] + sig * Cp
-            else:
-                # B psi = C[sigma * dx * cumsum(psi)], so B^T p reverses the sum.
-                grad[m] = self.dtdx * psi[m] + self.dx * _rev_cumsum(sig * Cp)
+            grad[m] = self.dtdx * psi[m] + sig * Cp
             p = Sp if cf.f_is_zero else (1.0 + self.dt * cf.f_r(t, self.x, u)) * Sp
             if not cf.g_is_zero:
                 p = p + cf.g_r(t, self.x, u) * (-cos_synthesis(ops.ed * pm, grid))
             if sig_r is not None:
-                factor = psi[m] if direct else self.dx * np.cumsum(psi[m])
-                p = p + sig_r * factor * Cp
+                p = p + sig_r * psi[m] * Cp
         return grad
-
-
-def _rev_cumsum(z: np.ndarray) -> np.ndarray:
-    return np.cumsum(z[..., ::-1], axis=-1)[..., ::-1]
 
 
 def minimize_action(
@@ -292,7 +281,6 @@ def path_rate_function(
     grid: GridSpec,
     sigma_min: float = 1e-8,
     k_modes: int | None = None,
-    coupling: str = "direct",
 ):
     """Action of a given path by residual inversion of the discrete dynamics.
 
@@ -306,7 +294,7 @@ def path_rate_function(
         raise ValueError(
             f"path shape {values.shape} does not match grid ({grid.nt + 1}, {nxm})"
         )
-    ops = _Ops(cf, grid, k_modes, coupling=coupling)
+    ops = _Ops(cf, grid, k_modes)
     x = grid.x
     psi = np.empty((grid.nt, nxm))
     k_act = ops.k_modes
@@ -323,12 +311,7 @@ def path_rate_function(
         resid = to_modes(values[m + 1], grid) - ops.step(u, t)
         w_modes = np.zeros(nxm)
         w_modes[:k_act] = resid[:k_act] / ed_act
-        w = from_modes(w_modes, grid)
-        if ops.coupling == "direct":
-            psi[m] = w / sig
-        else:
-            z = w / (sig * grid.dx)
-            psi[m] = np.diff(z, prepend=0.0)
+        psi[m] = from_modes(w_modes, grid) / sig
     control = Control(psi, grid)
     return rate_functional(control), control
 

@@ -1,12 +1,11 @@
 """Command-line interface.
 
     spdelab <command> --config FILE [--seed N] [--out DIR] [--threads N]
-                      [--coupling direct|integrated]
 
 Commands: simulate, skeleton, minimize-action, mc-scaling, importance,
 convergence, validate. The config file is line-oriented "key = value" with
 '#' comments; the subcommand overrides the config's kind, and --seed / --out
-/ --threads / --coupling override the corresponding config keys.
+/ --threads override the corresponding config keys.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import argparse
 import sys
 
 from .experiments import VALID_KINDS, run_experiment
-from .mild_solver import _COUPLINGS, BlowUpError
+from .mild_solver import BlowUpError
 from .storage import ConfigError
 
 _HELP = {
@@ -41,12 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None, help="worker threads")
-        p.add_argument(
-            "--coupling",
-            choices=_COUPLINGS,
-            default=None,
-            help="control coupling convention (overrides control_coupling)",
-        )
     return parser
 
 
@@ -59,7 +52,6 @@ def main(argv=None) -> int:
             seed=args.seed,
             threads=args.threads,
             kind=args.command,
-            coupling=args.coupling,
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,13 +5,13 @@ A control is a deterministic field psi(s, y) on the time-space cells, built
 as Control(values, grid) or sampled by control_from_function. Its rate
 functional I(psi) = (1/2) iint psi^2 is taken over all controls; the bounded
 sets {iint psi^2 <= N} of the weak-convergence proof carry no option here. It
-enters the dynamics as the extra mild-form term built from sigma(s,y,v) psi
-(the "direct" coupling); the literal alternative where sigma multiplies the
-cumulative integral int_0^y psi(s,y') dy' is available behind the
-control_coupling switch for comparison. Both flows run the one scheme step of
-mild_solver, whose control contribution is integrated exactly in time per
-mode, so in the linear-additive case the Duhamel integral of a mode-control
-is reproduced without time-stepping bias.
+enters the dynamics as the extra mild-form term built from sigma(s,y,v) psi,
+the term that the Cameron-Martin shift of the driving noise produces, so the
+Girsanov weight below is the Radon-Nikodym derivative of a controlled run
+against a plain one. Both flows run the one scheme step of mild_solver,
+whose control contribution is integrated exactly in time per mode, so in the
+linear-additive case the Duhamel integral of a mode-control is reproduced
+without time-stepping bias.
 
 The tilt weight for one driving realization is
 

@@ -46,7 +46,6 @@ from .lattice import (
     to_modes,
 )
 from .mild_solver import (
-    _COUPLINGS,
     SolverConfig,
     _moment_estimates,
     _raise_first_blowup,
@@ -144,27 +143,29 @@ _EVENT_KEYS = ("event_kind", "event_param", "event_threshold")
 _COMMON = ("kind", "master_seed", "nx", "nt", "T", "family", *_FAMILY_KEYS, "rho", "out_dir")
 _ETA = ("k_modes", "eta_mode", "eta_amp")
 _PSI = ("psi_mode", "psi_amp", "psi_file")
-_EVENT_STUDY = (*_ETA, "replicas", "k_noise", "threads", "tilt", *_EVENT_KEYS, *_PSI,
-                "control_coupling", "residual_tol", "max_iters")
+_SOLVE = ("residual_tol", "max_iters")  # the minimum-action solver's stopping keys
+_EVENT_STUDY = (*_ETA, "replicas", "k_noise", "threads", "tilt", *_EVENT_KEYS, *_PSI, *_SOLVE)
 _READS = {
     "simulate": (*_ETA, "eps", "k_noise", "dump_noise"),
-    "skeleton": (*_ETA, *_PSI, "control_coupling"),
-    "minimize-action": (*_ETA, "control_coupling", "residual_tol", "max_iters",
-                        "target_mode", "target_amp"),
+    "skeleton": (*_ETA, *_PSI),
+    "minimize-action": (*_ETA, *_SOLVE, "target_mode", "target_amp"),
     "mc-scaling": (*_EVENT_STUDY, "eps_list", "reference_action"),
     "importance": (*_EVENT_STUDY, "eps"),
     "convergence": (*_ETA, *_PSI, "eps", "eps_list", "replicas", "k_noise", "threads",
-                    "control_coupling", "k_list", "eta_scales"),
+                    "k_list", "eta_scales"),
     "validate": ("box_r", "n_samples"),
 }
 VALID_KINDS = tuple(_READS)
 
 
-def _reads(kind: str, event_kind: str | None) -> set[str]:
-    """The keys kind reads; a norm event (l2_norm, lp_norm) takes no event_param."""
+def _reads(kind: str, event_kind: str | None, tilt: str) -> set[str]:
+    """The keys kind reads; a norm event (l2_norm, lp_norm) takes no
+    event_param, and an event study solves for a tilt only when tilt = optimal."""
     keys = {*_COMMON, *_READS[kind]}
     if event_kind in ("l2_norm", "lp_norm"):
         keys.discard("event_param")
+    if "tilt" in keys and tilt != "optimal":
+        keys.difference_update(_SOLVE)
     return keys
 
 
@@ -224,7 +225,6 @@ class ExperimentConfig:
     psi_mode: int = 1
     psi_amp: float = 0.0
     psi_file: str | None = None
-    control_coupling: str = "direct"
     reference_action: float | None = None
     k_list: tuple[int, ...] = (4, 16, 64)
     eta_scales: tuple[float, ...] = (1.0, 2.0, 4.0)
@@ -247,7 +247,7 @@ class ExperimentConfig:
         if kind not in VALID_KINDS:
             raise ConfigError(f"unknown kind '{kind}'; valid kinds: {VALID_KINDS}")
         # manifest.txt writes the version line; it is not a setting.
-        unread = sorted(set(raw) - _reads(kind, event_kind) - {"version"})
+        unread = sorted(set(raw) - _reads(kind, event_kind, raw.get("tilt", "none")) - {"version"})
         if unread and unread[0] not in set(_COMMON).union(*_READS.values()):
             raise ConfigError(f"unknown config key '{unread[0]}'")
         if unread:
@@ -303,10 +303,6 @@ class ExperimentConfig:
                 raise ConfigError(f"config key 'k_modes': {exc}") from exc
         if self.event is not None:
             self.event.index(grid)
-        if self.control_coupling not in _COUPLINGS:
-            raise ConfigError(
-                f"unknown control_coupling '{self.control_coupling}' ({' | '.join(_COUPLINGS)})"
-            )
         if self.eps_list:
             el = np.asarray(self.eps_list)
             if np.any(el <= 0):
@@ -324,13 +320,14 @@ class ExperimentConfig:
                     raise ConfigError(f"config key 'k_list': {k} outside 0..{self.nx - 1}")
         if self.psi_file:
             self.psi_control(grid)
+        # Every kind that reads a control takes it from one source.
+        sources = [key for key, on in (("psi_file", self.psi_file), ("psi_amp", self.psi_amp),
+                                       ("tilt", self.tilt == "optimal")) if on]
+        if len(sources) > 1:
+            raise ConfigError(f"config keys {sources} each set a control; {self.kind} takes one")
         if self.kind in ("mc-scaling", "importance"):
             if self.event is None:
                 raise ConfigError("missing required config key 'event_threshold'")
-            tilts = [key for key, on in (("psi_file", self.psi_file), ("psi_amp", self.psi_amp),
-                                         ("tilt", self.tilt == "optimal")) if on]
-            if len(tilts) > 1:
-                raise ConfigError(f"config keys {tilts} each set a tilt; {self.kind} takes one")
             if self.tilt == "optimal" and self.event.kind == "point_value":
                 raise ConfigError("config key 'tilt': optimal has no point_value target")
 
@@ -343,18 +340,13 @@ class ExperimentConfig:
         return make_coefficients(self.family, rho=self.rho, **self.family_params)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            k_modes=self.k_modes,
-            k_noise=self.k_noise,
-            control_coupling=self.control_coupling,
-        )
+        return SolverConfig(k_modes=self.k_modes, k_noise=self.k_noise)
 
     def action_options(self) -> ActionOptions:
         return ActionOptions(
             residual_tol=self.residual_tol,
             max_iters=self.max_iters,
             k_modes=self.k_modes,
-            coupling=self.control_coupling,
         )
 
     def eta_field(self, grid: GridSpec) -> Field:
@@ -392,7 +384,7 @@ class ExperimentConfig:
             values.update(event_kind=self.event.kind, event_param=self.event.param,
                           event_threshold=self.event.threshold)
         out = {}
-        for key in _reads(self.kind, self.event and self.event.kind) - {"out_dir"}:
+        for key in _reads(self.kind, self.event and self.event.kind, self.tilt) - {"out_dir"}:
             value = values.get(key)
             if value is None or value is False or value in ((), ""):
                 continue
@@ -652,7 +644,6 @@ def run_experiment(
     seed: int | None = None,
     threads: int | None = None,
     kind: str | None = None,
-    coupling: str | None = None,
 ) -> Path:
     """Dispatch a config file to its driver and persist artifacts plus manifest.
 
@@ -663,7 +654,6 @@ def run_experiment(
     # Overrides replace config keys before parsing, so they are checked alike.
     overrides = {
         "kind": kind,
-        "control_coupling": coupling,
         "master_seed": seed,
         "threads": threads,
         "out_dir": out_dir,

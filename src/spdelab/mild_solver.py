@@ -11,7 +11,8 @@ and D_dt integrates the divergence term exactly in time per mode: mode k picks
 up -(1 - exp(-lambda_k dt))/lambda_k <phi_k', g(u_m)>. Exact per-mode time
 integration tames the 1/t kernel-derivative singularity that defeats naive
 quadrature. The noise rides inside S_dt so high modes stay damped, matching
-the G_{t-s} factor of the mild form. A control psi adds
+the G_{t-s} factor of the mild form. A control psi enters as sigma psi, the
+term a Cameron-Martin shift of the noise produces, and adds
 (1 - exp(-lambda_k dt))/lambda_k <phi_k, sigma psi_m> per mode.
 
 The step is written once, as _Ops.step, which every solver calls (paths,
@@ -96,11 +97,6 @@ __all__ = [
 ]
 
 
-# Control couplings: sigma(u) psi ("direct") or sigma(u) int_0^y psi dy'
-# ("integrated"); every solve that takes a coupling checks it against these.
-_COUPLINGS = ("direct", "integrated")
-
-
 class BlowUpError(RuntimeError):
     """Raised when a step produces non-finite values."""
 
@@ -136,10 +132,8 @@ class SolverConfig:
     k_modes: int | None = None
     k_noise: int | None = None
     cutoff_radius: float | None = None
-    control_coupling: str = "direct"
 
     def __post_init__(self):
-        _check_coupling(self.control_coupling)
         if self.cutoff_radius is not None and self.cutoff_radius <= 0:
             raise ValueError("cutoff radius must be positive")
 
@@ -222,11 +216,6 @@ def _require_dealiasing(cf: CoefficientSet, grid: GridSpec, k_modes: int) -> Non
         )
 
 
-def _check_coupling(coupling: str) -> None:
-    if coupling not in _COUPLINGS:
-        raise ValueError(f"unknown control coupling '{coupling}'")
-
-
 def _apply_chi(values: np.ndarray, chi: np.ndarray | None) -> np.ndarray:
     return values if chi is None else chi * values
 
@@ -235,8 +224,7 @@ class _Ops:
     """One solve's fixed data and the scheme's step.
 
     Holds the coefficients, the nodes, the mode factors at (grid, k_modes)
-    (checked for dealiasing once), sqrt(eps), the cutoff radius and the
-    control coupling.
+    (checked for dealiasing once), sqrt(eps) and the cutoff radius.
     """
 
     def __init__(
@@ -246,11 +234,9 @@ class _Ops:
         k_modes: int | None = None,
         eps: float = 0.0,
         cutoff_radius: float | None = None,
-        coupling: str = "direct",
     ):
         if eps < 0:
             raise ValueError("noise intensity must be >= 0")
-        _check_coupling(coupling)
         nxm = grid.n_interior
         self.k_modes = nxm if k_modes is None else int(k_modes)
         if not 1 <= self.k_modes <= nxm:
@@ -262,7 +248,6 @@ class _Ops:
         self.dt = grid.dt
         self.sqrt_eps = float(np.sqrt(eps))
         self.cutoff_radius = cutoff_radius
-        self.coupling = coupling
         lam = eigen_values(np.arange(1, nxm + 1))
         self.decay = np.exp(-lam * self.dt)
         self.ed = (1.0 - self.decay) / lam
@@ -302,10 +287,8 @@ class _Ops:
         return cf.sigma_const if cf.sigma_const is not None else cf.sigma(t, self.x, u)
 
     def control_field(self, t: float, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """sigma(u) psi (direct), or sigma(u) int_0^y psi dy' (integrated)."""
-        if self.coupling == "direct":
-            return self.sigma(t, u) * psi
-        return self.sigma(t, u) * (self.grid.dx * np.cumsum(psi, axis=-1))
+        """sigma(u) psi, the term a Cameron-Martin shift of the noise produces."""
+        return self.sigma(t, u) * psi
 
     def step(
         self,
@@ -480,9 +463,7 @@ def _solve_path(
 ) -> PathSolution:
     """One whole path of the (controlled) scheme; raises BlowUpError on blow-up."""
     config = config or SolverConfig()
-    ops = _Ops(
-        cf, grid, config.k_modes, eps, config.cutoff_radius, config.control_coupling
-    )
+    ops = _Ops(cf, grid, config.k_modes, eps, config.cutoff_radius)
     dw = None
     if noise is not None and eps > 0 and noise.k_active > 0:
         modes = noise.driving_modes

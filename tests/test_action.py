@@ -20,12 +20,12 @@ ADDITIVE = make_coefficients("linear", f_slope=0.0, sigma0=1.0)
 BURGERS = make_coefficients("burgers", sigma0=1.0, sigma1=0.2)
 
 
-def burgers_problem(coupling="direct"):
+def burgers_problem():
     """A nodal (stepping) Burgers problem with 8 active modes."""
     g = make_grid(32, 6, 0.25)
     return _AdjointProblem(eigenfunction(g, 1, amplitude=0.5),
                            eigenfunction(g, 1, amplitude=0.3), BURGERS, g,
-                           ActionOptions(k_modes=8, coupling=coupling))
+                           ActionOptions(k_modes=8))
 
 
 def assert_rows_are_single_sweeps(prob, psi, mu=10.0):
@@ -190,20 +190,6 @@ def test_gradient_check_burgers():
     assert err <= 1e-4
 
 
-def test_gradient_check_integrated_coupling():
-    g = make_grid(32, 64, 0.25)
-    cf = make_coefficients("reaction", f_slope=0.2, g1_slope=0.1, g2_quad=0.05,
-                           sigma0=1.0, sigma1=0.3)
-    rng = np.random.default_rng(7)
-    psi = Control(0.2 * rng.standard_normal((g.nt, g.n_interior)), g)
-    d = Control(rng.standard_normal((g.nt, g.n_interior)), g)
-    err = gradient_check(
-        eigenfunction(g, 1), make_field(g, np.zeros(g.n_interior)), cf, psi, d,
-        h=1e-5, opts=ActionOptions(k_modes=8, coupling="integrated"),
-    )
-    assert err <= 1e-5
-
-
 def test_burgers_sweeps_make_three_transform_calls_per_step(monkeypatch):
     # Forward step: one to_modes of the stacked state and control field, one
     # cos_analysis, one from_modes. Adjoint step: one to_modes, one from_modes
@@ -235,9 +221,8 @@ def test_burgers_sweeps_make_three_transform_calls_per_step(monkeypatch):
     assert calls == {"to_modes": g.nt, "cos_analysis": g.nt, "from_modes": g.nt}
 
 
-@pytest.mark.parametrize("coupling", ["direct", "integrated"])
-def test_stacked_sweep_rows_equal_single_sweeps(coupling):
-    prob = burgers_problem(coupling)
+def test_stacked_sweep_rows_equal_single_sweeps():
+    prob = burgers_problem()
     g = prob.grid
     psi = 0.3 * np.random.default_rng(9).standard_normal((5, g.nt, g.n_interior))
     J, v, res_sq, act = assert_rows_are_single_sweeps(prob, psi)
@@ -268,7 +253,7 @@ def test_gradient_check_is_one_stacked_sweep(monkeypatch):
     psi = 0.2 * rng.standard_normal((g.nt, g.n_interior))
     d = rng.standard_normal((g.nt, g.n_interior))
     target, eta = eigenfunction(g, 1), make_field(g, np.zeros(g.n_interior))
-    opts, h, mu = ActionOptions(k_modes=8, coupling="integrated"), 1e-5, 10.0
+    opts, h, mu = ActionOptions(k_modes=8), 1e-5, 10.0
     # The same check computed from three single sweeps.
     prob = _AdjointProblem(target, eta, cf, g, opts)
     pairing = float(np.sum(prob.gradient(psi, prob.forward(psi), mu) * d))
@@ -333,15 +318,14 @@ def test_path_rate_round_trip():
     assert abs(I_rec - I_true) / I_true <= 0.05
 
 
-def test_path_rate_round_trip_integrated_coupling():
+def test_path_rate_round_trip_every_mode_kept():
     # With every mode kept the residual inversion is exact, up to rounding.
     g = make_grid(32, 64, 0.25)
     cf = make_coefficients("linear", f_slope=0.5, sigma0=1.0)
     ramp = (g.t[1:] / g.T)[:, None]
     psi = Control(ramp * eigenfunction(g, 1).values, g)
-    sk = solve_skeleton(make_field(g, np.zeros(g.n_interior)), cf, psi, g,
-                        SolverConfig(control_coupling="integrated"))
-    I_rec, rec = path_rate_function(sk, cf, g, coupling="integrated")
+    sk = solve_skeleton(make_field(g, np.zeros(g.n_interior)), cf, psi, g)
+    I_rec, rec = path_rate_function(sk, cf, g)
     assert np.max(np.abs(rec.values - psi.values)) <= 1e-10
     np.testing.assert_allclose(I_rec, rate_functional(psi), rtol=1e-12, atol=0.0)
 
@@ -373,19 +357,6 @@ def test_path_rate_shape_mismatch():
     g = make_grid(16, 8, 0.25)
     with pytest.raises(ValueError, match="does not match"):
         path_rate_function(np.zeros((5, 15)), ADDITIVE, g)
-
-
-def test_unknown_coupling_is_rejected_by_every_solve():
-    g = make_grid(16, 8, 0.25)
-    target, eta = eigenfunction(g, 1, 0.3), make_field(g, np.zeros(15))
-    bogus = ActionOptions(coupling="bogus")
-    with pytest.raises(ValueError, match="coupling 'bogus'"):
-        minimize_action(target, eta, ADDITIVE, g, bogus)
-    with pytest.raises(ValueError, match="coupling 'bogus'"):
-        gradient_check(target, eta, ADDITIVE, np.zeros((8, 15)), np.ones((8, 15)),
-                       h=1e-5, opts=bogus)
-    with pytest.raises(ValueError, match="coupling 'bogus'"):
-        path_rate_function(np.zeros((g.nt + 1, 15)), ADDITIVE, g, coupling="bogus")
 
 
 def test_minimum_never_exceeds_feasible_comparison():

@@ -127,19 +127,6 @@ def test_controlled_to_skeleton_distance_decreases():
     assert all(dists[i + 1] < dists[i] for i in range(3))
 
 
-def test_coupling_switch():
-    g = make_grid(32, 32, 0.25)
-    eta = make_field(g, np.zeros(g.n_interior))
-    psi = phi1_control(g, 1.0)
-    direct = solve_skeleton(eta, ADDITIVE, psi, g, SolverConfig(control_coupling="direct"))
-    integrated = solve_skeleton(
-        eta, ADDITIVE, psi, g, SolverConfig(control_coupling="integrated")
-    )
-    assert not np.allclose(direct.fields[-1], integrated.fields[-1])
-    with pytest.raises(ValueError, match="coupling"):
-        SolverConfig(control_coupling="sideways")
-
-
 def test_girsanov_zero_control():
     g = make_grid(16, 16, 0.25)
     nz = sample_sheet_expansion(g, g.n_interior, 0)

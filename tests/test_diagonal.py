@@ -64,7 +64,7 @@ def tilt(grid, amp=1.5):
 def test_diagonal_holds_only_for_the_linear_additive_case():
     g = make_grid(16, 8, 0.25)
     assert _Ops(ADDITIVE, g).diagonal
-    assert _Ops(ADDITIVE, g, k_modes=5, eps=0.3, coupling="integrated").diagonal
+    assert _Ops(ADDITIVE, g, k_modes=5, eps=0.3).diagonal
     assert not _Ops(make_coefficients("burgers", sigma0=1.0, sigma1=0.0), g, k_modes=4).diagonal
     assert not _Ops(make_coefficients("linear", f_slope=0.5, sigma0=1.0), g).diagonal
     reaction = make_coefficients("reaction", f_slope=0.0, g1_slope=0.0, g2_quad=0.0,
@@ -175,13 +175,12 @@ def test_mode_increments_record_each_rows_first_non_finite_step():
     assert np.all(np.isnan(out[:2])) and np.all(np.isfinite(out[2:]))
 
 
-@pytest.mark.parametrize("coupling", ["direct", "integrated"])
-def test_diagonal_gradient_check(coupling):
+def test_diagonal_gradient_check():
     g = make_grid(32, 64, 0.5)
     rng = np.random.default_rng(7)
     psi = Control(0.3 * rng.standard_normal((g.nt, g.n_interior)), g)
     d = Control(rng.standard_normal((g.nt, g.n_interior)), g)
-    opts = ActionOptions(coupling=coupling)
+    opts = ActionOptions()
     assert _AdjointProblem(eigenfunction(g, 1), eigenfunction(g, 2), ADDITIVE, g, opts).ops.diagonal
     # The objective is quadratic in psi, so the central difference is exact
     # but for rounding, which a larger step keeps small.
@@ -190,32 +189,30 @@ def test_diagonal_gradient_check(coupling):
     assert err <= 1e-8
 
 
-@pytest.mark.parametrize("coupling", ["direct", "integrated"])
 @pytest.mark.parametrize("k_modes", [None, 6])
-def test_diagonal_forward_and_gradient_match_the_stepping_sweeps(coupling, k_modes):
+def test_diagonal_forward_and_gradient_match_the_stepping_sweeps(k_modes):
     g = make_grid(32, 48, 0.3)
     eta = eigenfunction(g, 1, amplitude=0.4)
     target = eigenfunction(g, 1, amplitude=1.2)
     psi = tilt(g, amp=0.8)
-    opts = ActionOptions(k_modes=k_modes, coupling=coupling)
+    opts = ActionOptions(k_modes=k_modes)
     prob = _AdjointProblem(target, eta, ADDITIVE, g, opts)
     v = prob.forward(psi)
     assert v.shape == (1, g.n_interior)
-    skeleton = solve_skeleton(eta, ADDITIVE, psi, g, SolverConfig(k_modes, None, None, coupling))
+    skeleton = solve_skeleton(eta, ADDITIVE, psi, g, SolverConfig(k_modes))
     close(v[-1], skeleton.terminal.values)
     # The oracle problem steps the same flow through _Ops.step.
     oracle = _AdjointProblem(target, eta, ADDITIVE, g, opts)
-    oracle.ops = _Ops(ADDITIVE, g, k_modes, cutoff_radius=ORACLE_RADIUS, coupling=coupling)
+    oracle.ops = _Ops(ADDITIVE, g, k_modes, cutoff_radius=ORACLE_RADIUS)
     v_o = oracle.forward(psi)
     close(v[-1], v_o[-1])
     close(prob.gradient(psi, v, 10.0), oracle.gradient(psi, v_o, 10.0))
 
 
-@pytest.mark.parametrize("coupling", ["direct", "integrated"])
-def test_diagonal_stacked_sweep_rows_equal_single_sweeps(coupling):
+def test_diagonal_stacked_sweep_rows_equal_single_sweeps():
     g = make_grid(32, 48, 0.3)
     prob = _AdjointProblem(eigenfunction(g, 1, amplitude=1.2), eigenfunction(g, 1, amplitude=0.4),
-                           ADDITIVE, g, ActionOptions(k_modes=6, coupling=coupling))
+                           ADDITIVE, g, ActionOptions(k_modes=6))
     assert prob.ops.diagonal
     rng = np.random.default_rng(11)
     psi = tilt(g) + 0.3 * rng.standard_normal((4, g.nt, g.n_interior))

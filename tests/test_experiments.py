@@ -285,8 +285,7 @@ def test_golden_config_byte_identical_reruns(tmp_path):
 # One small config per kind, setting most keys the kind reads.
 KIND_CONFIGS = {
     "simulate": dict(eps="0.1", k_noise="6", eta_amp="0.5", dump_noise="1"),
-    "skeleton": dict(kind="skeleton", psi_mode="2", psi_amp="0.5",
-                     control_coupling="integrated"),
+    "skeleton": dict(kind="skeleton", psi_mode="2", psi_amp="0.5"),
     "minimize-action": dict(kind="minimize-action", nt="16", k_modes="8", eta_amp="0.2",
                             target_mode="1", target_amp="0.5", max_iters="30",
                             residual_tol="0.01"),
@@ -454,7 +453,9 @@ def test_cli_names_the_kind_that_does_not_read_a_key(tmp_path, capsys):
         ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": ""}, [], "'k_list'"),
         ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": "4", "eta_scales": ""}, [],
          "'eta_scales'"),
-        ({"kind": "skeleton", "control_coupling": "sideways"}, [], "control_coupling"),
+        # A removed key fails by name; an old manifest that sets it does not run.
+        ({"kind": "skeleton", "control_coupling": "direct"}, [],
+         "unknown config key 'control_coupling'"),
         ({"kind": "mc-scaling", "eps_list": "0.2, 0", "event_threshold": "0.1"}, [],
          "eps_list"),
         ({**MC_RAW, "replicas": "0"}, [], "'replicas'"),
@@ -464,6 +465,11 @@ def test_cli_names_the_kind_that_does_not_read_a_key(tmp_path, capsys):
         ({"kind": "skeleton", "psi_file": "psi_16x8.spdefld"}, [], "'psi_file'"),
         ({"kind": "importance", "psi_amp": "0.5", "tilt": "optimal", "event_threshold": "0.1"},
          [], "['psi_amp', 'tilt']"),
+        # Every kind that reads a control takes one source.
+        ({"kind": "skeleton", "psi_file": "psi_16x32.spdefld", "psi_amp": "3"}, [],
+         "['psi_file', 'psi_amp']"),
+        ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": "4",
+          "psi_file": "psi_16x32.spdefld", "psi_amp": "3"}, [], "['psi_file', 'psi_amp']"),
         ({"kind": "mc-scaling", "eps_list": "0.2", "tilt": "optimal",
           "event_kind": "point_value", "event_param": "0.5", "event_threshold": "0.1"}, [],
          "'tilt'"),
@@ -480,8 +486,10 @@ def test_cli_names_the_kind_that_does_not_read_a_key(tmp_path, capsys):
         ({"kind": "minimize-action"}, ["--threads", "2"], "'threads'"),
         ({"kind": "importance", "eps": "0.1", "event_threshold": "0.1",
           "reference_action": "0.5"}, [], "'reference_action'"),
+        # Without tilt = optimal there is no tilt solve to read max_iters.
+        ({"kind": "importance", "eps": "0.1", "event_threshold": "0.1", "tilt": "none",
+          "max_iters": "5"}, [], "'max_iters': importance does not read it"),
         ({}, ["--threads", "2"], "'threads'"),
-        ({}, ["--coupling", "integrated"], "'control_coupling'"),
         # Out-of-range values; box_r on simulate fails as unread.
         ({"eps": "-0.1"}, [], "'eps'"),
         ({"kind": "validate", "n_samples": "0"}, [], "'n_samples'"),
@@ -508,11 +516,12 @@ def test_cli_names_the_kind_that_does_not_read_a_key(tmp_path, capsys):
          "bool", "eta_mode", "eta_mode_zero", "psi_mode", "target_mode", "k_list",
          "k_list_negative", "k_list_default", "k_list_empty", "eta_scales_empty",
          "control_coupling", "eps_list_zero", "replicas_zero", "tilt",
-         "psi_file_missing", "psi_file_grid", "two_tilt_sources", "optimal_point_tilt",
+         "psi_file_missing", "psi_file_grid", "two_tilt_sources", "skeleton_two_controls",
+         "convergence_two_controls", "optimal_point_tilt",
          "simulate_psi_amp", "simulate_tilt", "simulate_psi_file", "minimize_action_psi_amp",
          "skeleton_tilt", "convergence_tilt", "validate_psi_amp", "norm_event_param",
          "minimize_action_threads_flag", "importance_reference_action",
-         "simulate_threads_flag", "simulate_coupling_flag", "eps_negative",
+         "importance_untilted_max_iters", "simulate_threads_flag", "eps_negative",
          "n_samples_zero", "box_r_zero", "simulate_box_r_negative", "eta_amp_nan",
          "psi_amp_nan", "target_amp_nan", "eta_scales_nan", "T_inf", "eps_inf",
          "eps_list_inf", "residual_tol_nan", "reference_action_nan"],
@@ -591,21 +600,13 @@ def test_cli_seed_and_threads_override(tmp_path):
 
 
 def test_cli_coupling_flag(tmp_path):
-    cfg = tmp_path / "c.cfg"
-    raw = base_raw(kind="skeleton", psi_mode=1, psi_amp=0.5)
-    cfg.write_text("\n".join(f"{k} = {v}" for k, v in raw.items()) + "\n")
-    assert cli_main([
-        "skeleton", "--config", str(cfg), "--out", str(tmp_path / "a"),
-        "--coupling", "integrated",
-    ]) == 0
-    assert cli_main([
-        "skeleton", "--config", str(cfg), "--out", str(tmp_path / "b"),
-        "--coupling", "direct",
-    ]) == 0
-    a, _, _ = read_snapshot(tmp_path / "a" / "path.spdefld")
-    b, _, _ = read_snapshot(tmp_path / "b" / "path.spdefld")
-    assert not np.allclose(a[-1], b[-1])
-    assert "control_coupling = integrated" in (tmp_path / "a" / "manifest.txt").read_text()
+    # There is one control coupling, so no flag selects it.
+    cfg = write_cfg(tmp_path / "c.cfg", base_raw(kind="skeleton", psi_amp="0.5"))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["skeleton", "--config", cfg, "--out", str(tmp_path / "o"),
+                  "--coupling", "direct"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_subprocess_entry(tmp_path):

@@ -1,5 +1,6 @@
 """Export consistency: each module's __all__ and the README quickstart's
-imports name objects that exist."""
+imports name objects that exist, and the README's config key table is the
+one the config parser reads."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import spdelab
+from spdelab.experiments import _READS
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -38,3 +40,10 @@ def test_exported_names_exist(module, names):
     assert names, f"{module}: nothing to check"
     missing = [name for name in names if not hasattr(mod, name)]
     assert not missing, f"{module} does not export {missing}"
+
+
+def test_readme_config_key_table_is_the_parsers():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Config keys", 1)[1]
+    rows = re.findall(r"^\| ([a-z-]+) \| `([^`]*)` \|$", section, re.M)
+    assert {kind: tuple(keys.split()) for kind, keys in rows} == _READS

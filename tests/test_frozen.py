@@ -274,7 +274,6 @@ sigma1 = 0.10000000000000001
 
 IMPORTANCE_MANIFEST = MANIFEST_HEAD + """\
 T = 0.25
-control_coupling = direct
 eps = 0.20000000000000001
 eta_amp = 0.40000000000000002
 eta_mode = 1
@@ -285,13 +284,11 @@ family = linear
 k_modes = 4
 kind = importance
 master_seed = 11
-max_iters = 3000
 nt = 16
 nx = 16
 psi_amp = 0.5
 psi_mode = 1
 replicas = 40
-residual_tol = 0.001
 rho = 8
 sigma0 = 1
 threads = 1
@@ -300,7 +297,6 @@ tilt = none
 
 GOLDEN_MANIFEST = MANIFEST_HEAD + """\
 T = 0.25
-control_coupling = direct
 eps_list = 0.40000000000000002, 0.20000000000000001, 0.10000000000000001
 eta_amp = 0
 eta_mode = 1
