@@ -29,8 +29,8 @@ whose cost grows with its rows, so there the search tries one row at a time.
 path_rate_function inverts the discrete dynamics along a given path: the
 one-step residual left over after the heat update, drift, and divergence
 contributions is attributed to the control term and divided by sigma
-pointwise, recovering psi and its action. On a grid-matched path with full
-mode resolution the inversion is exact.
+pointwise, recovering psi and its action, all steps in one _Ops.step call.
+On a grid-matched path with full mode resolution the inversion is exact.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class _AdjointProblem:
         """
         grid, ops = self.grid, self.ops
         if ops.diagonal:
-            c_hat = to_modes(ops.control_field(0.0, self.eta, psi), grid)
+            c_hat = to_modes(ops.sigma(0.0, self.eta) * psi, grid)
             v = from_modes(self.free + np.sum(self.reach * c_hat, axis=-2), grid)
             return v[..., None, :]
         v = np.empty(psi.shape[:-2] + (grid.nt + 1, grid.n_interior))
@@ -295,24 +295,18 @@ def path_rate_function(
             f"path shape {values.shape} does not match grid ({grid.nt + 1}, {nxm})"
         )
     ops = _Ops(cf, grid, k_modes)
-    x = grid.x
-    psi = np.empty((grid.nt, nxm))
-    k_act = ops.k_modes
-    ed_act = ops.ed[:k_act]
-    for m in range(grid.nt):
-        t = m * grid.dt
-        u = values[m]
-        sig = np.broadcast_to(np.asarray(cf.sigma(t, x, u), dtype=float), (nxm,))
-        if np.any(np.abs(sig) < sigma_min):
-            raise ValueError(
-                f"sigma degenerate at step {m}: |sigma| < {sigma_min} on the path"
-            )
-        # The scheme's step without noise or control predicts u(t_{m+1}).
-        resid = to_modes(values[m + 1], grid) - ops.step(u, t)
-        w_modes = np.zeros(nxm)
-        w_modes[:k_act] = resid[:k_act] / ed_act
-        psi[m] = from_modes(w_modes, grid) / sig
-    control = Control(psi, grid)
+    # Every step at once: row m holds step m, at time t_m.
+    t, u = grid.t[:-1, None], values[:-1]
+    sig = np.broadcast_to(np.asarray(cf.sigma(t, grid.x, u), dtype=float), u.shape)
+    degenerate = (np.abs(sig) < sigma_min).any(axis=-1)
+    if degenerate.any():
+        m = int(np.argmax(degenerate))
+        raise ValueError(f"sigma degenerate at step {m}: |sigma| < {sigma_min} on the path")
+    # The scheme's step without noise or control predicts u(t_{m+1}).
+    resid = to_modes(values[1:], grid) - ops.step(u, t)
+    w_modes = np.zeros_like(resid)
+    w_modes[:, : ops.k_modes] = resid[:, : ops.k_modes] / ops.ed[: ops.k_modes]
+    control = Control(from_modes(w_modes, grid) / sig, grid)
     return rate_functional(control), control
 
 

@@ -159,9 +159,12 @@ VALID_KINDS = tuple(_READS)
 
 
 def _reads(kind: str, event_kind: str | None, tilt: str) -> set[str]:
-    """The keys kind reads; a norm event (l2_norm, lp_norm) takes no
-    event_param, and an event study solves for a tilt only when tilt = optimal."""
+    """The keys kind reads; validate builds no grid, a norm event (l2_norm,
+    lp_norm) takes no event_param, and an event study solves for a tilt only
+    when tilt = optimal."""
     keys = {*_COMMON, *_READS[kind]}
+    if kind == "validate":
+        keys.difference_update(("nx", "nt", "T"))
     if event_kind in ("l2_norm", "lp_norm"):
         keys.discard("event_param")
     if "tilt" in keys and tilt != "optimal":

@@ -20,7 +20,11 @@ Picard sweeps, skeleton and controlled flows, the adjoint forward sweep and
 the path-rate prediction); _Ops also holds what is fixed for a whole solve.
 The noise reaches the whole-path integrator _integrate only as sine-mode
 increments dw_hat (the drawn Brownian increments, plus a tilt's
-Cameron-Martin shift), and _integrate alone decides how to step them. In the
+Cameron-Martin shift), and _integrate alone decides how to step them. It
+returns the terminal state and each row's first blow-up step; a caller
+builds the path or a running functional with an observer that sees the
+nodal state before the first step and after every step (a frozen row shows
+its last finite state). In the
 linear additive case (f = 0, g = 0, constant sigma, no cutoff;
 _Ops.diagonal, derived from the coefficients alone) without a control the
 step is diagonal in the sine modes, u_hat <- decay * (u_hat + sqrt(eps)
@@ -37,11 +41,10 @@ convergence is measurable pathwise.
 All stepping broadcasts over leading axes, so replica batches integrate in
 lockstep; a single path is the batch of one. Replica Monte Carlo runs through
 one engine, _replica_engine, which draws each chunk's mode increments once
-and runs the chunks in order or on worker threads. _noise_block, the one
-place Monte Carlo noise is drawn, derives the chunk's Philox keys in one
-pass (noise.philox_keys, the one seed derivation, which also keys a single
-path's noise.sample_sheet_expansion) and re-keys the chunk's own generator
-for each replica, filling that replica's row in place. A chunk's noise
+and runs the chunks in order or on worker threads. noise._noise_block, the
+one Philox fill, draws each chunk's block (and a single path's
+noise.sample_sheet_expansion), re-keying one generator to each replica's
+key and filling that replica's row in place. A chunk's noise
 block holds at most _CHUNK_DOUBLES doubles and, with threads > 1, at most
 ceil(replicas / threads) rows, so every worker has a chunk even when all
 replicas fit in memory at once; min(threads, chunk count) workers run.
@@ -80,7 +83,7 @@ from .lattice import (
 from .noise import (
     NoiseRealization,
     SeedDerivation,
-    philox_keys,
+    _noise_block,
     sample_sheet_expansion,
 )
 
@@ -286,10 +289,6 @@ class _Ops:
         cf = self.cf
         return cf.sigma_const if cf.sigma_const is not None else cf.sigma(t, self.x, u)
 
-    def control_field(self, t: float, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """sigma(u) psi, the term a Cameron-Martin shift of the noise produces."""
-        return self.sigma(t, u) * psi
-
     def step(
         self,
         u: np.ndarray,
@@ -316,9 +315,9 @@ class _Ops:
         if psi is None:
             v_hat = to_modes(v, grid)
         else:
-            # One transform call for the state and the control field.
+            # One transform call for the state and the control field sigma(w) psi.
             both = np.empty((2,) + v.shape)
-            both[0], both[1] = v, self.control_field(t, w, psi)
+            both[0], both[1] = v, self.sigma(t, w) * psi
             v_hat, c_hat = to_modes(both, grid)
         modes = v_hat * self.decay
         if not cf.g_is_zero:
@@ -343,31 +342,30 @@ def _synthesizes_finite(modes: np.ndarray, grid: GridSpec) -> np.ndarray:
     return ok
 
 
-def _integrate(u0: np.ndarray, ops: _Ops, dw=None, shift=None, psi=None, record="path"):
+def _integrate(u0: np.ndarray, ops: _Ops, dw=None, shift=None, psi=None, observe=None):
     """Advance u0 (..., nx-1) over all nt steps, masking blow-ups per row.
 
     dw: a callable m -> the sine-mode increments of step m (the drawn
     increments, inactive noise modes zeroed), broadcasting against the state;
     shift: (..., nt, nx-1) mode-space tilt added to every step's increments;
-    psi: (nt, nx-1) control. record = "path" returns the (nt+1, ...)
-    time-major history, "terminal" the final state, "sup_rho" the running max
-    of |u|_rho^rho; a callable record is called with the state before the
-    first step and after every step, and None is returned for it.
+    psi: (nt, nx-1) control. observe, when given, is called with the nodal
+    state before the first step and after every step; a frozen row keeps
+    showing its last finite state.
 
     When ops.diagonal holds and there is no control, the state is carried in
     sine modes, u_hat <- decay * (u_hat + sqrt(eps) sigma (dw(m) + shift)),
-    and synthesized only where the record needs nodal values or where the
-    mode magnitudes leave open whether the nodal values are finite.
-    Otherwise each step's noise density is synthesized from dw(m), the shift
-    once per call, and the step is _Ops.step.
+    and synthesized only for observe, at the end, or where the mode
+    magnitudes leave open whether the nodal values are finite. Otherwise each
+    step's noise density is synthesized from dw(m), the shift once per call,
+    and the step is _Ops.step.
 
-    Returns (out, blown): blown, shaped u0.shape[:-1], holds each row's first
+    Returns (terminal, blown): terminal is the final nodal state, NaN in the
+    rows that blew up; blown, shaped u0.shape[:-1], holds each row's first
     non-finite step (0 if the row stayed finite). A blown row is frozen at its
-    last finite state and reads NaN in a terminal or sup_rho record; stepping
-    stops once every row has blown, so a blown path is incomplete.
+    last finite state; stepping stops once every row has blown, so observe
+    then sees no further steps.
     """
     grid = ops.grid
-    dx, rho = grid.dx, ops.cf.rho
     modal = ops.diagonal and psi is None
     if shift is not None and not modal:
         shift = from_modes(shift, grid)
@@ -377,23 +375,14 @@ def _integrate(u0: np.ndarray, ops: _Ops, dw=None, shift=None, psi=None, record=
         w = dw(m) if modal else from_modes(dw(m), grid)
         return w if shift is None else w + shift[..., m, :]
 
-    u = ops.project(np.asarray(u0, dtype=float))
-    blown = np.zeros(u.shape[:-1], dtype=int)
-    alive = np.ones(u.shape[:-1], dtype=bool)
-
-    out = None
-    if record == "path":
-        out = np.empty((grid.nt + 1,) + u.shape)
-        out[0] = u
-    elif record == "sup_rho":
-        out = lp_norm_values(u, dx, rho) ** rho
-    elif callable(record):
-        record(u)
-    elif record != "terminal":
-        raise ValueError(f"unknown record mode '{record}'")
-
     # The carried state: sine modes on the modal path, else nodal values.
-    state = to_modes(u, grid) if modal else u
+    state = ops.project(np.asarray(u0, dtype=float))
+    blown = np.zeros(state.shape[:-1], dtype=int)
+    alive = np.ones(state.shape[:-1], dtype=bool)
+    if observe is not None:
+        observe(state)
+    if modal:
+        state = to_modes(state, grid)
     scale = ops.sqrt_eps * ops.cf.sigma_const if modal else None
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(grid.nt):
@@ -419,22 +408,11 @@ def _integrate(u0: np.ndarray, ops: _Ops, dw=None, shift=None, psi=None, record=
             if not alive.all():
                 new = np.where(alive[..., None], new, state)
             state = new
-            if record == "terminal":
-                continue
-            u = from_modes(state, grid) if modal else state
-            if record == "path":
-                out[m + 1] = u
-            elif record == "sup_rho":
-                out = np.maximum(out, lp_norm_values(u, dx, rho) ** rho)
-            else:
-                record(u)
+            if observe is not None:
+                observe(from_modes(state, grid) if modal else state)
 
-    if record == "terminal":
-        u = from_modes(state, grid) if modal else state
-        out = u if alive.all() else np.where(alive[..., None], u, np.nan)
-    elif record == "sup_rho" and not alive.all():
-        out = np.where(alive, out, np.nan)
-    return out, blown
+    u = from_modes(state, grid) if modal else state
+    return (u if alive.all() else np.where(alive[..., None], u, np.nan)), blown
 
 
 def _path_solution(path, grid, eps, cf, seed_info, config) -> PathSolution:
@@ -468,13 +446,14 @@ def _solve_path(
     if noise is not None and eps > 0 and noise.k_active > 0:
         modes = noise.driving_modes
         dw = lambda m: modes[m]
-    path, blown = _integrate(eta.values, ops, dw, psi=psi)
+    frames = []
+    _, blown = _integrate(eta.values, ops, dw, psi=psi, observe=frames.append)
     if blown and dw is None:
         raise BlowUpError(step=int(blown))
     if blown:  # a noise-driven path names its seed triple, as a blown replica does
         raise BlowUpError(int(blown), replica=noise.seed_info.replica, seed=noise.seed_info)
     seed_info = noise.seed_info if noise is not None else None
-    return _path_solution(path, grid, eps, cf, seed_info, config)
+    return _path_solution(np.stack(frames), grid, eps, cf, seed_info, config)
 
 
 # ---------------------------------------------------------------------------
@@ -572,28 +551,6 @@ def picard_solve(
 # ---------------------------------------------------------------------------
 # The replica engine
 # ---------------------------------------------------------------------------
-
-
-def _noise_block(grid: GridSpec, master: int, replicas: range, stream: int) -> np.ndarray:
-    """(len(replicas), nt, nx-1) mode increments of the derived streams.
-
-    Row i is the mode_increments of sample_sheet_expansion(grid, k, master,
-    replicas[i], stream), for any k, bit for bit: the chunk's one Philox is
-    re-keyed to each replica's key at counter zero and fills that row in
-    place, and the block is scaled by sqrt(dt) once.
-    """
-    block = np.empty((len(replicas), grid.nt, grid.n_interior))
-    bits = np.random.Philox(key=0)
-    rng = np.random.Generator(bits)
-    # A fresh Philox's state: counter zero, empty buffer (buffer_pos 4), no
-    # cached 32-bit half (has_uint32 0); only the key changes per replica.
-    state = bits.state
-    for row, key in zip(block, philox_keys(master, replicas, stream)):
-        state["state"]["key"] = key
-        bits.state = state
-        rng.standard_normal(out=row)
-    block *= np.sqrt(grid.dt)
-    return block
 
 
 # A chunk's noise block holds at most this many doubles.
@@ -722,6 +679,7 @@ def _sample_replicas(
         shifts[i, 0] = (grid.dt / np.sqrt(eps)) * pm
     values = np.empty((runs, replicas) + ((nxm,) if record == "terminal" else ()))
     log_weights = np.zeros((runs, replicas))
+    dx, rho = grid.dx, cf.rho
 
     def work(rows: range, modes: np.ndarray) -> np.ndarray:
         if k_noise < nxm:
@@ -731,9 +689,12 @@ def _sample_replicas(
             if tilt is not None:
                 log_weights[i, mine] = girsanov_log_weight(tilt, modes, eps)
         u0 = np.broadcast_to(u_init[:, None, :], (runs, len(rows), nxm))
-        values[:, mine], blown = _integrate(
-            u0, ops, lambda m: modes[:, m, :], shifts, record=record
-        )
+        sup = observe = None
+        if record == "sup_rho":
+            sup = np.zeros((runs, len(rows)))
+            observe = lambda u: np.maximum(sup, lp_norm_values(u, dx, rho) ** rho, out=sup)
+        terminal, blown = _integrate(u0, ops, lambda m: modes[:, m, :], shifts, observe=observe)
+        values[:, mine] = terminal if sup is None else np.where(blown > 0, np.nan, sup)
         return blown
 
     blown = _replica_engine(grid, master, replicas, stream, work, threads)
@@ -802,7 +763,7 @@ def galerkin_coupled_errors(
             np.maximum(sup, lp_norm_values(u[0] - u[1:], grid.dx, cf.rho), out=sup)
 
         u0 = np.broadcast_to(eta.values, (len(keep), len(rows), nxm))
-        _, blown = _integrate(u0, ops, lambda m: masks * modes[:, m, :], record=observe)
+        _, blown = _integrate(u0, ops, lambda m: masks * modes[:, m, :], observe=observe)
         errors[rows.start : rows.stop] = sup.T
         return blown
 

@@ -19,9 +19,10 @@ SeedSequence would hash entropy master plus spawn key (replica, stream)
 (hash the master's words into a 4-word pool, mix the pool, mix in the
 spawn-key words, then generate_state(2, uint64)) into the key of a
 counter-based Philox generator at counter zero. A counter-based stream needs
-only its key, so philox_keys runs vectorized over a range of replicas: the
-replica engine re-keys one Philox per chunk, and sample_sheet_expansion keys
-one for a single realization. Distinct triples give independent streams
+only its key, so philox_keys runs vectorized over a range of replicas, and
+_noise_block, the one Philox fill, re-keys one Philox per replica: the
+replica engine draws each chunk with it, and sample_sheet_expansion takes
+row 0 of a one-replica block. Distinct triples give independent streams
 regardless of scheduling; tests/test_noise.py pins the keys to numpy's own
 SeedSequence(...).generate_state(2, np.uint64) and the draws to frozen
 vectors.
@@ -140,6 +141,27 @@ def philox_keys(master: int, replicas: range, stream: int) -> np.ndarray:
     return keys
 
 
+def _noise_block(grid: GridSpec, master: int, replicas: range, stream: int) -> np.ndarray:
+    """(len(replicas), nt, nx-1) mode increments of the streams (master, r,
+    stream) for r in replicas: one Philox is re-keyed to each replica's key
+    at counter zero and fills that row in place, and the block is scaled by
+    sqrt(dt) once, so row i is what Philox(SeedSequence(master, spawn_key=
+    (replicas[i], stream))) draws times sqrt(dt).
+    """
+    block = np.empty((len(replicas), grid.nt, grid.n_interior))
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    # A fresh Philox's state: counter zero, empty buffer (buffer_pos 4), no
+    # cached 32-bit half (has_uint32 0); only the key changes per replica.
+    state = bits.state
+    for row, key in zip(block, philox_keys(master, replicas, stream)):
+        state["state"]["key"] = key
+        bits.state = state
+        rng.standard_normal(out=row)
+    block *= np.sqrt(grid.dt)
+    return block
+
+
 @dataclass
 class NoiseRealization:
     """Coupled mode/white representation of one driving noise realization."""
@@ -207,16 +229,14 @@ def sample_sheet_expansion(
 
     k_noise = 0 yields the zero realization; k_noise = nx-1 (grid.n_interior)
     is the white-noise realization of the stream key. The full read-only
-    (nt, nx-1) block, variance dt per entry, is drawn in one call, so that
-    realizations with different active mode counts stay nested on a shared
-    stream.
+    (nt, nx-1) block is row 0 of a one-replica _noise_block, the same fill
+    the replica engine draws, so that realizations with different active
+    mode counts stay nested on a shared stream.
     """
     k_noise = int(k_noise)
     if not 0 <= k_noise <= grid.n_interior:
         raise ValueError(f"k_noise={k_noise} outside 0..{grid.n_interior}")
-    key = philox_keys(seed, range(replica, replica + 1), stream)[0]
-    rng = np.random.Generator(np.random.Philox(key=key))
-    block = rng.standard_normal((grid.nt, grid.n_interior)) * np.sqrt(grid.dt)
+    block = _noise_block(grid, seed, range(replica, replica + 1), stream)[0]
     block.flags.writeable = False
     return NoiseRealization(grid, SeedDerivation(seed, replica, stream), block, k_noise)
 

@@ -351,6 +351,11 @@ def test_path_rate_sigma_degenerate():
     zero_path = np.zeros((g.nt + 1, g.n_interior))
     with pytest.raises(ValueError, match="degenerate"):
         path_rate_function(zero_path, cf_vanishing, g)
+    # The error names the first step at which sigma vanishes: 3, not 6.
+    path = np.ones_like(zero_path)
+    path[3, 5] = path[6, 0] = 0.0
+    with pytest.raises(ValueError, match="degenerate at step 3:"):
+        path_rate_function(path, cf_vanishing, g)
 
 
 def test_path_rate_shape_mismatch():

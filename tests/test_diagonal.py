@@ -169,8 +169,7 @@ def test_mode_increments_record_each_rows_first_non_finite_step():
                     break
         expected.append(step)
     assert expected == [3, 5, 0, 0]
-    out, blown = _integrate(np.zeros((4, g.n_interior)), ops, lambda m: dw[m],
-                            record="terminal")
+    out, blown = _integrate(np.zeros((4, g.n_interior)), ops, lambda m: dw[m])
     assert blown.tolist() == expected
     assert np.all(np.isnan(out[:2])) and np.all(np.isfinite(out[2:]))
 

@@ -52,6 +52,8 @@ def base_raw(**extra):
 
 # A small mc-scaling config, for the keys that only the Monte Carlo kinds read.
 MC_RAW = {"kind": "mc-scaling", "eps_list": "0.2", "event_threshold": "0.1"}
+# validate builds no grid, so its configs leave out the grid keys.
+VALIDATE_RAW = {"kind": "validate", "nx": None, "nt": None, "T": None}
 
 
 def write_cfg(path, raw):
@@ -297,7 +299,7 @@ KIND_CONFIGS = {
                        event_threshold="0.2"),
     "convergence": dict(kind="convergence", eps="0.1", eps_list="0.1, 0.05", replicas="10",
                         k_list="2, 8", eta_scales="1, 2", eta_amp="1", psi_amp="0.3"),
-    "validate": dict(kind="validate", f_slope=None, family="burgers", box_r="10",
+    "validate": dict(VALIDATE_RAW, f_slope=None, family="burgers", box_r="10",
                      n_samples="200"),
 }
 
@@ -393,7 +395,7 @@ def test_minimize_action_outputs(tmp_path):
 
 def test_validate_outputs(tmp_path):
     cfg = tmp_path / "c.cfg"
-    raw = base_raw(kind="validate", family="burgers", n_samples=2000)
+    raw = base_raw(**VALIDATE_RAW, family="burgers", n_samples=2000)
     del raw["f_slope"]
     cfg.write_text("\n".join(f"{k} = {v}" for k, v in raw.items()) + "\n")
     out = run_experiment(cfg, out_dir=tmp_path / "v")
@@ -481,7 +483,8 @@ def test_cli_names_the_kind_that_does_not_read_a_key(tmp_path, capsys):
         ({"kind": "skeleton", "psi_amp": "0.5", "tilt": "optimal"}, [], "'tilt'"),
         ({"kind": "convergence", "eps_list": "0.2, 0.1", "k_list": "4", "tilt": "optimal"}, [],
          "'tilt'"),
-        ({"kind": "validate", "psi_amp": "0.5"}, [], "'psi_amp'"),
+        ({**VALIDATE_RAW, "psi_amp": "0.5"}, [], "'psi_amp'"),
+        ({**VALIDATE_RAW, "nx": "16"}, [], "'nx': validate does not read it"),
         ({**MC_RAW, "event_kind": "l2_norm", "event_param": "5"}, [], "'event_param'"),
         ({"kind": "minimize-action"}, ["--threads", "2"], "'threads'"),
         ({"kind": "importance", "eps": "0.1", "event_threshold": "0.1",
@@ -492,8 +495,8 @@ def test_cli_names_the_kind_that_does_not_read_a_key(tmp_path, capsys):
         ({}, ["--threads", "2"], "'threads'"),
         # Out-of-range values; box_r on simulate fails as unread.
         ({"eps": "-0.1"}, [], "'eps'"),
-        ({"kind": "validate", "n_samples": "0"}, [], "'n_samples'"),
-        ({"kind": "validate", "box_r": "0"}, [], "'box_r'"),
+        ({**VALIDATE_RAW, "n_samples": "0"}, [], "'n_samples'"),
+        ({**VALIDATE_RAW, "box_r": "0"}, [], "'box_r'"),
         ({"box_r": "-1"}, [], "'box_r'"),
         # Every float key but rho must be finite; each of these ran into the
         # solver, or ran to the end, before.
@@ -519,8 +522,8 @@ def test_cli_names_the_kind_that_does_not_read_a_key(tmp_path, capsys):
          "psi_file_missing", "psi_file_grid", "two_tilt_sources", "skeleton_two_controls",
          "convergence_two_controls", "optimal_point_tilt",
          "simulate_psi_amp", "simulate_tilt", "simulate_psi_file", "minimize_action_psi_amp",
-         "skeleton_tilt", "convergence_tilt", "validate_psi_amp", "norm_event_param",
-         "minimize_action_threads_flag", "importance_reference_action",
+         "skeleton_tilt", "convergence_tilt", "validate_psi_amp", "validate_nx",
+         "norm_event_param", "minimize_action_threads_flag", "importance_reference_action",
          "importance_untilted_max_iters", "simulate_threads_flag", "eps_negative",
          "n_samples_zero", "box_r_zero", "simulate_box_r_negative", "eta_amp_nan",
          "psi_amp_nan", "target_amp_nan", "eta_scales_nan", "T_inf", "eps_inf",

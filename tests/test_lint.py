@@ -7,6 +7,10 @@ import pytest
 
 SRC = Path(__file__).parents[1] / "src" / "spdelab"
 CATCH_ALL = {"Exception", "BaseException"}
+# The functions that may sweep _Ops.step in a for loop: the whole-path
+# integrator, the Picard iteration and the adjoint forward sweep (whose
+# per-call setup measured slower through _integrate on 32-step sweeps).
+SWEEPS = {"_integrate", "picard_solve", "_AdjointProblem.forward"}
 
 
 def _catch_all_handlers(path):
@@ -22,3 +26,29 @@ def _catch_all_handlers(path):
 def test_no_catch_all_handlers(path):
     # A handler that catches everything hides the errors it was not written for.
     assert list(_catch_all_handlers(path)) == [], f"{path.name}: catch-all except"
+
+
+def _calls_step(node):
+    return any(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "step"
+        for n in ast.walk(node)
+    )
+
+
+def _stepping_loops(node, scope=()):
+    """(enclosing qualified name, line) of every for loop that calls .step(."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _stepping_loops(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.For) and _calls_step(child):
+            yield ".".join(scope), child.lineno
+        yield from _stepping_loops(child, scope)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_hand_written_sweeps(path):
+    # A step loop outside SWEEPS writes the whole-path sweep a second time.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    loops = [(name, line) for name, line in _stepping_loops(tree) if name not in SWEEPS]
+    assert loops == [], f"{path.name}: for loop over .step( outside {sorted(SWEEPS)}"
