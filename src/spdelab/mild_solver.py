@@ -45,9 +45,14 @@ and runs the chunks in order or on worker threads. noise._noise_block, the
 one Philox fill, draws each chunk's block (and a single path's
 noise.sample_sheet_expansion), re-keying one generator to each replica's
 key and filling that replica's row in place. A chunk's noise
-block holds at most _CHUNK_DOUBLES doubles and, with threads > 1, at most
+block holds at most _CHUNK_DOUBLES doubles (16 MiB; a single replica larger
+than that still gets a chunk of its own) and, with threads > 1, at most
 ceil(replicas / threads) rows, so every worker has a chunk even when all
 replicas fit in memory at once; min(threads, chunk count) workers run.
+Each worker draws its chunks into one chunk-sized buffer, allocated before
+the first chunk runs, so the noise held at once is bounded by workers x
+chunk whatever the replica count; a chunk's work must not keep its block
+after it returns.
 Its consumers are _sample_replicas (plain or Girsanov-tilted terminal and
 sup-norm samples, behind run_replicas and the experiment studies) and
 galerkin_coupled_errors. Both step several runs of a replica as one stacked
@@ -65,6 +70,7 @@ does not depend on chunk size, thread count or stacking.
 
 from __future__ import annotations
 
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -446,14 +452,16 @@ def _solve_path(
     if noise is not None and eps > 0 and noise.k_active > 0:
         modes = noise.driving_modes
         dw = lambda m: modes[m]
-    frames = []
-    _, blown = _integrate(eta.values, ops, dw, psi=psi, observe=frames.append)
+    # The observer copies each state into its row of the preallocated path.
+    path = np.empty((grid.nt + 1, grid.n_interior))
+    rows = iter(path)
+    _, blown = _integrate(eta.values, ops, dw, psi=psi, observe=lambda u: np.copyto(next(rows), u))
     if blown and dw is None:
         raise BlowUpError(step=int(blown))
     if blown:  # a noise-driven path names its seed triple, as a blown replica does
         raise BlowUpError(int(blown), replica=noise.seed_info.replica, seed=noise.seed_info)
     seed_info = noise.seed_info if noise is not None else None
-    return _path_solution(np.stack(frames), grid, eps, cf, seed_info, config)
+    return _path_solution(path, grid, eps, cf, seed_info, config)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +561,9 @@ def picard_solve(
 # ---------------------------------------------------------------------------
 
 
-# A chunk's noise block holds at most this many doubles.
-_CHUNK_DOUBLES = 1.2e7
+# A chunk's noise block holds at most this many doubles (16 MiB), unless a
+# single replica's noise is larger.
+_CHUNK_DOUBLES = 2**21
 
 
 def _replica_engine(
@@ -571,32 +580,51 @@ def _replica_engine(
     the streams (master, r, stream), drawn once; work integrates and reduces
     it, writes only its own rows of its outputs, and returns the first
     non-finite step of each of its runs, shaped (..., len(rows)) (0 where a
-    run stayed finite). A chunk holds at most _CHUNK_DOUBLES of noise and,
-    with threads > 1, at most ceil(replicas / threads) rows, so every worker
-    gets a chunk. Chunks run in order, or on min(threads, chunk count)
-    worker threads. Returns the blow-up steps of all runs, shaped
-    (..., replicas).
+    run stayed finite). modes is a view of a buffer that the next chunk
+    overwrites, so work may change it but must not keep it (or a view of it)
+    after it returns.
+
+    A chunk holds at most _CHUNK_DOUBLES of noise (a replica larger than that
+    still gets a chunk of its own) and, with threads > 1, at most
+    ceil(replicas / threads) rows, so every worker gets a chunk. Chunks run
+    in order, or on min(threads, chunk count) worker threads. Each worker
+    gets one chunk-sized noise buffer, allocated before any chunk runs and
+    freed before the results are joined, so the engine's noise memory is
+    workers x chunk, whatever the replica count. Returns the blow-up steps of
+    all runs, shaped (..., replicas).
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     if threads < 1:
         raise ValueError(f"threads={threads} must be >= 1")
+    shape = (grid.nt, grid.n_interior)
     chunk = min(
-        max(1, int(_CHUNK_DOUBLES / max(grid.nt * grid.n_interior, 1))),
+        max(1, int(_CHUNK_DOUBLES // max(shape[0] * shape[1], 1))),
         -(-replicas // threads),
     )
+    starts = range(0, replicas, chunk)
+    workers = min(threads, len(starts))
+    # One buffer per worker, allocated up front: buffers allocated as each
+    # thread first needs one interleave with the results work allocates and
+    # leave the heap's peak depending on the order they happen to run in.
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(np.empty((chunk,) + shape))
 
     def run_chunk(start: int) -> np.ndarray:
         rows = range(start, min(start + chunk, replicas))
-        return work(rows, _noise_block(grid, master, rows, stream))
+        buf = buffers.get()
+        try:
+            return work(rows, _noise_block(grid, master, rows, stream, out=buf))
+        finally:
+            buffers.put(buf)
 
-    starts = range(0, replicas, chunk)
-    workers = min(threads, len(starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_chunk, starts))
     else:
         parts = [run_chunk(s) for s in starts]
+    del buffers
     return np.concatenate(parts, axis=-1)
 
 

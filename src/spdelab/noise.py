@@ -21,8 +21,10 @@ spawn-key words, then generate_state(2, uint64)) into the key of a
 counter-based Philox generator at counter zero. A counter-based stream needs
 only its key, so philox_keys runs vectorized over a range of replicas, and
 _noise_block, the one Philox fill, re-keys one Philox per replica: the
-replica engine draws each chunk with it, and sample_sheet_expansion takes
-row 0 of a one-replica block. Distinct triples give independent streams
+replica engine draws each chunk with it into a worker's reused buffer (its
+out argument fills a leading slice of a buffer in place, with the same bits
+as a fresh block), and sample_sheet_expansion fills a new (nt, nx-1)
+array as a one-replica block. Distinct triples give independent streams
 regardless of scheduling; tests/test_noise.py pins the keys to numpy's own
 SeedSequence(...).generate_state(2, np.uint64) and the draws to frozen
 vectors.
@@ -141,14 +143,25 @@ def philox_keys(master: int, replicas: range, stream: int) -> np.ndarray:
     return keys
 
 
-def _noise_block(grid: GridSpec, master: int, replicas: range, stream: int) -> np.ndarray:
+def _noise_block(
+    grid: GridSpec, master: int, replicas: range, stream: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """(len(replicas), nt, nx-1) mode increments of the streams (master, r,
     stream) for r in replicas: one Philox is re-keyed to each replica's key
     at counter zero and fills that row in place, and the block is scaled by
     sqrt(dt) once, so row i is what Philox(SeedSequence(master, spawn_key=
     (replicas[i], stream))) draws times sqrt(dt).
+
+    out, when given, is a float64 C-contiguous (n, nt, nx-1) buffer with
+    n >= len(replicas) whose old contents are ignored: out[:len(replicas)]
+    is filled with the same bits and that view is returned, so a caller can
+    draw chunk after chunk into one allocation. Otherwise a new block is
+    allocated.
     """
-    block = np.empty((len(replicas), grid.nt, grid.n_interior))
+    shape = (len(replicas), grid.nt, grid.n_interior)
+    block = np.empty(shape) if out is None else out[: len(replicas)]
+    if block.shape != shape:
+        raise ValueError(f"noise buffer {out.shape} cannot hold a block {shape}")
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
     # A fresh Philox's state: counter zero, empty buffer (buffer_pos 4), no
@@ -229,14 +242,16 @@ def sample_sheet_expansion(
 
     k_noise = 0 yields the zero realization; k_noise = nx-1 (grid.n_interior)
     is the white-noise realization of the stream key. The full read-only
-    (nt, nx-1) block is row 0 of a one-replica _noise_block, the same fill
-    the replica engine draws, so that realizations with different active
-    mode counts stay nested on a shared stream.
+    (nt, nx-1) block is a fresh array that owns its memory, filled as the
+    one row of a one-replica _noise_block, the same fill the replica engine
+    draws, so that realizations with different active mode counts stay
+    nested on a shared stream.
     """
     k_noise = int(k_noise)
     if not 0 <= k_noise <= grid.n_interior:
         raise ValueError(f"k_noise={k_noise} outside 0..{grid.n_interior}")
-    block = _noise_block(grid, seed, range(replica, replica + 1), stream)[0]
+    block = np.empty((grid.nt, grid.n_interior))
+    _noise_block(grid, seed, range(replica, replica + 1), stream, out=block[None])
     block.flags.writeable = False
     return NoiseRealization(grid, SeedDerivation(seed, replica, stream), block, k_noise)
 

@@ -3,6 +3,7 @@ the stacked moment leg, and the errors that name a blown replica."""
 
 import hashlib
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -232,9 +233,9 @@ def test_threads_split_a_single_memory_chunk(monkeypatch, tilted):
     seen = []
     draw = mild_solver._noise_block
 
-    def recording(grid, master, rows, stream):
+    def recording(grid, master, rows, stream, out=None):
         seen.append(rows)
-        return draw(grid, master, rows, stream)
+        return draw(grid, master, rows, stream, out=out)
 
     monkeypatch.setattr(mild_solver, "_noise_block", recording)
     results, chunks = {}, {}
@@ -270,6 +271,43 @@ def test_noise_block_is_the_per_replica_stack(rows):
     assert block.tobytes() == expected.tobytes()
     singles = [sample_sheet_expansion(grid, 5, 90125, r, 2).mode_increments for r in rows]
     assert block.tobytes() == np.stack(singles).tobytes()
+
+
+def test_noise_block_fills_a_reused_buffer():
+    grid = make_grid(16, 12, 0.25)
+    rows = range(5, 14)
+    fresh = mild_solver._noise_block(grid, 90125, rows, 2)
+    buf = np.full((len(rows) + 3, grid.nt, grid.n_interior), np.nan)
+    view = mild_solver._noise_block(grid, 90125, rows, 2, out=buf)
+    assert view.shape == fresh.shape and np.shares_memory(view, buf)
+    assert view.tobytes() == fresh.tobytes()
+    assert np.all(np.isnan(buf[len(rows):]))  # rows past the block are left alone
+    with pytest.raises(ValueError, match="cannot hold"):
+        mild_solver._noise_block(grid, 90125, rows, 2, out=buf[:4])
+    single = sample_sheet_expansion(grid, 5, 90125, 7, 2).mode_increments
+    assert single.flags.owndata and not single.flags.writeable
+    assert single.tobytes() == fresh[2].tobytes()
+
+
+def test_engine_noise_memory_is_bounded():
+    # 46 MB of noise in all, more than the bound: the engine draws it chunk by
+    # chunk into one buffer, so its traced peak is about one chunk.
+    grid = make_grid(16, 64, 0.25)
+    cf = make_coefficients("linear", f_slope=0.0, sigma0=1.0)
+    eta = eigenfunction(grid, 1, amplitude=0.5)
+    replicas = 6000
+    result_bytes = replicas * grid.n_interior * 8
+    bound = mild_solver._CHUNK_DOUBLES * 8 + result_bytes + 4e6
+    assert replicas * grid.nt * grid.n_interior * 8 > bound
+    run_replicas(eta, cf, 0.5, grid, 1, 10)  # fills the transform caches
+    tracemalloc.start()
+    try:
+        term = run_replicas(eta, cf, 0.5, grid, 1, replicas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert term.nbytes == result_bytes
+    assert peak < bound
 
 
 def test_noise_block_builds_no_seed_sequence(monkeypatch):

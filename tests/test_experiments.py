@@ -350,6 +350,39 @@ def test_benchmark_workloads_parse(tmp_path, name, tiny):
     assert ExperimentConfig.from_raw(raw).kind == w.command
 
 
+# The benchmark's chunk partitions (rows per noise block) under the engine's
+# memory bound and thread split, so a budget change that moves the benchmark
+# fails here first. burgers_action runs no replicas.
+BENCH_PARTITIONS = {
+    "tilted_scaling": [1057, 1057, 1057, 829],
+    "burgers_convergence": [125, 125],
+    "burgers_blowup": [200],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_PARTITIONS))
+def test_benchmark_workload_partitions(monkeypatch, name):
+    cfg = ExperimentConfig.from_raw({k: str(v) for k, v in BENCH_WORKLOADS[name].config.items()})
+    grid = cfg.grid()
+    seen, buffers = [], set()
+
+    def recording(grid, master, rows, stream, out=None):
+        seen.append(rows)
+        buffers.add(out.ctypes.data)
+        return out[: len(rows)]
+
+    monkeypatch.setattr(mild_solver, "_noise_block", recording)
+    blown = mild_solver._replica_engine(
+        grid, cfg.master_seed, cfg.replicas, 0,
+        lambda rows, modes: np.zeros(len(rows), dtype=int), cfg.threads,
+    )
+    assert blown.shape == (cfg.replicas,)
+    seen.sort(key=lambda rows: rows.start)
+    assert [len(rows) for rows in seen] == BENCH_PARTITIONS[name]
+    assert [r for rows in seen for r in rows] == list(range(cfg.replicas))
+    assert len(buffers) <= min(cfg.threads, len(seen))  # one buffer per worker
+
+
 def test_run_experiment_requires_out_dir(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("\n".join(f"{k} = {v}" for k, v in base_raw().items()) + "\n")

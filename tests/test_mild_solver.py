@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from spdelab.mild_solver import (
     PicardError,
     SolverConfig,
     _Ops,
+    _solve_path,
     estimate_moments,
     galerkin_coupled_errors,
     picard_solve,
@@ -328,3 +330,24 @@ def test_path_solution_diagnostics():
     assert sol.rho_norms.shape == (g.nt + 1,)
     assert sol.stability_indicator <= 1.0 + 1e-12  # heat flow contracts
     assert sol.terminal.values.shape == (g.n_interior,)
+
+
+def test_single_path_holds_one_path():
+    # solve_spde's path from its drawn noise: the observer writes each state
+    # into one preallocated (nt+1, nx-1) path, so beyond the path the solve
+    # holds only step temporaries and the two norm passes of the diagnostics.
+    g = make_grid(64, 256, 0.25)
+    cf = make_coefficients("burgers", sigma0=1.0, sigma1=0.2)
+    eta = eigenfunction(g, 1)
+    config = SolverConfig(k_modes=16)
+    noise = sample_sheet_expansion(g, g.n_interior, 3)
+    noise.driving_modes  # the noise input, drawn and padded before tracing
+    _solve_path(eta, cf, 0.1, g, config, noise)  # fills the transform caches
+    tracemalloc.start()
+    try:
+        sol = _solve_path(eta, cf, 0.1, g, config, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.fields.shape == (g.nt + 1, g.n_interior)
+    assert peak <= 3.5 * sol.fields.nbytes
