@@ -321,16 +321,15 @@ def gradient_check(
     opts: ActionOptions | None = None,
 ) -> float:
     """Relative error between the adjoint gradient pairing <grad J, d> and the
-    central finite difference (J(psi+hd) - J(psi-hd)) / (2h)."""
+    central finite difference (J(psi+hd) - J(psi-hd)) / (2h).
+
+    psi and the direction d are each a Control or an array, checked by
+    Control.on against phi_target's grid."""
     if h <= 0:
         raise ValueError("finite-difference step h must be positive")
     grid = phi_target.grid
-    psi_v = psi.values if isinstance(psi, Control) else np.asarray(psi, dtype=float)
-    d = (
-        direction.values
-        if isinstance(direction, Control)
-        else np.asarray(direction, dtype=float)
-    )
+    psi_v = Control.on(psi, grid).values
+    d = Control.on(direction, grid).values
     if not np.any(d):
         raise ValueError("direction must be nonzero")
     opts = opts or ActionOptions()

@@ -2,7 +2,9 @@
 log Radon-Nikodym weight of the Cameron-Martin tilt.
 
 A control is a deterministic field psi(s, y) on the time-space cells, built
-as Control(values, grid) or sampled by control_from_function. Its rate
+as Control(values, grid) or sampled by control_from_function. Every function
+here that takes a control takes a Control or an array of its values, and
+Control.on checks either against the grid: shape, finite entries. Its rate
 functional I(psi) = (1/2) iint psi^2 is taken over all controls; the bounded
 sets {iint psi^2 <= N} of the weak-convergence proof carry no option here. It
 enters the dynamics as the extra mild-form term built from sigma(s,y,v) psi,
@@ -19,8 +21,8 @@ The tilt weight for one driving realization is
 
 whose exponential has unit mean: the pairing uses the same cells as the
 white increments, so the discrete identity is exact in distribution. The
-pairing is taken in sine modes, sum psi_hat_i dw_i over the driving mode
-increments (Parseval), for one realization and for a batch alike.
+pairing is taken in sine modes, sum psi_hat_i dw_i over the driving block of
+mode increments (Parseval), for one realization and for a batch alike.
 girsanov_log_weight is the only implementation of this formula; the replica
 sampler of mild_solver calls it on whole replica batches of mode increments.
 """
@@ -72,6 +74,12 @@ class Control:
     def scaled(self, a: float) -> "Control":
         return Control(a * self.values, self.grid)
 
+    @classmethod
+    def on(cls, psi: "Control | np.ndarray", grid: GridSpec) -> "Control":
+        """psi, a Control or an array of values, as a Control on grid's cells:
+        a ValueError names a wrong shape or non-finite entries."""
+        return cls(psi.values if isinstance(psi, Control) else psi, grid)
+
 
 def control_from_function(grid: GridSpec, fn) -> Control:
     """Sample a callable (t, x) -> value on the step times and interior nodes."""
@@ -86,17 +94,11 @@ def rate_functional(psi: Control) -> float:
 
 
 def _psi_array(psi: Control | np.ndarray | None, grid: GridSpec) -> np.ndarray | None:
+    """The values of psi, checked by Control.on; None for no or a zero control."""
     if psi is None:
         return None
-    values = psi.values if isinstance(psi, Control) else np.asarray(psi, dtype=float)
-    if values.shape != (grid.nt, grid.n_interior):
-        raise ValueError(
-            f"control shape {values.shape} does not match grid "
-            f"({grid.nt}, {grid.n_interior})"
-        )
-    if not np.any(values):
-        return None
-    return values
+    values = Control.on(psi, grid).values
+    return values if np.any(values) else None
 
 
 def solve_skeleton(
@@ -143,25 +145,24 @@ def girsanov_log_weight(
     """log dP/dP-hat: the reweighting factor that makes controlled-equation
     sampling an unbiased estimator under the base measure.
 
-    noise is one realization, or a batch of driving mode increments dw of
-    shape (..., nt, nx-1) on psi's grid, inactive modes zeroed (psi must then
-    be a Control); the weight is a float, or an array over the batch axes.
-    The cell pairing dx sum psi xi is taken in sine modes as sum psi_hat dw
-    (Parseval), a contraction over the (nt, nx-1) cells, so a batch costs no
-    block-sized temporary.
+    noise is one realization, or a batch of driving blocks dw of shape
+    (..., nt, nx-1) on psi's grid, inactive modes zeroed (psi must then be a
+    Control); the weight is a float, or an array over the batch axes. psi is
+    checked by Control.on against the realization's grid. The cell pairing
+    dx sum psi xi is taken in sine modes as sum psi_hat dw (Parseval), a
+    contraction over the (nt, nx-1) cells, so a batch costs no block-sized
+    temporary.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if isinstance(noise, NoiseRealization):
-        grid, dw = noise.grid, noise.driving_modes
+        psi, dw = Control.on(psi, noise.grid), noise.mode_increments
     elif isinstance(psi, Control):
-        grid, dw = psi.grid, noise
+        dw = noise
+        if dw.shape[-2:] != psi.values.shape:
+            raise ValueError("control and noise realization live on different grids")
     else:
         raise TypeError("a batch of mode increments needs psi as a Control")
-    values = psi.values if isinstance(psi, Control) else np.asarray(psi, dtype=float)
-    if values.shape != (grid.nt, grid.n_interior) or dw.shape[-2:] != values.shape:
-        raise ValueError("control and noise realization live on different grids")
-    pairing = np.einsum("...ms,ms->...", dw, to_modes(values, grid))
-    norm_sq = grid.dt * grid.dx * float(np.sum(values**2))
-    logw = -pairing / np.sqrt(eps) - norm_sq / (2.0 * eps)
+    pairing = np.einsum("...ms,ms->...", dw, to_modes(psi.values, psi.grid))
+    logw = -pairing / np.sqrt(eps) - psi.norm_sq / (2.0 * eps)
     return float(logw) if logw.ndim == 0 else logw

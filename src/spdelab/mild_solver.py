@@ -450,8 +450,7 @@ def _solve_path(
     ops = _Ops(cf, grid, config.k_modes, eps, config.cutoff_radius)
     dw = None
     if noise is not None and eps > 0 and noise.k_active > 0:
-        modes = noise.driving_modes
-        dw = lambda m: modes[m]
+        dw = lambda m: noise.mode_increments[m]
     # The observer copies each state into its row of the preallocated path.
     path = np.empty((grid.nt + 1, grid.n_interior))
     rows = iter(path)

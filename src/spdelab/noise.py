@@ -1,17 +1,18 @@
 """Space-time white noise increments and the truncated Brownian-sheet expansion.
 
-One realization carries both representations of the same noise. The mode
-Brownian increments dw_i(m) ~ N(0, dt) against the orthonormal basis
-hh_i(x) = sqrt(2) sin(i pi x) are the source of truth; cell white increments
-are derived from them,
+One realization carries both representations of the same noise. Its
+driving block of mode Brownian increments dw_i(m) ~ N(0, dt) against the
+orthonormal basis hh_i(x) = sqrt(2) sin(i pi x) is the source of truth; cell
+white increments are derived from it,
 
     dW[m, j] = dx * sum_{i <= k} hh_i(x_j) dw_i(m),
 
 which for the full mode count k = nx-1 is an exact orthogonal change of
-variables: the derived dW are i.i.d. N(0, dt*dx) and a realization truncated
-to k modes shares its first k mode increments with the full one bit for bit.
-That nesting makes degenerate-noise (spectral Galerkin) convergence studies
-pathwise rather than in-distribution.
+variables: the derived dW are i.i.d. N(0, dt*dx). A realization truncated to
+k modes shares its first k increments with the full one bit for bit and is
+zero beyond them, so its block is the noise that drives it. That nesting
+makes degenerate-noise (spectral Galerkin) convergence studies pathwise
+rather than in-distribution.
 
 Seed derivation is a pure function of (master, replica, stream), and
 philox_keys is its one implementation: the triple is hashed as numpy's
@@ -177,7 +178,11 @@ def _noise_block(
 
 @dataclass
 class NoiseRealization:
-    """Coupled mode/white representation of one driving noise realization."""
+    """Coupled mode/white representation of one driving noise realization.
+
+    mode_increments is the driving block: the first k_active mode columns of
+    the seed's stream, zero beyond them.
+    """
 
     grid: GridSpec
     seed_info: SeedDerivation
@@ -194,23 +199,10 @@ class NoiseRealization:
         if not 0 <= self.k_active <= nxm:
             raise ValueError(f"k_active={self.k_active} outside 0..{nxm}")
 
-    @property
-    def active_modes(self) -> np.ndarray:
-        return self.mode_increments[:, : self.k_active]
-
-    @cached_property
-    def driving_modes(self) -> np.ndarray:
-        """(nt, nx-1) mode increments of the driving noise: the active modes,
-        zero beyond k_active."""
-        padded = np.zeros_like(self.mode_increments)
-        padded[:, : self.k_active] = self.active_modes
-        padded.flags.writeable = False
-        return padded
-
     @cached_property
     def spatial_density(self) -> np.ndarray:
         """(nt, nx-1) noise density xi[m, j] = sum_{i<=k} hh_i(x_j) dw_i(m)."""
-        xi = from_modes(self.driving_modes, self.grid)
+        xi = from_modes(self.mode_increments, self.grid)
         xi.flags.writeable = False
         return xi
 
@@ -241,17 +233,18 @@ def sample_sheet_expansion(
     """Truncated sheet expansion: first k_noise modes active, stream-nested.
 
     k_noise = 0 yields the zero realization; k_noise = nx-1 (grid.n_interior)
-    is the white-noise realization of the stream key. The full read-only
-    (nt, nx-1) block is a fresh array that owns its memory, filled as the
-    one row of a one-replica _noise_block, the same fill the replica engine
-    draws, so that realizations with different active mode counts stay
-    nested on a shared stream.
+    is the white-noise realization of the stream key. The read-only
+    (nt, nx-1) driving block is a fresh array that owns its memory, filled as
+    the one row of a one-replica _noise_block, the same fill the replica
+    engine draws, with columns k_noise: zeroed, so that realizations with
+    different active mode counts stay nested on a shared stream.
     """
     k_noise = int(k_noise)
     if not 0 <= k_noise <= grid.n_interior:
         raise ValueError(f"k_noise={k_noise} outside 0..{grid.n_interior}")
     block = np.empty((grid.nt, grid.n_interior))
     _noise_block(grid, seed, range(replica, replica + 1), stream, out=block[None])
+    block[:, k_noise:] = 0.0
     block.flags.writeable = False
     return NoiseRealization(grid, SeedDerivation(seed, replica, stream), block, k_noise)
 

@@ -15,7 +15,7 @@ CSV files are comma separated with a header row; floats carry 17 significant
 digits so re-runs can be compared byte for byte.
 
 Config files are UTF-8 "key = value" lines; '#' starts a comment, blank lines
-are ignored, later keys override earlier ones.
+are ignored, and a key set on two lines is a ConfigError naming both.
 """
 
 from __future__ import annotations
@@ -90,14 +90,20 @@ def write_csv(path, header, rows) -> None:
 
 def parse_config_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ConfigError(
+                f"config key '{key}' is set twice, on lines {set_on[key]} and {lineno}"
+            )
+        set_on[key] = lineno
+        out[key] = value
     return out
 
 

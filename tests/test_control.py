@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spdelab.action import gradient_check
 from spdelab.coeffs import make_coefficients
 from spdelab.control import (
     Control,
@@ -27,6 +28,37 @@ def test_control_validation():
         Control(np.zeros((7, 15)), g)
     with pytest.raises(ValueError, match="non-finite"):
         Control(np.full((8, 15), np.inf), g)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "solve_skeleton",
+        "solve_controlled",
+        "girsanov_log_weight",
+        "gradient_check_psi",
+        "gradient_check_direction",
+    ],
+)
+def test_non_finite_control_array_fails_by_name(call):
+    # Every array control goes through Control, which names the cause before
+    # any step runs.
+    g = make_grid(16, 8, 0.5)
+    eta = eigenfunction(g, 1)
+    ok = np.ones((g.nt, g.n_interior))
+    bad = ok.copy()
+    bad[3, 4] = np.nan
+    calls = {
+        "solve_skeleton": lambda: solve_skeleton(eta, ADDITIVE, bad, g),
+        "solve_controlled": lambda: solve_controlled(eta, ADDITIVE, bad, 0.1, seed=1, grid=g),
+        "girsanov_log_weight": lambda: girsanov_log_weight(
+            bad, sample_sheet_expansion(g, g.n_interior, 1), 0.1
+        ),
+        "gradient_check_psi": lambda: gradient_check(eta, eta, ADDITIVE, bad, ok, h=1e-5),
+        "gradient_check_direction": lambda: gradient_check(eta, eta, ADDITIVE, ok, bad, h=1e-5),
+    }
+    with pytest.raises(ValueError, match="non-finite"):
+        calls[call]()
 
 
 def test_control_norm_cache_matches_quadrature():
@@ -175,12 +207,12 @@ def test_girsanov_batch_matches_single_realizations():
     g = make_grid(16, 16, 0.25)
     psi = Control(np.random.default_rng(6).standard_normal((16, 15)), g)
     noises = [sample_sheet_expansion(g, g.n_interior, 8, replica=r) for r in range(5)]
-    batch = girsanov_log_weight(psi, np.stack([nz.driving_modes for nz in noises]), 0.3)
+    batch = girsanov_log_weight(psi, np.stack([nz.mode_increments for nz in noises]), 0.3)
     single = [girsanov_log_weight(psi, nz, 0.3) for nz in noises]
     assert batch.shape == (5,)
     np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0.0)
     with pytest.raises(TypeError, match="Control"):
-        girsanov_log_weight(psi.values, noises[0].driving_modes, 0.3)
+        girsanov_log_weight(psi.values, noises[0].mode_increments, 0.3)
 
 
 def test_girsanov_martingale_mean():

@@ -100,6 +100,8 @@ def test_config_parser():
     assert raw == {"a": "1", "b": "x y"}
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("not a pair\n")
+    with pytest.raises(ConfigError, match="'replicas' is set twice, on lines 1 and 3"):
+        parse_config_text("replicas = 100\n# comment\nreplicas=5\n")
 
 
 # -- configuration validation --------------------------------------------------
@@ -633,6 +635,23 @@ def test_cli_seed_and_threads_override(tmp_path):
     manifest = (tmp_path / "a" / "manifest.txt").read_text()
     assert "master_seed = 99" in manifest
     assert "threads = 2" in manifest
+
+
+def test_cli_key_set_twice_is_a_config_error(tmp_path, capsys):
+    # A later line does not silently win: both settings are named, and the
+    # run stops before it makes its output directory. A flag still replaces
+    # the file's key.
+    cfg = write_cfg(tmp_path / "c.cfg", base_raw(**MC_RAW, replicas="100"))
+    with open(cfg, "a") as fh:
+        fh.write("replicas = 5\n")
+    out = tmp_path / "o"
+    assert cli_main(["mc-scaling", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'replicas' is set twice" in err
+    assert not out.exists()
+    ok = write_cfg(tmp_path / "ok.cfg", base_raw(**MC_RAW, replicas="5"))
+    assert cli_main(["mc-scaling", "--config", ok, "--out", str(out), "--seed", "99"]) == 0
+    assert "master_seed = 99" in (out / "manifest.txt").read_text()
 
 
 def test_cli_coupling_flag(tmp_path):

@@ -185,7 +185,7 @@ def test_galerkin_single_mode_structure():
     eps = 0.3
     sol = solve_spde(eta, LINEAR, eps, seed=7, grid=g, config=SolverConfig(k_noise=1))
     nz = sample_sheet_expansion(g, 1, 7)
-    dw1 = nz.active_modes[0, 0]
+    dw1 = nz.mode_increments[0, 0]
     expected = np.sqrt(eps) * np.exp(-np.pi**2 * g.dt) * np.sqrt(2) * np.sin(np.pi * g.x) * dw1
     assert np.max(np.abs(sol.fields[1] - expected)) <= 1e-14
 
@@ -341,7 +341,6 @@ def test_single_path_holds_one_path():
     eta = eigenfunction(g, 1)
     config = SolverConfig(k_modes=16)
     noise = sample_sheet_expansion(g, g.n_interior, 3)
-    noise.driving_modes  # the noise input, drawn and padded before tracing
     _solve_path(eta, cf, 0.1, g, config, noise)  # fills the transform caches
     tracemalloc.start()
     try:
@@ -351,3 +350,21 @@ def test_single_path_holds_one_path():
         tracemalloc.stop()
     assert sol.fields.shape == (g.nt + 1, g.n_interior)
     assert peak <= 3.5 * sol.fields.nbytes
+
+
+def test_solve_spde_holds_its_noise_once():
+    # solve_spde draws its noise inside the call: the driving block is the
+    # realization's one (nt, nx-1) array, so the solve holds one noise-sized
+    # block beside the path, not a padded copy of it as well.
+    g = make_grid(64, 256, 0.25)
+    cf = make_coefficients("burgers", sigma0=1.0, sigma1=0.2)
+    eta = eigenfunction(g, 1)
+    config = SolverConfig(k_modes=16)
+    solve_spde(eta, cf, 0.1, 3, g, config)  # fills the transform caches
+    tracemalloc.start()
+    try:
+        sol = solve_spde(eta, cf, 0.1, 3, g, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * sol.fields.nbytes
