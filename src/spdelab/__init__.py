@@ -26,13 +26,9 @@ from .control import (
     solve_skeleton,
 )
 from .greenfn import (
-    KernelBoundReport,
-    apply_divergence_smoothing,
     apply_semigroup,
     green_image,
     green_spectral,
-    green_value,
-    verify_kernel_bounds,
 )
 from .lattice import (
     Field,
@@ -55,7 +51,6 @@ from .mild_solver import (
 from .noise import (
     NoiseRealization,
     SeedDerivation,
-    partial_sum_identity,
     sample_sheet_expansion,
 )
 from .experiments import (

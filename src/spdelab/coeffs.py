@@ -97,10 +97,6 @@ class CoefficientSet:
         if not self.rho >= 1:
             raise ValueError("rho must be >= 1")
 
-    @property
-    def out_of_theory(self) -> bool:
-        return self.rho <= 6.0
-
     def g(self, t, x, r):
         return self.g1(t, x, r) + self.g2(t, r)
 

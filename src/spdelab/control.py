@@ -71,9 +71,6 @@ class Control:
         """Cached squared L^2([0,T]x[0,1]) norm by cell quadrature."""
         return self._norm_sq
 
-    def scaled(self, a: float) -> "Control":
-        return Control(a * self.values, self.grid)
-
     @classmethod
     def on(cls, psi: "Control | np.ndarray", grid: GridSpec) -> "Control":
         """psi, a Control or an array of values, as a Control on grid's cells:

@@ -119,10 +119,10 @@ class EventSpec:
 
     def values(self, terminal: np.ndarray, grid: GridSpec, rho: float) -> np.ndarray:
         i = self.index(grid)
-        if self.kind == "l2_norm":
-            return lp_norm_values(terminal, grid.dx, 2.0)
-        if self.kind == "lp_norm":
-            return lp_norm_values(terminal, grid.dx, rho)
+        if self.kind in ("l2_norm", "lp_norm"):
+            # A finite terminal whose norm is past the float range gives inf, a hit.
+            with np.errstate(over="ignore"):
+                return lp_norm_values(terminal, grid.dx, 2.0 if self.kind == "l2_norm" else rho)
         if self.kind == "mode_coeff":
             return to_modes(terminal, grid)[..., i]
         return terminal[..., i]
@@ -368,7 +368,10 @@ class ExperimentConfig:
                     f"config key 'psi_file': grid ({nx}, {data.shape[0]}) does not match "
                     f"config ({grid.nx}, {grid.nt})"
                 )
-            return Control(data, grid)
+            try:
+                return Control(data, grid)
+            except ValueError as exc:
+                raise ConfigError(f"config key 'psi_file': {exc}") from exc
         if self.psi_amp == 0.0:
             return None
         profile = eigenfunction(grid, self.psi_mode, amplitude=self.psi_amp).values

@@ -168,22 +168,13 @@ class PathSolution:
     seed_info: SeedDerivation | None = None
     config: SolverConfig = field(default_factory=SolverConfig)
 
-    def field_at(self, m: int) -> Field:
-        return Field(self.fields[m].copy(), self.grid)
-
     @property
     def terminal(self) -> Field:
-        return self.field_at(self.grid.nt)
+        return Field(self.fields[-1].copy(), self.grid)
 
     @property
     def sup_rho_norm(self) -> float:
         return float(np.max(self.rho_norms))
-
-    @property
-    def stability_indicator(self) -> float:
-        """Largest one-step amplification of the sup norm."""
-        prev = np.maximum(self.linf_norms[:-1], 1e-300)
-        return float(np.max(self.linf_norms[1:] / prev))
 
     def distance_to(self, other: "PathSolution", p: float | None = None) -> float:
         """C([0,T]; L^p) distance max_m |u(t_m) - v(t_m)|_p (default p = rho)."""

@@ -45,7 +45,6 @@ __all__ = [
     "philox_keys",
     "NoiseRealization",
     "sample_sheet_expansion",
-    "partial_sum_identity",
 ]
 
 
@@ -213,19 +212,6 @@ class NoiseRealization:
         dw.flags.writeable = False
         return dw
 
-    def sheet_value(self, m: int, x: float) -> float:
-        """Reconstructed Brownian sheet W(t_m, x) from the white increments.
-
-        Cells to the left of x contribute fully; x is snapped onto the cell
-        partition {[x_j - dx, x_j)} so node arguments are exact.
-        """
-        if not 0 <= m <= self.grid.nt:
-            raise ValueError(f"time index {m} outside 0..{self.grid.nt}")
-        if m == 0 or x <= 0:
-            return 0.0
-        j_full = min(int(np.floor(x * self.grid.nx + 1e-12)), self.grid.n_interior)
-        return float(np.sum(self.white_increments[:m, :j_full]))
-
 
 def sample_sheet_expansion(
     grid: GridSpec, k_noise: int, seed: int, replica: int = 0, stream: int = 0
@@ -247,23 +233,3 @@ def sample_sheet_expansion(
     block[:, k_noise:] = 0.0
     block.flags.writeable = False
     return NoiseRealization(grid, SeedDerivation(seed, replica, stream), block, k_noise)
-
-
-def partial_sum_identity(k: int, x) -> np.ndarray | float:
-    """Partial sum sum_{i<=k} h_i(x)^2 with h_i(x) = sqrt(2)(1 - cos(i pi x))/(i pi).
-
-    Completeness of the sine basis gives sum_i h_i(x)^2 = x, so the partial
-    sums increase to x from below.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0) or np.any(x_arr > 1):
-        raise ValueError("x must lie in [0, 1]")
-    if k == 0:
-        out = np.zeros_like(x_arr)
-        return out if out.shape else 0.0
-    i = np.arange(1, k + 1)
-    terms = 2.0 * (1.0 - np.cos(np.multiply.outer(x_arr, i * np.pi))) ** 2 / (i * np.pi) ** 2
-    out = np.sum(terms, axis=-1)
-    return out if out.shape else float(out)

@@ -81,11 +81,6 @@ def test_bad_parameters():
         make_coefficients("linear", g2_quad=1.0)
 
 
-def test_rho_flag():
-    assert make_coefficients("linear", rho=8.0).out_of_theory is False
-    assert make_coefficients("linear", rho=4.0).out_of_theory is True
-
-
 def test_truncation_matches_inside_and_vanishes_outside():
     cf = make_coefficients("reaction", f_slope=0.7, g1_slope=0.3, g2_quad=0.5,
                            sigma0=1.0, sigma1=0.4)

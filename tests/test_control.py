@@ -89,7 +89,7 @@ def test_rate_functional_quadratic():
     rng = np.random.default_rng(1)
     psi = Control(rng.standard_normal((16, 31)), g)
     I1 = rate_functional(psi)
-    I3 = rate_functional(psi.scaled(3.0))
+    I3 = rate_functional(Control(3.0 * psi.values, g))
     assert abs(I3 - 9.0 * I1) <= 1e-12 * max(I3, 1.0)
 
 
@@ -177,7 +177,7 @@ def test_girsanov_decomposition():
     Q = psi.norm_sq
     lw = girsanov_log_weight(psi, nz, eps)
     assert abs(lw - (-P / np.sqrt(eps) - Q / (2 * eps))) <= 1e-12
-    lw2 = girsanov_log_weight(psi.scaled(2.0), nz, eps)
+    lw2 = girsanov_log_weight(Control(2.0 * psi.values, g), nz, eps)
     assert abs(lw2 - (-2 * P / np.sqrt(eps) - 4 * Q / (2 * eps))) <= 1e-12
 
 

@@ -162,6 +162,11 @@ def test_event_functionals():
     assert abs(EventSpec("mode_coeff", 2, 0).values(vals, g, 8.0) - 0.7) <= 1e-12
     j = 4
     assert EventSpec("point_value", (j + 1) / 16, 0).values(vals, g, 8.0) == vals[j]
+    # A finite terminal whose norm is past the float range: inf, with no warning.
+    huge = np.zeros(g.n_interior)
+    huge[3] = 1e200
+    assert EventSpec("l2_norm", 0, 0).values(huge, g, 8.0) == np.inf
+    assert EventSpec("lp_norm", 0, 0).values(huge, g, 8.0) == np.inf
     with pytest.raises(ConfigError, match="event_kind"):
         EventSpec("volume", 0, 0)
 
@@ -500,6 +505,8 @@ def test_cli_names_the_kind_that_does_not_read_a_key(tmp_path, capsys):
         ({"kind": "skeleton", "psi_file": "missing.spdefld"}, [], "'psi_file'"),
         # psi_16x8.spdefld has nt = 8, the config nt = 32.
         ({"kind": "skeleton", "psi_file": "psi_16x8.spdefld"}, [], "'psi_file'"),
+        # The right grid, but one entry is NaN.
+        ({"kind": "skeleton", "psi_file": "psi_16x32_nan.spdefld"}, [], "'psi_file'"),
         ({"kind": "importance", "psi_amp": "0.5", "tilt": "optimal", "event_threshold": "0.1"},
          [], "['psi_amp', 'tilt']"),
         # Every kind that reads a control takes one source.
@@ -554,7 +561,8 @@ def test_cli_names_the_kind_that_does_not_read_a_key(tmp_path, capsys):
          "bool", "eta_mode", "eta_mode_zero", "psi_mode", "target_mode", "k_list",
          "k_list_negative", "k_list_default", "k_list_empty", "eta_scales_empty",
          "control_coupling", "eps_list_zero", "replicas_zero", "tilt",
-         "psi_file_missing", "psi_file_grid", "two_tilt_sources", "skeleton_two_controls",
+         "psi_file_missing", "psi_file_grid", "psi_file_non_finite",
+         "two_tilt_sources", "skeleton_two_controls",
          "convergence_two_controls", "optimal_point_tilt",
          "simulate_psi_amp", "simulate_tilt", "simulate_psi_file", "minimize_action_psi_amp",
          "skeleton_tilt", "convergence_tilt", "validate_psi_amp", "validate_nx",
@@ -568,6 +576,9 @@ def test_cli_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, extra, 
     monkeypatch.chdir(tmp_path)
     write_snapshot(tmp_path / "psi_16x8.spdefld", np.zeros((8, 15)), nx=16, T=0.25)
     write_snapshot(tmp_path / "psi_16x32.spdefld", np.zeros((32, 15)), nx=16, T=0.25)
+    nan = np.zeros((32, 15))
+    nan[3, 4] = np.nan
+    write_snapshot(tmp_path / "psi_16x32_nan.spdefld", nan, nx=16, T=0.25)
     raw = base_raw(**extra)
     cfg = write_cfg(tmp_path / "c.cfg", raw)
     out = tmp_path / "o"

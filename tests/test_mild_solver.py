@@ -155,7 +155,7 @@ def test_truncated_crossing_freezes_dynamics():
     assert above.size > 0, "fixture never crossed the cutoff"
     m = int(above[0])
     assert m < g.nt
-    heat = apply_semigroup(sol.field_at(m), g.dt)
+    heat = apply_semigroup(make_field(g, sol.fields[m]), g.dt)
     assert np.max(np.abs(sol.fields[m + 1] - heat.values)) <= 1e-12
 
 
@@ -328,7 +328,6 @@ def test_path_solution_diagnostics():
     g = make_grid(32, 16, 0.25)
     sol = solve_spde(eigenfunction(g, 1), LINEAR, 0.0, seed=0, grid=g)
     assert sol.rho_norms.shape == (g.nt + 1,)
-    assert sol.stability_indicator <= 1.0 + 1e-12  # heat flow contracts
     assert sol.terminal.values.shape == (g.n_interior,)
 
 

@@ -4,7 +4,6 @@ import pytest
 from spdelab.lattice import make_grid
 from spdelab.noise import (
     SeedDerivation,
-    partial_sum_identity,
     philox_keys,
     sample_sheet_expansion,
 )
@@ -106,8 +105,9 @@ def test_sheet_covariance():
     w2 = np.empty(reps)
     for r in range(reps):
         nz = sample_sheet_expansion(g, g.n_interior, 99, replica=r)
-        w1[r] = nz.sheet_value(4, 0.5)   # t=0.4, x=0.5
-        w2[r] = nz.sheet_value(8, 0.75)  # t=0.8, x=0.75
+        # W(t_m, x) sums the cells left of x: x = j / nx on nx = 8.
+        w1[r] = np.sum(nz.white_increments[:4, :4])  # t=0.4, x=0.5
+        w2[r] = np.sum(nz.white_increments[:8, :6])  # t=0.8, x=0.75
     target = 0.4 * 0.5
     cov = np.mean(w1 * w2)
     # Var(W1*W2) for jointly Gaussian factors.
@@ -133,7 +133,7 @@ def test_sheet_corner_variance_matches_partial_sum():
         # W(T, 1) = sum_i h_i(1) * w_i(T)
         h1 = np.sqrt(2) * (1 - np.cos(np.arange(1, K + 1) * np.pi)) / (np.arange(1, K + 1) * np.pi)
         vals[r] = h1 @ nz.mode_increments[:, :K].sum(axis=0)
-    target = float(partial_sum_identity(K, 1.0)) * g.T
+    target = (h1 @ h1) * g.T
     var = np.var(vals)
     assert abs(var - target) <= 3 * target * np.sqrt(2.0 / reps)
 
@@ -146,29 +146,6 @@ def test_nested_coupling_exact():
     for nz, k in ((big, 64), (small, 16)):
         assert np.array_equal(nz.mode_increments[:, :k], white.mode_increments[:, :k])
         assert not np.any(nz.mode_increments[:, k:])
-
-
-def test_partial_sum_values():
-    assert partial_sum_identity(17, 0.0) == 0.0
-    assert abs(partial_sum_identity(1, 1.0) - 8.0 / np.pi**2) <= 1e-14
-    assert abs(partial_sum_identity(10000, 0.37) - 0.37) <= 1e-3
-
-
-def test_partial_sum_monotone_and_bounded():
-    xs = np.linspace(0.0, 1.0, 11)
-    prev = np.zeros_like(xs)
-    for k in (1, 2, 4, 8, 16, 64, 256):
-        cur = partial_sum_identity(k, xs)
-        assert np.all(cur >= prev - 1e-15)
-        assert np.all(cur <= xs + 1e-12)
-        prev = cur
-
-
-def test_tail_sup_decreasing_in_k():
-    # Measured tail sup_y [y - partial_sum(k, y)] shrinks as k grows.
-    ys = np.linspace(0.0, 1.0, 201)
-    sups = [np.max(ys - partial_sum_identity(k, ys)) for k in (4, 16, 64, 256)]
-    assert np.all(np.diff(sups) < 0)
 
 
 def test_mode_white_consistency():
@@ -213,7 +190,3 @@ def test_invalid_inputs():
         philox_keys(0, range(4), -1)
     with pytest.raises(OverflowError):
         philox_keys(0, range(-1, 2), 0)
-    with pytest.raises(ValueError):
-        partial_sum_identity(4, 1.5)
-    with pytest.raises(ValueError):
-        partial_sum_identity(-1, 0.5)
