@@ -97,8 +97,7 @@ class _AdjointProblem:
             # Row m is decay^(nt-1-m) * ed: the weight with which the control
             # modes of step m reach v(T), and the adjoint of v(T) reaches C p
             # at step m. free is the heat flow of eta to T.
-            powers = np.arange(grid.nt - 1, -1, -1)[:, None]
-            self.reach = self.ops.decay**powers * self.ops.ed
+            self.reach = self.ops.decay_powers() * self.ops.ed
             self.free = self.ops.decay**grid.nt * to_modes(self.eta, grid)
 
     def forward(self, psi: np.ndarray):

@@ -12,8 +12,8 @@ declared bounds to verify:
     |f|     <= K(1+|r|)   |g1| <= K(1+|r|)   |g2| <= K(1+|r|^2)
     |f(p)-f(q)| + |g(p)-g(q)| <= L (1+|p|+|q|) |p-q|
 
-The exponent rho must exceed 6 for the solution theory; smaller values set an
-out-of-theory flag rather than refusing to run.
+The exponent rho must exceed 6 for the solution theory; when rho <= 6,
+validate_assumptions lists a warning in its report rather than refusing to run.
 """
 
 from __future__ import annotations

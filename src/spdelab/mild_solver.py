@@ -20,17 +20,20 @@ Picard sweeps, skeleton and controlled flows, the adjoint forward sweep and
 the path-rate prediction); _Ops also holds what is fixed for a whole solve.
 The noise reaches the whole-path integrator _integrate only as sine-mode
 increments dw_hat (the drawn Brownian increments, plus a tilt's
-Cameron-Martin shift), and _integrate alone decides how to step them. It
-returns the terminal state and each row's first blow-up step; a caller
-builds the path or a running functional with an observer that sees the
-nodal state before the first step and after every step (a frozen row shows
-its last finite state). In the
-linear additive case (f = 0, g = 0, constant sigma, no cutoff;
-_Ops.diagonal, derived from the coefficients alone) without a control the
-step is diagonal in the sine modes, u_hat <- decay * (u_hat + sqrt(eps)
-sigma dw_hat), and the state is carried in modes; otherwise each step's
-noise density is synthesized and _Ops.step runs. action's adjoint sweeps
-sum the decay powers of the diagonal step in one batched transform.
+Cameron-Martin shift); it synthesizes each step's noise density and steps
+_Ops.step. It returns the terminal state and each row's first blow-up step;
+a caller builds the path or a running functional with an observer that sees
+the nodal state before the first step and after every step (a frozen row
+shows its last finite state). In the linear additive case (f = 0, g = 0,
+constant sigma, no cutoff; _Ops.diagonal, derived from the coefficients
+alone) the step is diagonal in the sine modes, so the terminal state is a
+fixed linear map of the noise,
+
+    u_hat(T) = decay^nt u_hat(0) + sqrt(eps) sigma sum_m decay^(nt-m) (dw_m + shift_m),
+
+and _sample_replicas draws terminal samples of that case as one contraction
+of each chunk's noise block against the table of _Ops.decay_powers; action's
+adjoint sweeps sum the same decay powers in one batched transform.
 
 Cutoff runs multiply the drift, noise and divergence terms by
 chi_R(|u(t_m)|_rho) evaluated explicitly at the current step (an O(dt) lag
@@ -55,24 +58,24 @@ chunk whatever the replica count; a chunk's work must not keep its block
 after it returns.
 Its consumers are _sample_replicas (plain or Girsanov-tilted terminal and
 sup-norm samples, behind run_replicas and the experiment studies) and
-galerkin_coupled_errors. Both step several runs of a replica as one stacked
+galerkin_coupled_errors. Both take several runs of a replica as one stacked
 batch on its one noise block: galerkin_coupled_errors the white run and
 its truncations, _sample_replicas one run per entry of its list of initial
 fields (and tilts), every result leading with an axis over the runs.
 _moment_estimates stacks its eta scales, so the convergence study's moment
 leg draws its noise once for all of them, and importance sampling stacks
-its plain and tilted runs; off the diagonal path each replica-step's noise
-density is synthesized once for all runs. Blow-ups are masked per replica:
-a row that turns non-finite is frozen, its first bad step recorded, and the
-other rows step on unchanged, with no floating-point warning; the result
-does not depend on chunk size, thread count or stacking.
+its plain and tilted runs; each replica-step's noise density is synthesized
+once for all runs. Blow-ups are masked per replica: a row that turns
+non-finite is frozen, its first bad step recorded, and the other rows step
+on unchanged, with no floating-point warning; the result does not depend on
+chunk size, thread count or stacking.
 """
 
 from __future__ import annotations
 
 import queue
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,12 +164,10 @@ class PathSolution:
 
     fields: np.ndarray  # (nt+1, nx-1)
     grid: GridSpec
-    eps: float
     rho: float
     rho_norms: np.ndarray  # |u(t_m)|_rho
     linf_norms: np.ndarray
     seed_info: SeedDerivation | None = None
-    config: SolverConfig = field(default_factory=SolverConfig)
 
     @property
     def terminal(self) -> Field:
@@ -267,6 +268,12 @@ class _Ops:
             and self.cutoff_radius is None
         )
 
+    def decay_powers(self) -> np.ndarray:
+        """(nt, nx-1) table whose row m is decay^(nt-1-m): the diagonal steps'
+        propagator of the sine modes from t_{m+1} to T."""
+        powers = np.arange(self.grid.nt - 1, -1, -1)[:, None]
+        return self.decay**powers
+
     def project(self, values: np.ndarray) -> np.ndarray:
         """Galerkin projection onto the active modes."""
         if self.k_modes == self.grid.n_interior:
@@ -325,36 +332,16 @@ class _Ops:
         return modes
 
 
-# No synthesis of modes whose magnitudes sum to at most this can overflow.
-_SAFE_MODE_SUM = 1e300
-
-
-def _synthesizes_finite(modes: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Per row, whether from_modes(modes) is finite. Only the rows whose mode
-    magnitudes sum past _SAFE_MODE_SUM (or are not finite) are synthesized."""
-    ok = np.asarray(np.abs(modes).sum(axis=-1) <= _SAFE_MODE_SUM)
-    if not ok.all():
-        check = ~ok
-        ok[check] = np.isfinite(from_modes(modes[check], grid)).all(axis=-1)
-    return ok
-
-
 def _integrate(u0: np.ndarray, ops: _Ops, dw=None, shift=None, psi=None, observe=None):
-    """Advance u0 (..., nx-1) over all nt steps, masking blow-ups per row.
+    """Step u0 (..., nx-1) nt times through _Ops.step, masking blow-ups per row.
 
     dw: a callable m -> the sine-mode increments of step m (the drawn
     increments, inactive noise modes zeroed), broadcasting against the state;
     shift: (..., nt, nx-1) mode-space tilt added to every step's increments;
-    psi: (nt, nx-1) control. observe, when given, is called with the nodal
-    state before the first step and after every step; a frozen row keeps
-    showing its last finite state.
-
-    When ops.diagonal holds and there is no control, the state is carried in
-    sine modes, u_hat <- decay * (u_hat + sqrt(eps) sigma (dw(m) + shift)),
-    and synthesized only for observe, at the end, or where the mode
-    magnitudes leave open whether the nodal values are finite. Otherwise each
-    step's noise density is synthesized from dw(m), the shift once per call,
-    and the step is _Ops.step.
+    psi: (nt, nx-1) control. Each step's noise density is synthesized from
+    dw(m), the shift once per call. observe, when given, is called with the
+    nodal state before the first step and after every step; a frozen row
+    keeps showing its last finite state.
 
     Returns (terminal, blown): terminal is the final nodal state, NaN in the
     rows that blew up; blown, shaped u0.shape[:-1], holds each row's first
@@ -363,40 +350,30 @@ def _integrate(u0: np.ndarray, ops: _Ops, dw=None, shift=None, psi=None, observe
     then sees no further steps.
     """
     grid = ops.grid
-    modal = ops.diagonal and psi is None
-    if shift is not None and not modal:
+    if shift is not None:
         shift = from_modes(shift, grid)
 
     def noise(m):
-        """Step m's shifted increments (modal path) or noise density."""
-        w = dw(m) if modal else from_modes(dw(m), grid)
+        """Step m's noise density, shifted."""
+        w = from_modes(dw(m), grid)
         return w if shift is None else w + shift[..., m, :]
 
-    # The carried state: sine modes on the modal path, else nodal values.
     state = ops.project(np.asarray(u0, dtype=float))
     blown = np.zeros(state.shape[:-1], dtype=int)
     alive = np.ones(state.shape[:-1], dtype=bool)
     if observe is not None:
         observe(state)
-    if modal:
-        state = to_modes(state, grid)
-    scale = ops.sqrt_eps * ops.cf.sigma_const if modal else None
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(grid.nt):
-            if modal:
-                new = ops.decay * (state if dw is None else state + scale * noise(m))
-                finite = _synthesizes_finite(new, grid)
-            else:
-                modes = ops.step(
-                    state,
-                    m * grid.dt,
-                    xi=None if dw is None else noise(m),
-                    psi=None if psi is None else psi[..., m, :],
-                    chi=ops.cutoff(state),
-                )
-                new = from_modes(modes, grid)
-                finite = np.isfinite(new).all(axis=-1)
-            bad = alive & ~finite
+            modes = ops.step(
+                state,
+                m * grid.dt,
+                xi=None if dw is None else noise(m),
+                psi=None if psi is None else psi[..., m, :],
+                chi=ops.cutoff(state),
+            )
+            new = from_modes(modes, grid)
+            bad = alive & ~np.isfinite(new).all(axis=-1)
             if bad.any():
                 blown[bad] = m + 1
                 alive &= ~bad
@@ -406,24 +383,21 @@ def _integrate(u0: np.ndarray, ops: _Ops, dw=None, shift=None, psi=None, observe
                 new = np.where(alive[..., None], new, state)
             state = new
             if observe is not None:
-                observe(from_modes(state, grid) if modal else state)
+                observe(state)
 
-    u = from_modes(state, grid) if modal else state
-    return (u if alive.all() else np.where(alive[..., None], u, np.nan)), blown
+    return (state if alive.all() else np.where(alive[..., None], state, np.nan)), blown
 
 
-def _path_solution(path, grid, eps, cf, seed_info, config) -> PathSolution:
+def _path_solution(path, grid, cf, seed_info) -> PathSolution:
     rho_norms = lp_norm_values(path, grid.dx, cf.rho)
     linf = np.max(np.abs(path), axis=-1)
     return PathSolution(
         fields=path,
         grid=grid,
-        eps=eps,
         rho=cf.rho,
         rho_norms=rho_norms,
         linf_norms=linf,
         seed_info=seed_info,
-        config=config,
     )
 
 
@@ -451,7 +425,7 @@ def _solve_path(
     if blown:  # a noise-driven path names its seed triple, as a blown replica does
         raise BlowUpError(int(blown), replica=noise.seed_info.replica, seed=noise.seed_info)
     seed_info = noise.seed_info if noise is not None else None
-    return _path_solution(path, grid, eps, cf, seed_info, config)
+    return _path_solution(path, grid, cf, seed_info)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +479,6 @@ def picard_solve(
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    config = SolverConfig(k_modes=k_modes, cutoff_radius=cutoff_radius)
     ops = _Ops(cf, grid, k_modes, eps, cutoff_radius)
     xi = None
     if noise is not None and eps > 0:
@@ -538,7 +511,7 @@ def picard_solve(
         U = V
         if dist <= tol:
             seed_info = noise.seed_info if noise is not None else None
-            return _path_solution(U, grid, eps, cf, seed_info, config), trace
+            return _path_solution(U, grid, cf, seed_info), trace
     raise PicardError(
         f"no contraction below tol={tol} within {max_iter} iterations "
         f"(last distance {trace[-1]:.3e})",
@@ -647,12 +620,13 @@ def _sample_replicas(
     initial Field of etas, plain or tilted.
 
     Each replica runs once per entry of etas on its one noise draw, the runs
-    stepping as one stacked batch; every result leads with an axis over the
+    taken as one stacked batch; every result leads with an axis over the
     runs. values holds each replica's terminal field (record="terminal") or
     its sup-in-time |u|_rho^rho (record="sup_rho"); blown holds each
     replica's first non-finite step (0 if it stayed finite), and a blown
     replica's values are NaN. The caller decides whether partial loss is
-    acceptable.
+    acceptable. Linear additive terminals (_Ops.diagonal) are contracted from
+    the noise; only a (run, replica) whose terminal is not finite is stepped.
 
     psis, when given, holds each run's tilt (nt, nx-1), or None for an
     untilted run. A tilt psi shifts the white increments themselves,
@@ -698,6 +672,14 @@ def _sample_replicas(
     values = np.empty((runs, replicas) + ((nxm,) if record == "terminal" else ()))
     log_weights = np.zeros((runs, replicas))
     dx, rho = grid.dx, cf.rho
+    contract = ops.diagonal and record == "terminal"
+    if contract:
+        # The terms of u0 and of each run's shift are fixed for the call.
+        weights = ops.decay * ops.decay_powers()
+        scale = ops.sqrt_eps * cf.sigma_const
+        fixed = (ops.decay**grid.nt * to_modes(u_init, grid))[:, None, :]
+        if shifts is not None:
+            fixed += scale * np.einsum("rimk,mk->rik", shifts, weights)
 
     def work(rows: range, modes: np.ndarray) -> np.ndarray:
         if k_noise < nxm:
@@ -706,6 +688,19 @@ def _sample_replicas(
         for i, tilt in enumerate(tilts):
             if tilt is not None:
                 log_weights[i, mine] = girsanov_log_weight(tilt, modes, eps)
+        if contract:
+            with np.errstate(over="ignore", invalid="ignore"):
+                hat = fixed + scale * np.einsum("rmk,mk->rk", modes, weights)
+                terminal = from_modes(hat, grid)
+            blown = np.zeros((runs, len(rows)), dtype=int)
+            run, row = np.nonzero(~np.isfinite(terminal).all(axis=-1))
+            if run.size:  # stepped alone, each names its first non-finite step
+                shift = None if shifts is None else shifts[run, 0]
+                terminal[run, row], blown[run, row] = _integrate(
+                    u_init[run], ops, lambda m: modes[row, m, :], shift
+                )
+            values[:, mine] = terminal
+            return blown
         u0 = np.broadcast_to(u_init[:, None, :], (runs, len(rows), nxm))
         sup = observe = None
         if record == "sup_rho":

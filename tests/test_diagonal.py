@@ -1,14 +1,13 @@
-"""The diagonal (linear additive) path: paths, replicas, Galerkin coupled
-errors and adjoint sweeps stepped in sine modes must match the nodal stepping
-path.
+"""The diagonal (linear additive) case: terminal samples contracted from the
+noise and adjoint sweeps built from decay-power tables must match the nodal
+stepping path, and a finite terminal sample must not step at all.
 
 The oracle is the same solve with cutoff_radius = 1e300: chi_R of any finite
-norm is then exactly 1.0, so the oracle steps every path, replica and
-adjoint step through _Ops.step, transforms and all, with the same dynamics.
+norm is then exactly 1.0, so the oracle steps every replica and adjoint step
+through _Ops.step, transforms and all, with the same dynamics.
 """
 
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +29,6 @@ from spdelab.mild_solver import (
     _integrate,
     _Ops,
     _sample_replicas,
-    galerkin_coupled_errors,
-    solve_spde,
 )
 
 RTOL = 1e-12
@@ -111,33 +108,6 @@ def test_diagonal_result_does_not_depend_on_chunks_or_threads(monkeypatch):
         assert b.tobytes() == ref[2].tobytes()
 
 
-def additive_path(config):
-    g = make_grid(16, 32, 0.25)
-    eta = eigenfunction(g, 1, amplitude=0.5)
-    return solve_spde(eta, ADDITIVE, 0.3, 5, g, config, replica=2, stream=1).fields
-
-
-@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
-def test_solve_spde_matches_the_stepping_oracle(config):
-    close(additive_path(config), additive_path(replace(config, cutoff_radius=ORACLE_RADIUS)))
-
-
-def coupled_errors(k_modes, threads):
-    g = make_grid(16, 32, 0.25)
-    eta = eigenfunction(g, 1, amplitude=0.5)
-    return galerkin_coupled_errors(eta, ADDITIVE, 0.3, g, 5, 40, (0, 2, 6, 15),
-                                   stream=1, k_modes=k_modes, threads=threads)
-
-
-@pytest.mark.parametrize("k_modes", [None, 5])
-@pytest.mark.parametrize("threads", [1, 2])
-def test_galerkin_coupled_errors_match_the_stepping_oracle(monkeypatch, k_modes, threads):
-    errors = coupled_errors(k_modes, threads)
-    monkeypatch.setattr(mild_solver, "_Ops",
-                        partial(mild_solver._Ops, cutoff_radius=ORACLE_RADIUS))
-    close(errors, coupled_errors(k_modes, threads))
-
-
 @pytest.mark.parametrize("psi", [None, tilt], ids=["plain", "tilted"])
 def test_overflow_blows_the_same_steps(monkeypatch, psi):
     # sqrt(eps) * sigma0 overflows, so every replica blows up at step 1 on
@@ -146,6 +116,34 @@ def test_overflow_blows_the_same_steps(monkeypatch, psi):
     (v, _, b), (v_o, _, b_o) = sample_both(monkeypatch, SolverConfig(), psi, cf=cf, eps=4.0)
     assert np.all(b == 1) and np.array_equal(b, b_o)
     assert np.all(np.isnan(v)) and np.all(np.isnan(v_o))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_overflowing_replica_is_stepped_alone(monkeypatch, threads, chunk):
+    # A plain and a tilted run stacked on each replica's draw, as in importance.
+    g = make_grid(16, 32, 0.25)
+    eta = eigenfunction(g, 1, amplitude=0.5)
+    args = ([eta, eta], ADDITIVE, 0.3, g, 5, 40, 1, SolverConfig(), [None, tilt(g)])
+    ref = _sample_replicas(*args)
+    blown_row, step = 9, 4
+    draw = mild_solver._noise_block
+
+    def scaled(grid, master, rows, stream, out=None):
+        block = draw(grid, master, rows, stream, out=out)
+        if blown_row in rows:
+            block[rows.index(blown_row), step:] *= np.inf  # scaled past the float range
+        return block
+
+    monkeypatch.setattr(mild_solver, "_noise_block", scaled)
+    if chunk is not None:
+        monkeypatch.setattr(mild_solver, "_CHUNK_DOUBLES", chunk * g.nt * g.n_interior)
+    v, w, b = _sample_replicas(*args, threads=threads)
+    assert b[:, blown_row].tolist() == [step + 1] * 2
+    assert np.all(np.isnan(v[:, blown_row]))
+    others = np.arange(40) != blown_row
+    for got, want in zip((v, w, b), ref):
+        assert got[:, others].tobytes() == want[:, others].tobytes()
 
 
 def test_mode_increments_record_each_rows_first_non_finite_step():
@@ -253,16 +251,10 @@ def test_importance_one_draw_equals_two_draws(raw):
 
 def forbid_stepping(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("the linear additive case left the diagonal path")
+        raise AssertionError("a finite linear additive terminal was stepped")
 
     monkeypatch.setattr(mild_solver._Ops, "step", fail)
-
-
-def test_solve_spde_and_coupled_errors_stay_on_the_diagonal_path(monkeypatch):
-    forbid_stepping(monkeypatch)
-    for config in CONFIGS.values():
-        assert np.all(np.isfinite(additive_path(config)))
-    assert np.all(np.isfinite(coupled_errors(5, 2)))
+    monkeypatch.setattr(mild_solver, "_integrate", fail)
 
 
 def test_golden_config_stays_on_the_diagonal_path(monkeypatch, tmp_path):
