@@ -43,23 +43,27 @@ convergence is measurable pathwise.
 
 All stepping broadcasts over leading axes, so replica batches integrate in
 lockstep; a single path is the batch of one. Replica Monte Carlo runs through
-one engine, _replica_engine, which draws each chunk's mode increments once
-and runs the chunks in order or on worker threads. noise._noise_block, the
-one Philox fill, draws each chunk's block (and a single path's
+one engine, _replica_engine, which draws each chunk's mode increments and
+runs the chunks in order or on worker threads. noise._NoiseDrawer, the one
+Philox fill, draws them (and, through noise._noise_block, a single path's
 noise.sample_sheet_expansion), re-keying one generator to each replica's
-key and filling that replica's row in place. A chunk's noise
-block holds at most _CHUNK_DOUBLES doubles (16 MiB; a single replica larger
-than that still gets a chunk of its own) and, with threads > 1, at most
-ceil(replicas / threads) rows, so every worker has a chunk even when all
-replicas fit in memory at once; min(threads, chunk count) workers run.
-Each worker draws its chunks into one chunk-sized buffer, allocated before
-the first chunk runs, so the noise held at once is bounded by workers x
-chunk whatever the replica count; a chunk's work must not keep its block
-after it returns.
+key and filling that replica's row in place. A chunk holds at most
+_CHUNK_DOUBLES doubles of whole-horizon noise (16 MiB; a single replica
+larger than that still gets a chunk of its own) and, with threads > 1, at
+most ceil(replicas / threads) rows, so every worker has a chunk even when
+all replicas fit in memory at once; min(threads, chunk count) workers run.
+Each worker draws its chunks into one buffer, allocated before the first
+chunk runs; a chunk's work must not keep its noise after it returns. The
+stepping legs (Galerkin coupled errors and untilted, uncontracted replica
+runs) read one step at a time, so their buffer holds one window of _WINDOW
+steps, each replica's stream continued window by window with the same bits;
+only the linear additive contraction and tilted runs, which sum over the
+whole horizon, hold a chunk's whole block. The noise held at once is
+bounded by workers x buffer whatever the replica count.
 Its consumers are _sample_replicas (plain or Girsanov-tilted terminal and
 sup-norm samples, behind run_replicas and the experiment studies) and
 galerkin_coupled_errors. Both take several runs of a replica as one stacked
-batch on its one noise block: galerkin_coupled_errors the white run and
+batch on its one noise draw: galerkin_coupled_errors the white run and
 its truncations, _sample_replicas one run per entry of its list of initial
 fields (and tilts), every result leading with an axis over the runs.
 _moment_estimates stacks its eta scales, so the convergence study's moment
@@ -93,6 +97,7 @@ from .noise import (
     NoiseRealization,
     SeedDerivation,
     _noise_block,
+    _NoiseDrawer,
     sample_sheet_expansion,
 )
 
@@ -527,6 +532,25 @@ def picard_solve(
 # A chunk's noise block holds at most this many doubles (16 MiB), unless a
 # single replica's noise is larger.
 _CHUNK_DOUBLES = 2**21
+# Steps of noise a stepping consumer draws at a time.
+_WINDOW = 32
+
+
+def _windows(drawer: _NoiseDrawer, buf: np.ndarray, k_noise: int):
+    """dw(m) for m = 0, 1, ..., nt-1, called in that order: step m's mode
+    increments of the drawer's rows, drawn buf.shape[1] steps at a time into
+    buf (len(rows), window, nx-1) with mode columns k_noise: zeroed."""
+    width = buf.shape[1]
+    window = None
+
+    def dw(m):
+        nonlocal window
+        if m == drawer.drawn:
+            window = drawer.fill(buf[:, : min(width, drawer.nt - m)])
+            window[..., k_noise:] = 0.0
+        return window[:, m % width]
+
+    return dw
 
 
 def _replica_engine(
@@ -536,35 +560,40 @@ def _replica_engine(
     stream: int,
     work,
     threads: int = 1,
+    window: int | None = None,
+    k_noise: int | None = None,
 ) -> np.ndarray:
-    """Run work(rows, modes) over consecutive chunks of replicas 0..replicas-1.
+    """Run work(rows, noise) over consecutive chunks of replicas 0..replicas-1.
 
-    modes is the chunk's (len(rows), nt, nx-1) block of mode increments on
-    the streams (master, r, stream), drawn once; work integrates and reduces
-    it, writes only its own rows of its outputs, and returns the first
-    non-finite step of each of its runs, shaped (..., len(rows)) (0 where a
-    run stayed finite). modes is a view of a buffer that the next chunk
-    overwrites, so work may change it but must not keep it (or a view of it)
-    after it returns.
+    noise is the chunk's driving noise on the streams (master, r, stream):
+    its mode increments with columns k_noise: zeroed (none when k_noise is
+    None). With window None it is the chunk's (len(rows), nt, nx-1) block,
+    drawn once; otherwise it is dw, a callable m -> step m's (len(rows),
+    nx-1) increments for m = 0, 1, ... in order, drawn `window` steps at a
+    time. work integrates and reduces it, writes only its own rows of its
+    outputs, and returns the first non-finite step of each of its runs,
+    shaped (..., len(rows)) (0 where a run stayed finite). The noise is a
+    view of a buffer that the next chunk overwrites, so work may change it
+    but must not keep it (or a view of it) after it returns.
 
-    A chunk holds at most _CHUNK_DOUBLES of noise (a replica larger than that
-    still gets a chunk of its own) and, with threads > 1, at most
-    ceil(replicas / threads) rows, so every worker gets a chunk. Chunks run
-    in order, or on min(threads, chunk count) worker threads. Each worker
-    gets one chunk-sized noise buffer, allocated before any chunk runs and
-    freed before the results are joined, so the engine's noise memory is
-    workers x chunk, whatever the replica count. Returns the blow-up steps of
-    all runs, shaped (..., replicas).
+    A chunk holds at most _CHUNK_DOUBLES of whole-block noise (a replica
+    larger than that still gets a chunk of its own) and, with threads > 1,
+    at most ceil(replicas / threads) rows, so every worker gets a chunk; the
+    window does not change the chunks. Chunks run in order, or on
+    min(threads, chunk count) worker threads. Each worker gets one buffer of
+    (chunk, min(window, nt), nx-1) noise (a whole block without a window),
+    allocated before any chunk runs and freed before the results are
+    joined, so the engine's noise memory is workers x buffer, whatever the
+    replica count. Returns the blow-up steps of all runs, shaped
+    (..., replicas).
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     if threads < 1:
         raise ValueError(f"threads={threads} must be >= 1")
-    shape = (grid.nt, grid.n_interior)
-    chunk = min(
-        max(1, int(_CHUNK_DOUBLES // max(shape[0] * shape[1], 1))),
-        -(-replicas // threads),
-    )
+    nt, nxm = grid.nt, grid.n_interior
+    k_noise = nxm if k_noise is None else k_noise
+    chunk = min(max(1, int(_CHUNK_DOUBLES // max(nt * nxm, 1))), -(-replicas // threads))
     starts = range(0, replicas, chunk)
     workers = min(threads, len(starts))
     # One buffer per worker, allocated up front: buffers allocated as each
@@ -572,13 +601,19 @@ def _replica_engine(
     # leave the heap's peak depending on the order they happen to run in.
     buffers = queue.SimpleQueue()
     for _ in range(workers):
-        buffers.put(np.empty((chunk,) + shape))
+        buffers.put(np.empty((chunk, nt if window is None else min(window, nt), nxm)))
 
     def run_chunk(start: int) -> np.ndarray:
         rows = range(start, min(start + chunk, replicas))
         buf = buffers.get()
         try:
-            return work(rows, _noise_block(grid, master, rows, stream, out=buf))
+            if window is None:
+                noise = _noise_block(grid, master, rows, stream, out=buf)
+                noise[..., k_noise:] = 0.0
+            else:
+                drawer = _NoiseDrawer(grid, master, rows, stream)
+                noise = _windows(drawer, buf[: len(rows)], k_noise)
+            return work(rows, noise)
         finally:
             buffers.put(buf)
 
@@ -681,23 +716,25 @@ def _sample_replicas(
         if shifts is not None:
             fixed += scale * np.einsum("rimk,mk->rik", shifts, weights)
 
-    def work(rows: range, modes: np.ndarray) -> np.ndarray:
-        if k_noise < nxm:
-            modes[..., k_noise:] = 0.0
+    # Only the contraction and the Girsanov weights read a chunk's whole
+    # block; an untilted stepping run reads its noise a window at a time.
+    window = None if contract or shifts is not None else _WINDOW
+
+    def work(rows: range, noise) -> np.ndarray:
         mine = slice(rows.start, rows.stop)
         for i, tilt in enumerate(tilts):
             if tilt is not None:
-                log_weights[i, mine] = girsanov_log_weight(tilt, modes, eps)
+                log_weights[i, mine] = girsanov_log_weight(tilt, noise, eps)
         if contract:
             with np.errstate(over="ignore", invalid="ignore"):
-                hat = fixed + scale * np.einsum("rmk,mk->rk", modes, weights)
+                hat = fixed + scale * np.einsum("rmk,mk->rk", noise, weights)
                 terminal = from_modes(hat, grid)
             blown = np.zeros((runs, len(rows)), dtype=int)
             run, row = np.nonzero(~np.isfinite(terminal).all(axis=-1))
             if run.size:  # stepped alone, each names its first non-finite step
                 shift = None if shifts is None else shifts[run, 0]
                 terminal[run, row], blown[run, row] = _integrate(
-                    u_init[run], ops, lambda m: modes[row, m, :], shift
+                    u_init[run], ops, lambda m: noise[row, m, :], shift
                 )
             values[:, mine] = terminal
             return blown
@@ -706,11 +743,12 @@ def _sample_replicas(
         if record == "sup_rho":
             sup = np.zeros((runs, len(rows)))
             observe = lambda u: np.maximum(sup, lp_norm_values(u, dx, rho) ** rho, out=sup)
-        terminal, blown = _integrate(u0, ops, lambda m: modes[:, m, :], shifts, observe=observe)
+        dw = noise if window else lambda m: noise[:, m, :]
+        terminal, blown = _integrate(u0, ops, dw, shifts, observe=observe)
         values[:, mine] = terminal if sup is None else np.where(blown > 0, np.nan, sup)
         return blown
 
-    blown = _replica_engine(grid, master, replicas, stream, work, threads)
+    blown = _replica_engine(grid, master, replicas, stream, work, threads, window, k_noise)
     return values, log_weights, blown
 
 
@@ -769,18 +807,18 @@ def galerkin_coupled_errors(
     masks = (np.arange(nxm) < keep[:, None]).astype(float)[:, None, :]
     errors = np.empty((replicas, len(k_list)))
 
-    def work(rows: range, modes: np.ndarray) -> np.ndarray:
+    def work(rows: range, dw) -> np.ndarray:
         sup = np.zeros((len(k_list), len(rows)))
 
         def observe(u):
             np.maximum(sup, lp_norm_values(u[0] - u[1:], grid.dx, cf.rho), out=sup)
 
         u0 = np.broadcast_to(eta.values, (len(keep), len(rows), nxm))
-        _, blown = _integrate(u0, ops, lambda m: masks * modes[:, m, :], observe=observe)
+        _, blown = _integrate(u0, ops, lambda m: masks * dw(m), observe=observe)
         errors[rows.start : rows.stop] = sup.T
         return blown
 
-    blown = _replica_engine(grid, master, replicas, stream, work, threads)
+    blown = _replica_engine(grid, master, replicas, stream, work, threads, _WINDOW)
     # A replica blew up at the first step any of its stacked runs did.
     first = np.where(blown > 0, blown, grid.nt + 1).min(axis=0)
     _raise_first_blowup(np.where(first > grid.nt, 0, first), master, stream)

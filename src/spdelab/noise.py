@@ -21,12 +21,17 @@ SeedSequence would hash entropy master plus spawn key (replica, stream)
 spawn-key words, then generate_state(2, uint64)) into the key of a
 counter-based Philox generator at counter zero. A counter-based stream needs
 only its key, so philox_keys runs vectorized over a range of replicas, and
-_noise_block, the one Philox fill, re-keys one Philox per replica: the
-replica engine draws each chunk with it into a worker's reused buffer (its
-out argument fills a leading slice of a buffer in place, with the same bits
-as a fresh block), and sample_sheet_expansion fills a new (nt, nx-1)
-array as a one-replica block. Distinct triples give independent streams
-regardless of scheduling; tests/test_noise.py pins the keys to numpy's own
+_NoiseDrawer, the one Philox fill, re-keys one Philox per replica and fills
+that replica's row in place. It draws window after window, saving each
+row's generator state between windows, so the windows join to the rows'
+whole blocks bit for bit: the replica engine's stepping legs hold one
+window of a chunk's noise per worker, and only contracted or tilted runs
+hold the whole block. _noise_block is one window of nt steps: the engine
+draws such a chunk with it into a worker's reused buffer (its out argument
+fills a leading slice of a buffer in place, with the same bits as a fresh
+block), and sample_sheet_expansion fills a new (nt, nx-1) array as a
+one-replica block. Distinct triples give independent streams regardless
+of scheduling; tests/test_noise.py pins the keys to numpy's own
 SeedSequence(...).generate_state(2, np.uint64) and the draws to frozen
 vectors.
 """
@@ -143,14 +148,56 @@ def philox_keys(master: int, replicas: range, stream: int) -> np.ndarray:
     return keys
 
 
+class _NoiseDrawer:
+    """Draws the mode increments of the streams (master, r, stream), r in
+    replicas, window after window: each fill draws the next steps of every
+    row, so consecutive windows concatenate to the rows' (nt, nx-1) blocks
+    bit for bit.
+
+    One Philox draws every row. A row's first window re-keys it to the row's
+    key at counter zero; a later window restores the state saved when the
+    row's previous window ended. No state is saved after a row's last window,
+    so a single window of nt steps costs what the plain fill costs.
+    """
+
+    def __init__(self, grid: GridSpec, master: int, replicas: range, stream: int):
+        self.nt = grid.nt
+        self.scale = np.sqrt(grid.dt)
+        self.keys = philox_keys(master, replicas, stream)
+        self.bits = np.random.Philox(key=0)
+        self.rng = np.random.Generator(self.bits)
+        # A fresh Philox's state: counter zero, empty buffer (buffer_pos 4), no
+        # cached 32-bit half (has_uint32 0); only the key changes per replica.
+        self.fresh = self.bits.state
+        self.states = [None] * len(replicas)
+        self.drawn = 0
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Draw the next out.shape[1] steps of every row into out, shaped
+        (len(replicas), steps, nx-1) with C-contiguous rows, and return it."""
+        end = self.drawn + out.shape[1]
+        if end > self.nt:
+            raise ValueError(f"a window ending at step {end} overruns nt={self.nt}")
+        first, keep = self.drawn == 0, end < self.nt
+        for i, row in enumerate(out):
+            if first:
+                self.fresh["state"]["key"] = self.keys[i]
+            self.bits.state = self.fresh if first else self.states[i]
+            self.rng.standard_normal(out=row)
+            if keep:
+                self.states[i] = self.bits.state
+        out *= self.scale
+        self.drawn = end
+        return out
+
+
 def _noise_block(
     grid: GridSpec, master: int, replicas: range, stream: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """(len(replicas), nt, nx-1) mode increments of the streams (master, r,
-    stream) for r in replicas: one Philox is re-keyed to each replica's key
-    at counter zero and fills that row in place, and the block is scaled by
-    sqrt(dt) once, so row i is what Philox(SeedSequence(master, spawn_key=
-    (replicas[i], stream))) draws times sqrt(dt).
+    stream) for r in replicas, as one window of nt steps of a _NoiseDrawer:
+    row i is what Philox(SeedSequence(master, spawn_key=(replicas[i],
+    stream))) draws times sqrt(dt).
 
     out, when given, is a float64 C-contiguous (n, nt, nx-1) buffer with
     n >= len(replicas) whose old contents are ignored: out[:len(replicas)]
@@ -162,17 +209,7 @@ def _noise_block(
     block = np.empty(shape) if out is None else out[: len(replicas)]
     if block.shape != shape:
         raise ValueError(f"noise buffer {out.shape} cannot hold a block {shape}")
-    bits = np.random.Philox(key=0)
-    rng = np.random.Generator(bits)
-    # A fresh Philox's state: counter zero, empty buffer (buffer_pos 4), no
-    # cached 32-bit half (has_uint32 0); only the key changes per replica.
-    state = bits.state
-    for row, key in zip(block, philox_keys(master, replicas, stream)):
-        state["state"]["key"] = key
-        bits.state = state
-        rng.standard_normal(out=row)
-    block *= np.sqrt(grid.dt)
-    return block
+    return _NoiseDrawer(grid, master, replicas, stream).fill(block)
 
 
 @dataclass

@@ -221,6 +221,43 @@ def test_burgers_sweeps_make_three_transform_calls_per_step(monkeypatch):
     assert calls == {"to_modes": g.nt, "cos_analysis": g.nt, "from_modes": g.nt}
 
 
+def stepwise_gradient(prob, psi, v, mu):
+    """The adjoint sweep with each step's coefficient factors evaluated
+    inside the backward loop, at (t_m, v[m])."""
+    grid, cf, ops = prob.grid, prob.cf, prob.ops
+    p = mu * prob.dx * (v[-1] - prob.target)
+    grad = np.empty_like(psi)
+    for m in range(grid.nt - 1, -1, -1):
+        t, u = m * prob.dt, v[m]
+        pm = lattice.to_modes(p, grid)
+        Sp, Cp = lattice.from_modes(prob.adjoint_factors * pm, grid, overwrite=True)
+        grad[m] = prob.dtdx * psi[m] + ops.sigma(t, u) * Cp
+        p = Sp if cf.f_is_zero else (1.0 + prob.dt * cf.f_r(t, prob.x, u)) * Sp
+        if not cf.g_is_zero:
+            p = p + cf.g_r(t, prob.x, u) * (-lattice.cos_synthesis(ops.ed * pm, grid))
+        if cf.sigma_const is None:
+            p = p + cf.sigma_r(t, prob.x, u) * psi[m] * Cp
+    return grad
+
+
+@pytest.mark.parametrize("cf", [
+    BURGERS,
+    make_coefficients("reaction", f_slope=0.2, g1_slope=0.1, g2_quad=0.05, sigma0=1.0,
+                      sigma1=0.3),
+    make_coefficients("reaction", f_slope=0.2, g1_slope=0.1, g2_quad=0.05, sigma0=1.0,
+                      sigma1=0.0),
+], ids=["burgers", "reaction", "reaction_additive"])
+def test_gradient_equals_the_stepwise_sweep(cf):
+    g = make_grid(32, 12, 0.25)
+    prob = _AdjointProblem(eigenfunction(g, 1, amplitude=0.5),
+                           eigenfunction(g, 1, amplitude=0.3), cf, g, ActionOptions(k_modes=8))
+    assert not prob.ops.diagonal
+    psi = 0.3 * np.random.default_rng(11).standard_normal((g.nt, g.n_interior))
+    v = prob.forward(psi)
+    got = prob.gradient(psi, v, 10.0)
+    assert got.tobytes() == stepwise_gradient(prob, psi, v, 10.0).tobytes()
+
+
 def test_stacked_sweep_rows_equal_single_sweeps():
     prob = burgers_problem()
     g = prob.grid

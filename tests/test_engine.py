@@ -23,9 +23,11 @@ from spdelab.control import solve_controlled
 from spdelab.lattice import eigenfunction, make_field, make_grid
 from spdelab.mild_solver import (
     BlowUpError,
+    SolverConfig,
     _moment_estimates,
     _sample_replicas,
     estimate_moments,
+    galerkin_coupled_errors,
     run_replicas,
     solve_spde,
 )
@@ -229,15 +231,22 @@ def test_threads_split_a_single_memory_chunk(monkeypatch, tilted):
     psi = None
     if tilted:
         psi = np.tile(eigenfunction(grid, 1, amplitude=2.0).values, (grid.nt, 1))
-    # The engine draws one noise block per chunk, right before its work call.
+    # The engine draws each chunk's noise right before its work call: one
+    # block, or, for an untilted stepping run, one drawer filled window by
+    # window.
     seen = []
-    draw = mild_solver._noise_block
+    draw, drawer = mild_solver._noise_block, mild_solver._NoiseDrawer
 
     def recording(grid, master, rows, stream, out=None):
         seen.append(rows)
         return draw(grid, master, rows, stream, out=out)
 
+    def recording_drawer(grid, master, rows, stream):
+        seen.append(rows)
+        return drawer(grid, master, rows, stream)
+
     monkeypatch.setattr(mild_solver, "_noise_block", recording)
+    monkeypatch.setattr(mild_solver, "_NoiseDrawer", recording_drawer)
     results, chunks = {}, {}
     for threads in (1, 2):
         seen.clear()
@@ -314,6 +323,69 @@ def test_engine_noise_memory_is_bounded():
     assert peak < bound
 
 
+@pytest.mark.parametrize("width", [1, 5, 12, 20])
+@pytest.mark.parametrize("rows", [range(0, 9), range(5, 14)], ids=["from_zero", "offset"])
+def test_windowed_draws_keep_the_bits(rows, width):
+    grid = make_grid(16, 12, 0.25)
+    block = mild_solver._noise_block(grid, 90125, rows, 2)
+    for k in (grid.n_interior, 5, 0):
+        buf = np.full((len(rows), width, grid.n_interior), np.nan)
+        drawer = mild_solver._NoiseDrawer(grid, 90125, rows, 2)
+        dw = mild_solver._windows(drawer, buf, k)
+        steps = np.stack([dw(m).copy() for m in range(grid.nt)], axis=1)
+        expected = block.copy()
+        expected[..., k:] = 0.0
+        assert steps.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="overruns"):
+            drawer.fill(buf[:, :1])
+
+
+@pytest.mark.parametrize("threads,chunk", [(1, 4), (2, 4), (2, None)])
+def test_engine_windows_are_the_block(monkeypatch, threads, chunk):
+    # Chunks of 4 rows start at offset replicas; nt = 12 is no multiple of 5.
+    grid = make_grid(16, 12, 0.25)
+    force_chunk(monkeypatch, grid, chunk)
+    expected = mild_solver._noise_block(grid, 90125, range(11), 2)
+    expected[..., 6:] = 0.0
+    got = np.full_like(expected, np.nan)
+
+    def work(rows, dw):
+        got[rows.start : rows.stop] = np.stack([dw(m).copy() for m in range(grid.nt)], axis=1)
+        return np.zeros(len(rows), dtype=int)
+
+    mild_solver._replica_engine(grid, 90125, 11, 2, work, threads, window=5, k_noise=6)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_stepping_legs_hold_a_window_not_the_horizon(monkeypatch):
+    # 40 replicas x 512 steps x 31 modes is 5.08 MB of noise in one chunk; the
+    # Galerkin and moment legs step through it holding one 32-step window.
+    grid = make_grid(32, 512, 0.25)
+    cf = make_coefficients("burgers", sigma0=1.0, sigma1=0.2)
+    eta = eigenfunction(grid, 1, amplitude=0.5)
+    etas = [eta, eigenfunction(grid, 1, amplitude=1.0)]
+    legs = {
+        "galerkin": lambda n: galerkin_coupled_errors(eta, cf, 0.1, grid, 3, n, [2, 4], k_modes=8),
+        "moments": lambda n: np.array([
+            (m.estimate, m.stderr, m.ratio)
+            for m in _moment_estimates(etas, cf, 0.1, 2.0, n, grid, SolverConfig(k_modes=8), 3)
+        ]),
+    }
+    assert 40 * grid.nt * grid.n_interior * 8 > 5e6
+    for name, leg in legs.items():
+        leg(2)  # fills the transform caches
+        tracemalloc.start()
+        try:
+            result = leg(40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, name
+        with monkeypatch.context() as m:
+            m.setattr(mild_solver, "_WINDOW", grid.nt)  # the whole block at once
+            assert leg(40).tobytes() == result.tobytes(), name
+
+
 def test_noise_block_builds_no_seed_sequence(monkeypatch):
     built = []
     seed_sequence = np.random.SeedSequence
@@ -328,6 +400,9 @@ def test_noise_block_builds_no_seed_sequence(monkeypatch):
     eta = eigenfunction(grid, 1, amplitude=0.5)
     psi = np.ones((grid.nt, grid.n_interior))
     mild_solver._noise_block(grid, 7, range(50), 0)
+    drawer = mild_solver._NoiseDrawer(grid, 7, range(5), 0)
+    for width in (5, 7):  # two windows make up the horizon
+        drawer.fill(np.empty((5, width, grid.n_interior)))
     sample_sheet_expansion(grid, grid.n_interior, 7, 3, 1)
     solve_spde(eta, cf, 0.5, 7, grid, replica=2)
     solve_controlled(eta, cf, psi, 0.5, 7, grid, stream=1)

@@ -52,3 +52,33 @@ def test_no_hand_written_sweeps(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     loops = [(name, line) for name, line in _stepping_loops(tree) if name not in SWEEPS]
     assert loops == [], f"{path.name}: for loop over .step( outside {sorted(SWEEPS)}"
+
+
+# The noise drawer is the one Philox fill: no other code builds a Philox or
+# draws normals, so every stream's bits come from one place.
+DRAWS = {"standard_normal", "Philox"}
+DRAWER = ("noise.py", "_NoiseDrawer")
+
+
+def _draw_calls(node, scope=()):
+    """(enclosing qualified name, line) of every call named in DRAWS."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in DRAWS:
+                yield ".".join(scope), child.lineno
+        yield from _draw_calls(child, inner)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_philox_fill(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [
+        (name, line) for name, line in _draw_calls(tree)
+        if (path.name, name.split(".")[0]) != DRAWER
+    ]
+    assert calls == [], f"{path.name}: Philox or standard_normal outside {'.'.join(DRAWER)}"
