@@ -26,6 +26,7 @@ EventSpec.weighted_hits, exp(log w) 1{hit}, where an untilted run has log w = 0.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -46,6 +47,7 @@ from .lattice import (
     to_modes,
 )
 from .mild_solver import (
+    _MAX_THREADS,
     SolverConfig,
     _moment_estimates,
     _raise_first_blowup,
@@ -287,8 +289,8 @@ class ExperimentConfig:
             raise ConfigError(f"config key 'box_r': {self.box_r} must be positive")
         if self.replicas < 1:
             raise ConfigError(f"config key 'replicas': {self.replicas} must be >= 1")
-        if self.threads < 1:
-            raise ConfigError(f"config key 'threads': {self.threads} must be >= 1")
+        if not 1 <= self.threads <= _MAX_THREADS:
+            raise ConfigError(f"config key 'threads': {self.threads} outside 1..{_MAX_THREADS}")
         if self.tilt not in ("none", "optimal"):
             raise ConfigError(f"unknown tilt '{self.tilt}' (none | optimal)")
         for key in ("k_modes", "k_noise"):
@@ -446,6 +448,20 @@ def _survivors(blown: np.ndarray, master: int, stream: int) -> np.ndarray:
     return valid
 
 
+def _warn_blown_bias(label: str, terms: np.ndarray, blown_log_weights: np.ndarray, stderr: float):
+    """Warn on stderr when the blown replicas could move an estimate by more
+    than 2 stderr. terms are the survivors' weighted hits; over all n
+    replicas the estimate lies between sum(terms)/n, every blown replica a
+    miss, and that plus sum(exp(blown_log_weights))/n, every one a hit."""
+    n = terms.size + blown_log_weights.size
+    low = float(np.sum(terms)) / n
+    high = low + float(np.sum(np.exp(blown_log_weights))) / n
+    if high - low > 2.0 * stderr:
+        print(f"warning: {label}: {blown_log_weights.size} of {n} replicas blew up; as misses "
+              f"or as hits they put the estimate over all replicas in [{low:.3g}, {high:.3g}], "
+              f"wider than 2 stderr ({stderr:.3g})", file=sys.stderr)
+
+
 def run_eps_scaling(cfg: ExperimentConfig) -> list[ScalingRow]:
     """Monte Carlo P(event) for each eps, plain or Girsanov-tilted.
 
@@ -469,6 +485,7 @@ def run_eps_scaling(cfg: ExperimentConfig) -> list[ScalingRow]:
         terms = cfg.event.weighted_hits(terminals[0][valid], logw[0][valid], grid, cfg.rho)
         p_hat = float(np.mean(terms))
         stderr = float(_stderr(terms))
+        _warn_blown_bias(f"eps {eps}", terms, logw[0][~valid], stderr)
         censored = not p_hat > 0.0
         eps_log_p = float(eps * np.log(p_hat)) if not censored else float("nan")
         deviation = float("nan")
@@ -526,13 +543,15 @@ def _importance_result(cfg, grid, terminals, log_weights, blown) -> ISResult:
         for i in (0, -1)
     )
     weights = np.exp(log_weights[-1][valid])
+    stderr = float(_stderr(terms))
+    _warn_blown_bias(f"importance at eps {cfg.eps}", terms, log_weights[-1][~valid], stderr)
 
     var_tilt = float(np.var(terms, ddof=1)) if n > 1 else 0.0
     var_plain = float(np.var(plain_terms, ddof=1)) if n > 1 else 0.0
     vrf = var_plain / var_tilt if var_tilt > 0 and var_plain > 0 else float("nan")
     return ISResult(
         estimate=float(np.mean(terms)),
-        stderr=float(_stderr(terms)),
+        stderr=stderr,
         mean_weight=float(np.mean(weights)),
         mean_weight_stderr=float(_stderr(weights)),
         plain_estimate=float(np.mean(plain_terms)),

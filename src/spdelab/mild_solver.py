@@ -43,23 +43,22 @@ convergence is measurable pathwise.
 
 All stepping broadcasts over leading axes, so replica batches integrate in
 lockstep; a single path is the batch of one. Replica Monte Carlo runs through
-one engine, _replica_engine, which draws each chunk's mode increments and
-runs the chunks in order or on worker threads. noise._NoiseDrawer, the one
-Philox fill, draws them (and, through noise._noise_block, a single path's
-noise.sample_sheet_expansion), re-keying one generator to each replica's
-key and filling that replica's row in place. A chunk holds at most
-_CHUNK_DOUBLES doubles of whole-horizon noise (16 MiB; a single replica
-larger than that still gets a chunk of its own) and, with threads > 1, at
-most ceil(replicas / threads) rows, so every worker has a chunk even when
-all replicas fit in memory at once; min(threads, chunk count) workers run.
-Each worker draws its chunks into one buffer, allocated before the first
-chunk runs; a chunk's work must not keep its noise after it returns. The
-stepping legs (Galerkin coupled errors and untilted, uncontracted replica
-runs) read one step at a time, so their buffer holds one window of _WINDOW
-steps, each replica's stream continued window by window with the same bits;
-only the linear additive contraction and tilted runs, which sum over the
-whole horizon, hold a chunk's whole block. The noise held at once is
-bounded by workers x buffer whatever the replica count.
+one engine, _replica_engine, which runs chunks of replicas in order or on
+worker threads and hands each chunk one noise._NoiseDrawer, the one Philox
+fill (a single path's noise.sample_sheet_expansion is a one-row drawer), and
+its window of the worker's buffer. A chunk holds at most _CHUNK_DOUBLES
+doubles of whole-horizon noise (16 MiB; a single replica larger than that
+still gets a chunk of its own) and, with threads > 1, at most
+ceil(replicas / threads) rows, so every worker has a chunk even when all
+replicas fit in memory at once; min(threads, chunk count) workers run, at
+most _MAX_THREADS. Each worker draws its chunks into one buffer, allocated
+before the first chunk runs; a chunk's work must not keep its noise after it
+returns. The stepping legs (Galerkin coupled errors and untilted,
+uncontracted replica runs) read one step at a time through _windows, so
+their buffer holds one window of _WINDOW steps; the linear additive
+contraction and tilted runs, which sum over the whole horizon, draw the
+chunk's block as one window of nt steps. The noise held at once is bounded
+by workers x buffer whatever the replica count.
 Its consumers are _sample_replicas (plain or Girsanov-tilted terminal and
 sup-norm samples, behind run_replicas and the experiment studies) and
 galerkin_coupled_errors. Both take several runs of a replica as one stacked
@@ -93,13 +92,7 @@ from .lattice import (
     lp_norm_values,
     to_modes,
 )
-from .noise import (
-    NoiseRealization,
-    SeedDerivation,
-    _noise_block,
-    _NoiseDrawer,
-    sample_sheet_expansion,
-)
+from .noise import NoiseRealization, SeedDerivation, _NoiseDrawer, sample_sheet_expansion
 
 __all__ = [
     "SolverConfig",
@@ -534,21 +527,23 @@ def picard_solve(
 _CHUNK_DOUBLES = 2**21
 # Steps of noise a stepping consumer draws at a time.
 _WINDOW = 32
+# Worker threads of one engine call. Each worker's buffer is allocated before
+# any chunk runs and holds up to 16 MiB of noise, so 64 workers may take 1 GiB
+# up front; a larger count buys nothing on a few cores and risks the memory.
+_MAX_THREADS = 64
 
 
-def _windows(drawer: _NoiseDrawer, buf: np.ndarray, k_noise: int):
+def _windows(drawer: _NoiseDrawer, buf: np.ndarray):
     """dw(m) for m = 0, 1, ..., nt-1, called in that order: step m's mode
     increments of the drawer's rows, drawn buf.shape[1] steps at a time into
-    buf (len(rows), window, nx-1) with mode columns k_noise: zeroed."""
+    buf (len(rows), window, nx-1). A block the drawer has already drawn
+    whole into buf is read as it is."""
     width = buf.shape[1]
-    window = None
 
     def dw(m):
-        nonlocal window
         if m == drawer.drawn:
-            window = drawer.fill(buf[:, : min(width, drawer.nt - m)])
-            window[..., k_noise:] = 0.0
-        return window[:, m % width]
+            drawer.fill(buf[:, : min(width, drawer.nt - m)])
+        return buf[:, m % width]
 
     return dw
 
@@ -560,37 +555,36 @@ def _replica_engine(
     stream: int,
     work,
     threads: int = 1,
-    window: int | None = None,
+    window: int = _WINDOW,
     k_noise: int | None = None,
 ) -> np.ndarray:
-    """Run work(rows, noise) over consecutive chunks of replicas 0..replicas-1.
+    """Run work(rows, drawer, buf) over consecutive chunks of replicas
+    0..replicas-1.
 
-    noise is the chunk's driving noise on the streams (master, r, stream):
-    its mode increments with columns k_noise: zeroed (none when k_noise is
-    None). With window None it is the chunk's (len(rows), nt, nx-1) block,
-    drawn once; otherwise it is dw, a callable m -> step m's (len(rows),
-    nx-1) increments for m = 0, 1, ... in order, drawn `window` steps at a
-    time. work integrates and reduces it, writes only its own rows of its
+    drawer is the chunk's _NoiseDrawer on the streams (master, r, stream),
+    zeroing mode columns k_noise: (none when k_noise is None), and buf its
+    (len(rows), min(window, nt), nx-1) window of the worker's buffer. work
+    draws its noise into buf, a whole block with window = nt or through
+    _windows, integrates and reduces it, writes only its own rows of its
     outputs, and returns the first non-finite step of each of its runs,
-    shaped (..., len(rows)) (0 where a run stayed finite). The noise is a
-    view of a buffer that the next chunk overwrites, so work may change it
-    but must not keep it (or a view of it) after it returns.
+    shaped (..., len(rows)) (0 where a run stayed finite). The next chunk
+    overwrites buf, so work may change the noise but must not keep it (or a
+    view of it) after it returns.
 
     A chunk holds at most _CHUNK_DOUBLES of whole-block noise (a replica
     larger than that still gets a chunk of its own) and, with threads > 1,
     at most ceil(replicas / threads) rows, so every worker gets a chunk; the
     window does not change the chunks. Chunks run in order, or on
-    min(threads, chunk count) worker threads. Each worker gets one buffer of
-    (chunk, min(window, nt), nx-1) noise (a whole block without a window),
-    allocated before any chunk runs and freed before the results are
-    joined, so the engine's noise memory is workers x buffer, whatever the
-    replica count. Returns the blow-up steps of all runs, shaped
-    (..., replicas).
+    min(threads, chunk count) worker threads, threads <= _MAX_THREADS. Each
+    worker's buffer is allocated before any chunk runs and freed before the
+    results are joined, so the engine's noise memory is workers x buffer,
+    whatever the replica count. Returns the blow-up steps of all runs,
+    shaped (..., replicas).
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    if threads < 1:
-        raise ValueError(f"threads={threads} must be >= 1")
+    if not 1 <= threads <= _MAX_THREADS:
+        raise ValueError(f"threads={threads} outside 1..{_MAX_THREADS}")
     nt, nxm = grid.nt, grid.n_interior
     k_noise = nxm if k_noise is None else k_noise
     chunk = min(max(1, int(_CHUNK_DOUBLES // max(nt * nxm, 1))), -(-replicas // threads))
@@ -601,19 +595,14 @@ def _replica_engine(
     # leave the heap's peak depending on the order they happen to run in.
     buffers = queue.SimpleQueue()
     for _ in range(workers):
-        buffers.put(np.empty((chunk, nt if window is None else min(window, nt), nxm)))
+        buffers.put(np.empty((chunk, min(window, nt), nxm)))
 
     def run_chunk(start: int) -> np.ndarray:
         rows = range(start, min(start + chunk, replicas))
         buf = buffers.get()
         try:
-            if window is None:
-                noise = _noise_block(grid, master, rows, stream, out=buf)
-                noise[..., k_noise:] = 0.0
-            else:
-                drawer = _NoiseDrawer(grid, master, rows, stream)
-                noise = _windows(drawer, buf[: len(rows)], k_noise)
-            return work(rows, noise)
+            drawer = _NoiseDrawer(grid, master, rows, stream, k_noise)
+            return work(rows, drawer, buf[: len(rows)])
         finally:
             buffers.put(buf)
 
@@ -716,12 +705,15 @@ def _sample_replicas(
         if shifts is not None:
             fixed += scale * np.einsum("rimk,mk->rik", shifts, weights)
 
-    # Only the contraction and the Girsanov weights read a chunk's whole
-    # block; an untilted stepping run reads its noise a window at a time.
-    window = None if contract or shifts is not None else _WINDOW
+    # The contraction and the Girsanov weights read a chunk's whole block, so
+    # they draw it as one window; an untilted stepping run reads _WINDOW steps
+    # at a time.
+    whole = contract or shifts is not None
+    window = grid.nt if whole else _WINDOW
 
-    def work(rows: range, noise) -> np.ndarray:
+    def work(rows: range, drawer: _NoiseDrawer, buf: np.ndarray) -> np.ndarray:
         mine = slice(rows.start, rows.stop)
+        noise = drawer.fill(buf) if whole else None
         for i, tilt in enumerate(tilts):
             if tilt is not None:
                 log_weights[i, mine] = girsanov_log_weight(tilt, noise, eps)
@@ -743,8 +735,7 @@ def _sample_replicas(
         if record == "sup_rho":
             sup = np.zeros((runs, len(rows)))
             observe = lambda u: np.maximum(sup, lp_norm_values(u, dx, rho) ** rho, out=sup)
-        dw = noise if window else lambda m: noise[:, m, :]
-        terminal, blown = _integrate(u0, ops, dw, shifts, observe=observe)
+        terminal, blown = _integrate(u0, ops, _windows(drawer, buf), shifts, observe=observe)
         values[:, mine] = terminal if sup is None else np.where(blown > 0, np.nan, sup)
         return blown
 
@@ -807,8 +798,9 @@ def galerkin_coupled_errors(
     masks = (np.arange(nxm) < keep[:, None]).astype(float)[:, None, :]
     errors = np.empty((replicas, len(k_list)))
 
-    def work(rows: range, dw) -> np.ndarray:
+    def work(rows: range, drawer: _NoiseDrawer, buf: np.ndarray) -> np.ndarray:
         sup = np.zeros((len(k_list), len(rows)))
+        dw = _windows(drawer, buf)
 
         def observe(u):
             np.maximum(sup, lp_norm_values(u[0] - u[1:], grid.dx, cf.rho), out=sup)

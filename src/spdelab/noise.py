@@ -20,20 +20,17 @@ SeedSequence would hash entropy master plus spawn key (replica, stream)
 (hash the master's words into a 4-word pool, mix the pool, mix in the
 spawn-key words, then generate_state(2, uint64)) into the key of a
 counter-based Philox generator at counter zero. A counter-based stream needs
-only its key, so philox_keys runs vectorized over a range of replicas, and
-_NoiseDrawer, the one Philox fill, re-keys one Philox per replica and fills
-that replica's row in place. It draws window after window, saving each
-row's generator state between windows, so the windows join to the rows'
-whole blocks bit for bit: the replica engine's stepping legs hold one
-window of a chunk's noise per worker, and only contracted or tilted runs
-hold the whole block. _noise_block is one window of nt steps: the engine
-draws such a chunk with it into a worker's reused buffer (its out argument
-fills a leading slice of a buffer in place, with the same bits as a fresh
-block), and sample_sheet_expansion fills a new (nt, nx-1) array as a
-one-replica block. Distinct triples give independent streams regardless
-of scheduling; tests/test_noise.py pins the keys to numpy's own
-SeedSequence(...).generate_state(2, np.uint64) and the draws to frozen
-vectors.
+only its key, so philox_keys runs vectorized over a range of replicas.
+_NoiseDrawer is the one Philox fill: it re-keys one Philox per replica,
+fills that replica's row of a caller's buffer in place and zeroes the
+inactive mode columns. It draws window after window, saving each row's
+generator state between windows, so the windows join to the rows' whole
+blocks bit for bit and a whole block is one window of nt steps. The replica
+engine draws every chunk with one drawer, and sample_sheet_expansion fills
+a single path's block with a one-row drawer. Distinct triples give
+independent streams regardless of scheduling; tests/test_noise.py pins the
+keys to numpy's own SeedSequence(...).generate_state(2, np.uint64) and the
+draws to frozen vectors.
 """
 
 from __future__ import annotations
@@ -152,18 +149,22 @@ class _NoiseDrawer:
     """Draws the mode increments of the streams (master, r, stream), r in
     replicas, window after window: each fill draws the next steps of every
     row, so consecutive windows concatenate to the rows' (nt, nx-1) blocks
-    bit for bit.
+    bit for bit: row i is what Philox(SeedSequence(master, spawn_key=
+    (replicas[i], stream))) draws, times sqrt(dt). Mode columns k_noise: are
+    zeroed after each fill.
 
     One Philox draws every row. A row's first window re-keys it to the row's
     key at counter zero; a later window restores the state saved when the
     row's previous window ended. No state is saved after a row's last window,
-    so a single window of nt steps costs what the plain fill costs.
+    so a single window of nt steps costs what a plain fill costs.
     """
 
-    def __init__(self, grid: GridSpec, master: int, replicas: range, stream: int):
+    def __init__(self, grid: GridSpec, master: int, replicas: range, stream: int, k_noise: int):
         self.nt = grid.nt
+        self.k_noise = k_noise
         self.scale = np.sqrt(grid.dt)
         self.keys = philox_keys(master, replicas, stream)
+        self.row_shape = (len(replicas), grid.n_interior)
         self.bits = np.random.Philox(key=0)
         self.rng = np.random.Generator(self.bits)
         # A fresh Philox's state: counter zero, empty buffer (buffer_pos 4), no
@@ -175,6 +176,9 @@ class _NoiseDrawer:
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Draw the next out.shape[1] steps of every row into out, shaped
         (len(replicas), steps, nx-1) with C-contiguous rows, and return it."""
+        if out.ndim != 3 or out.shape[::2] != self.row_shape:
+            n, nxm = self.row_shape
+            raise ValueError(f"noise window {out.shape} is not shaped ({n}, steps, {nxm})")
         end = self.drawn + out.shape[1]
         if end > self.nt:
             raise ValueError(f"a window ending at step {end} overruns nt={self.nt}")
@@ -187,29 +191,9 @@ class _NoiseDrawer:
             if keep:
                 self.states[i] = self.bits.state
         out *= self.scale
+        out[..., self.k_noise :] = 0.0
         self.drawn = end
         return out
-
-
-def _noise_block(
-    grid: GridSpec, master: int, replicas: range, stream: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(len(replicas), nt, nx-1) mode increments of the streams (master, r,
-    stream) for r in replicas, as one window of nt steps of a _NoiseDrawer:
-    row i is what Philox(SeedSequence(master, spawn_key=(replicas[i],
-    stream))) draws times sqrt(dt).
-
-    out, when given, is a float64 C-contiguous (n, nt, nx-1) buffer with
-    n >= len(replicas) whose old contents are ignored: out[:len(replicas)]
-    is filled with the same bits and that view is returned, so a caller can
-    draw chunk after chunk into one allocation. Otherwise a new block is
-    allocated.
-    """
-    shape = (len(replicas), grid.nt, grid.n_interior)
-    block = np.empty(shape) if out is None else out[: len(replicas)]
-    if block.shape != shape:
-        raise ValueError(f"noise buffer {out.shape} cannot hold a block {shape}")
-    return _NoiseDrawer(grid, master, replicas, stream).fill(block)
 
 
 @dataclass
@@ -257,16 +241,15 @@ def sample_sheet_expansion(
 
     k_noise = 0 yields the zero realization; k_noise = nx-1 (grid.n_interior)
     is the white-noise realization of the stream key. The read-only
-    (nt, nx-1) driving block is a fresh array that owns its memory, filled as
-    the one row of a one-replica _noise_block, the same fill the replica
-    engine draws, with columns k_noise: zeroed, so that realizations with
-    different active mode counts stay nested on a shared stream.
+    (nt, nx-1) driving block is a fresh array that owns its memory, filled by
+    a one-row _NoiseDrawer, the fill the replica engine draws with, so that
+    realizations with different active mode counts stay nested on a shared
+    stream.
     """
     k_noise = int(k_noise)
     if not 0 <= k_noise <= grid.n_interior:
         raise ValueError(f"k_noise={k_noise} outside 0..{grid.n_interior}")
     block = np.empty((grid.nt, grid.n_interior))
-    _noise_block(grid, seed, range(replica, replica + 1), stream, out=block[None])
-    block[:, k_noise:] = 0.0
+    _NoiseDrawer(grid, seed, range(replica, replica + 1), stream, k_noise).fill(block[None])
     block.flags.writeable = False
     return NoiseRealization(grid, SeedDerivation(seed, replica, stream), block, k_noise)

@@ -127,15 +127,20 @@ def test_an_overflowing_replica_is_stepped_alone(monkeypatch, threads, chunk):
     args = ([eta, eta], ADDITIVE, 0.3, g, 5, 40, 1, SolverConfig(), [None, tilt(g)])
     ref = _sample_replicas(*args)
     blown_row, step = 9, 4
-    draw = mild_solver._noise_block
 
-    def scaled(grid, master, rows, stream, out=None):
-        block = draw(grid, master, rows, stream, out=out)
-        if blown_row in rows:
-            block[rows.index(blown_row), step:] *= np.inf  # scaled past the float range
-        return block
+    class Scaled(mild_solver._NoiseDrawer):
+        def __init__(self, grid, master, rows, stream, k_noise):
+            super().__init__(grid, master, rows, stream, k_noise)
+            self.rows = rows
 
-    monkeypatch.setattr(mild_solver, "_noise_block", scaled)
+        def fill(self, out):
+            start = self.drawn
+            super().fill(out)
+            if blown_row in self.rows:  # scaled past the float range
+                out[self.rows.index(blown_row), max(step - start, 0) :] *= np.inf
+            return out
+
+    monkeypatch.setattr(mild_solver, "_NoiseDrawer", Scaled)
     if chunk is not None:
         monkeypatch.setattr(mild_solver, "_CHUNK_DOUBLES", chunk * g.nt * g.n_interior)
     v, w, b = _sample_replicas(*args, threads=threads)

@@ -2,6 +2,7 @@
 the stacked moment leg, and the errors that name a blown replica."""
 
 import hashlib
+import re
 import sys
 import tracemalloc
 import warnings
@@ -57,6 +58,12 @@ def blowup_setup():
     cfg = ExperimentConfig.from_raw(BLOWUP)
     grid = cfg.grid()
     return cfg, grid, cfg.coefficients(), cfg.eta_field(grid), cfg.solver_config()
+
+
+def draw_block(grid, master, rows, stream):
+    """The rows' whole (len(rows), nt, nx-1) blocks, drawn as one window."""
+    drawer = mild_solver._NoiseDrawer(grid, master, rows, stream, grid.n_interior)
+    return drawer.fill(np.empty((len(rows), grid.nt, grid.n_interior)))
 
 
 def force_chunk(monkeypatch, grid, rows):
@@ -115,6 +122,33 @@ def test_no_runtime_warning_escapes_blown_run():
         warnings.simplefilter("error")
         rows = run_eps_scaling(ExperimentConfig.from_raw(BLOWUP))
     assert [r.blown for r in rows] == [13, 8, 0]
+
+
+def test_blown_replicas_that_could_move_an_estimate_warn(tmp_path, capsys):
+    # Over all 60 replicas the estimate lies between the blown ones counted as
+    # misses and as hits; at eps 1.2 and 1.0 that bracket is far wider than
+    # 2 stderr of the survivors' mean, at eps 0.1 nothing blew up.
+    rows = run_eps_scaling(ExperimentConfig.from_raw(BLOWUP))
+    out, err = capsys.readouterr()
+    assert [r.blown for r in rows] == [13, 8, 0] and out == ""
+    assert err.splitlines() == [
+        f"warning: eps {eps}: {blown} of 60 replicas blew up; as misses or as hits they put "
+        f"the estimate over all replicas in [{low}, {high}], wider than 2 stderr ({stderr})"
+        for eps, blown, low, high, stderr in ((1.2, 13, 0.0333, 0.25, 0.0298),
+                                              (1.0, 8, 0.05, 0.183, 0.0326))
+    ]
+    raw = dict(BLOWUP, kind="importance", eps="1.2", psi_amp="0.5")
+    del raw["eps_list"]
+    run_importance_sampling(ExperimentConfig.from_raw(raw))  # tilted: exp(log w) per hit
+    assert capsys.readouterr().err == (
+        "warning: importance at eps 1.2: 15 of 60 replicas blew up; as misses or as hits "
+        "they put the estimate over all replicas in [0.0423, 0.256], wider than 2 stderr "
+        "(0.0319)\n"
+    )
+    # A run with no blow-ups warns about nothing.
+    assert cli_main(["mc-scaling", "--config", str(DATA / "golden_mc_scaling.cfg"),
+                     "--out", str(tmp_path / "g")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("threads,chunk", [(1, 7), (2, 7), (1, 60), (2, 13)])
@@ -231,21 +265,15 @@ def test_threads_split_a_single_memory_chunk(monkeypatch, tilted):
     psi = None
     if tilted:
         psi = np.tile(eigenfunction(grid, 1, amplitude=2.0).values, (grid.nt, 1))
-    # The engine draws each chunk's noise right before its work call: one
-    # block, or, for an untilted stepping run, one drawer filled window by
-    # window.
+    # The engine builds each chunk's drawer right before its work call, which
+    # draws a whole block (tilted) or window by window (plain).
     seen = []
-    draw, drawer = mild_solver._noise_block, mild_solver._NoiseDrawer
+    drawer = mild_solver._NoiseDrawer
 
-    def recording(grid, master, rows, stream, out=None):
+    def recording_drawer(grid, master, rows, stream, k_noise):
         seen.append(rows)
-        return draw(grid, master, rows, stream, out=out)
+        return drawer(grid, master, rows, stream, k_noise)
 
-    def recording_drawer(grid, master, rows, stream):
-        seen.append(rows)
-        return drawer(grid, master, rows, stream)
-
-    monkeypatch.setattr(mild_solver, "_noise_block", recording)
     monkeypatch.setattr(mild_solver, "_NoiseDrawer", recording_drawer)
     results, chunks = {}, {}
     for threads in (1, 2):
@@ -269,7 +297,7 @@ def test_threads_split_a_single_memory_chunk(monkeypatch, tilted):
 @pytest.mark.parametrize("rows", [range(0, 9), range(5, 14)], ids=["from_zero", "offset"])
 def test_noise_block_is_the_per_replica_stack(rows):
     grid = make_grid(16, 12, 0.25)
-    block = mild_solver._noise_block(grid, 90125, rows, 2)
+    block = draw_block(grid, 90125, rows, 2)
     shape = (grid.nt, grid.n_interior)
     expected = np.stack([
         np.random.Generator(np.random.Philox(
@@ -288,14 +316,20 @@ def test_noise_block_is_the_per_replica_stack(rows):
 def test_noise_block_fills_a_reused_buffer():
     grid = make_grid(16, 12, 0.25)
     rows = range(5, 14)
-    fresh = mild_solver._noise_block(grid, 90125, rows, 2)
+    fresh = draw_block(grid, 90125, rows, 2)
     buf = np.full((len(rows) + 3, grid.nt, grid.n_interior), np.nan)
-    view = mild_solver._noise_block(grid, 90125, rows, 2, out=buf)
+    drawer = mild_solver._NoiseDrawer(grid, 90125, rows, 2, grid.n_interior)
+    # A buffer of too few or too many rows, of other modes (once a different
+    # stream), or of no step axis is refused before anything is drawn.
+    for bad in (buf[:4], buf, buf[: len(rows), :, :9], buf[: len(rows), 0]):
+        shape = re.escape(f"{bad.shape} is not shaped ({len(rows)}, steps, {grid.n_interior})")
+        with pytest.raises(ValueError, match=shape):
+            drawer.fill(bad)
+    assert drawer.drawn == 0 and np.all(np.isnan(buf))
+    view = drawer.fill(buf[: len(rows)])
     assert view.shape == fresh.shape and np.shares_memory(view, buf)
     assert view.tobytes() == fresh.tobytes()
     assert np.all(np.isnan(buf[len(rows):]))  # rows past the block are left alone
-    with pytest.raises(ValueError, match="cannot hold"):
-        mild_solver._noise_block(grid, 90125, rows, 2, out=buf[:4])
     single = sample_sheet_expansion(grid, 5, 90125, 7, 2).mode_increments
     assert single.flags.owndata and not single.flags.writeable
     assert single[:, :5].tobytes() == fresh[2, :, :5].tobytes()
@@ -327,11 +361,11 @@ def test_engine_noise_memory_is_bounded():
 @pytest.mark.parametrize("rows", [range(0, 9), range(5, 14)], ids=["from_zero", "offset"])
 def test_windowed_draws_keep_the_bits(rows, width):
     grid = make_grid(16, 12, 0.25)
-    block = mild_solver._noise_block(grid, 90125, rows, 2)
+    block = draw_block(grid, 90125, rows, 2)
     for k in (grid.n_interior, 5, 0):
         buf = np.full((len(rows), width, grid.n_interior), np.nan)
-        drawer = mild_solver._NoiseDrawer(grid, 90125, rows, 2)
-        dw = mild_solver._windows(drawer, buf, k)
+        drawer = mild_solver._NoiseDrawer(grid, 90125, rows, 2, k)
+        dw = mild_solver._windows(drawer, buf)
         steps = np.stack([dw(m).copy() for m in range(grid.nt)], axis=1)
         expected = block.copy()
         expected[..., k:] = 0.0
@@ -345,15 +379,25 @@ def test_engine_windows_are_the_block(monkeypatch, threads, chunk):
     # Chunks of 4 rows start at offset replicas; nt = 12 is no multiple of 5.
     grid = make_grid(16, 12, 0.25)
     force_chunk(monkeypatch, grid, chunk)
-    expected = mild_solver._noise_block(grid, 90125, range(11), 2)
+    expected = draw_block(grid, 90125, range(11), 2)
     expected[..., 6:] = 0.0
     got = np.full_like(expected, np.nan)
 
-    def work(rows, dw):
+    def work(rows, drawer, buf):
+        dw = mild_solver._windows(drawer, buf)
         got[rows.start : rows.stop] = np.stack([dw(m).copy() for m in range(grid.nt)], axis=1)
         return np.zeros(len(rows), dtype=int)
 
     mild_solver._replica_engine(grid, 90125, 11, 2, work, threads, window=5, k_noise=6)
+    assert got.tobytes() == expected.tobytes()
+
+    # A window of nt steps is the chunk's whole block, drawn in one fill.
+    def whole(rows, drawer, buf):
+        got[rows.start : rows.stop] = drawer.fill(buf)
+        return np.zeros(len(rows), dtype=int)
+
+    got[:] = np.nan
+    mild_solver._replica_engine(grid, 90125, 11, 2, whole, threads, window=grid.nt, k_noise=6)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -399,8 +443,8 @@ def test_noise_block_builds_no_seed_sequence(monkeypatch):
     cf = make_coefficients("linear", f_slope=0.0, sigma0=1.0)
     eta = eigenfunction(grid, 1, amplitude=0.5)
     psi = np.ones((grid.nt, grid.n_interior))
-    mild_solver._noise_block(grid, 7, range(50), 0)
-    drawer = mild_solver._NoiseDrawer(grid, 7, range(5), 0)
+    draw_block(grid, 7, range(50), 0)
+    drawer = mild_solver._NoiseDrawer(grid, 7, range(5), 0, grid.n_interior)
     for width in (5, 7):  # two windows make up the horizon
         drawer.fill(np.empty((5, width, grid.n_interior)))
     sample_sheet_expansion(grid, grid.n_interior, 7, 3, 1)

@@ -368,21 +368,18 @@ BENCH_PARTITIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_PARTITIONS))
-def test_benchmark_workload_partitions(monkeypatch, name):
+def test_benchmark_workload_partitions(name):
     cfg = ExperimentConfig.from_raw({k: str(v) for k, v in BENCH_WORKLOADS[name].config.items()})
     grid = cfg.grid()
     seen, buffers = [], set()
 
-    def recording(grid, master, rows, stream, out=None):
+    def work(rows, drawer, buf):  # draws nothing
+        assert drawer.row_shape == (len(rows), grid.n_interior) and len(buf) == len(rows)
         seen.append(rows)
-        buffers.add(out.ctypes.data)
-        return out[: len(rows)]
+        buffers.add(buf.ctypes.data)
+        return np.zeros(len(rows), dtype=int)
 
-    monkeypatch.setattr(mild_solver, "_noise_block", recording)
-    blown = mild_solver._replica_engine(
-        grid, cfg.master_seed, cfg.replicas, 0,
-        lambda rows, modes: np.zeros(len(rows), dtype=int), cfg.threads,
-    )
+    blown = mild_solver._replica_engine(grid, cfg.master_seed, cfg.replicas, 0, work, cfg.threads)
     assert blown.shape == (cfg.replicas,)
     seen.sort(key=lambda rows: rows.start)
     assert [len(rows) for rows in seen] == BENCH_PARTITIONS[name]
@@ -481,6 +478,8 @@ def test_cli_names_the_kind_that_does_not_read_a_key(tmp_path, capsys):
         ({**MC_RAW, "threads": "-3"}, [], "threads"),
         (MC_RAW, ["--threads", "-3"], "threads"),
         (MC_RAW, ["--threads", "0"], "threads"),
+        # Each worker allocates its noise buffer up front, so the count is capped.
+        (MC_RAW, ["--threads", "1000"], "'threads': 1000 outside 1..64"),
         ({"dump_noise": "ture"}, [], "dump_noise"),
         ({"eta_mode": "99", "eta_amp": "1.0"}, [], "'eta_mode'"),
         ({"eta_mode": "0"}, [], "'eta_mode'"),
@@ -558,7 +557,8 @@ def test_cli_names_the_kind_that_does_not_read_a_key(tmp_path, capsys):
     ],
     ids=["family", "family_parameter", "horizon", "importance_eps", "dealiasing",
          "threads_zero", "threads_negative", "threads_flag_negative", "threads_flag_zero",
-         "bool", "eta_mode", "eta_mode_zero", "psi_mode", "target_mode", "k_list",
+         "threads_flag_too_many", "bool", "eta_mode", "eta_mode_zero", "psi_mode",
+         "target_mode", "k_list",
          "k_list_negative", "k_list_default", "k_list_empty", "eta_scales_empty",
          "control_coupling", "eps_list_zero", "replicas_zero", "tilt",
          "psi_file_missing", "psi_file_grid", "psi_file_non_finite",

@@ -60,8 +60,8 @@ DRAWS = {"standard_normal", "Philox"}
 DRAWER = ("noise.py", "_NoiseDrawer")
 
 
-def _draw_calls(node, scope=()):
-    """(enclosing qualified name, line) of every call named in DRAWS."""
+def _draw_calls(node, names=DRAWS, scope=()):
+    """(enclosing qualified name, line) of every call named in names."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -69,9 +69,9 @@ def _draw_calls(node, scope=()):
         if isinstance(child, ast.Call):
             func = child.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in DRAWS:
+            if name in names:
                 yield ".".join(scope), child.lineno
-        yield from _draw_calls(child, inner)
+        yield from _draw_calls(child, names, inner)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -82,3 +82,18 @@ def test_one_philox_fill(path):
         if (path.name, name.split(".")[0]) != DRAWER
     ]
     assert calls == [], f"{path.name}: Philox or standard_normal outside {'.'.join(DRAWER)}"
+
+
+# The replica engine builds each chunk's drawer and sample_sheet_expansion a
+# single path's, so every noise window is drawn where the chunking is decided.
+DRAWER_BUILDERS = {"_replica_engine", "sample_sheet_expansion"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_drawer_constructor(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [
+        (name, line) for name, line in _draw_calls(tree, {"_NoiseDrawer"})
+        if name.split(".")[0] not in DRAWER_BUILDERS
+    ]
+    assert calls == [], f"{path.name}: _NoiseDrawer( outside {sorted(DRAWER_BUILDERS)}"
