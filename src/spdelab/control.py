@@ -22,7 +22,8 @@ The tilt weight for one driving realization is
 whose exponential has unit mean: the pairing uses the same cells as the
 white increments, so the discrete identity is exact in distribution. The
 pairing is taken in sine modes, sum psi_hat_i dw_i over the driving block of
-mode increments (Parseval), for one realization and for a batch alike.
+mode increments (Parseval), for one realization and for a batch alike, and a
+row's weight has the same bits whatever batch it is paired in.
 girsanov_log_weight is the only implementation of this formula; the replica
 sampler of mild_solver calls it on whole replica batches of mode increments.
 """
@@ -160,6 +161,13 @@ def girsanov_log_weight(
             raise ValueError("control and noise realization live on different grids")
     else:
         raise TypeError("a batch of mode increments needs psi as a Control")
-    pairing = np.einsum("...ms,ms->...", dw, to_modes(psi.values, psi.grid))
+    psi_hat = to_modes(psi.values, psi.grid)
+    if dw.size == psi_hat.size:
+        # einsum sums a lone block along another path than a row of a batch;
+        # paired as a two-row view of itself it gets a batch row's bits.
+        pair = np.broadcast_to(dw.reshape(psi_hat.shape), (2,) + psi_hat.shape)
+        pairing = np.einsum("...ms,ms->...", pair, psi_hat)[0].reshape(dw.shape[:-2])
+    else:
+        pairing = np.einsum("...ms,ms->...", dw, psi_hat)
     logw = -pairing / np.sqrt(eps) - psi.norm_sq / (2.0 * eps)
     return float(logw) if logw.ndim == 0 else logw

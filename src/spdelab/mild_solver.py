@@ -31,9 +31,10 @@ fixed linear map of the noise,
 
     u_hat(T) = decay^nt u_hat(0) + sqrt(eps) sigma sum_m decay^(nt-m) (dw_m + shift_m),
 
-and _sample_replicas draws terminal samples of that case as one contraction
-of each chunk's noise block against the table of _Ops.decay_powers; action's
-adjoint sweeps sum the same decay powers in one batched transform.
+and _sample_replicas draws terminal samples of that case as contractions of
+whole noise blocks, a group of rows at a time, against the table of
+_Ops.decay_powers; action's adjoint sweeps sum the same decay powers in one
+batched transform.
 
 Cutoff runs multiply the drift, noise and divergence terms by
 chi_R(|u(t_m)|_rho) evaluated explicitly at the current step (an O(dt) lag
@@ -46,19 +47,24 @@ lockstep; a single path is the batch of one. Replica Monte Carlo runs through
 one engine, _replica_engine, which runs chunks of replicas in order or on
 worker threads and hands each chunk one noise._NoiseDrawer, the one Philox
 fill (a single path's noise.sample_sheet_expansion is a one-row drawer), and
-its window of the worker's buffer. A chunk holds at most _CHUNK_DOUBLES
-doubles of whole-horizon noise (16 MiB; a single replica larger than that
-still gets a chunk of its own) and, with threads > 1, at most
-ceil(replicas / threads) rows, so every worker has a chunk even when all
-replicas fit in memory at once; min(threads, chunk count) workers run, at
-most _MAX_THREADS. Each worker draws its chunks into one buffer, allocated
-before the first chunk runs; a chunk's work must not keep its noise after it
+the worker's buffer. A chunk holds at most _CHUNK_DOUBLES doubles of
+whole-horizon noise (16 MiB; a single replica larger than that still gets a
+chunk of its own) and, with threads > 1, at most ceil(replicas / threads)
+rows, so every worker has a chunk even when all replicas fit in memory at
+once; min(threads, chunk count) workers run, at most _MAX_THREADS. Each
+worker draws its chunks into one buffer, allocated before the first chunk
+runs, with room for _WINDOW steps of each of a chunk's rows and for at least
+one row's whole block; a chunk's work must not keep its noise after it
 returns. The stepping legs (Galerkin coupled errors and untilted,
-uncontracted replica runs) read one step at a time through _windows, so
-their buffer holds one window of _WINDOW steps; the linear additive
-contraction and tilted runs, which sum over the whole horizon, draw the
-chunk's block as one window of nt steps. The noise held at once is bounded
-by workers x buffer whatever the replica count.
+uncontracted replica runs) read one step at a time through _windows, which
+draws a window of steps at a time. The linear additive contraction sums over
+the whole horizon, so it draws the whole blocks of as many rows as the
+buffer holds, and contracts and weighs each such group apart; a row's
+terminal and Girsanov weight have the same bits in any group. Tilted
+stepping runs (tilted, not contracted) step a chunk's rows in lockstep and
+pair their weights with the whole horizon, so they draw the chunk's block as
+one window of nt steps into a buffer of that size. The noise held at once is
+bounded by workers x buffer whatever the replica count.
 Its consumers are _sample_replicas (plain or Girsanov-tilted terminal and
 sup-norm samples, behind run_replicas and the experiment studies) and
 galerkin_coupled_errors. Both take several runs of a replica as one stacked
@@ -528,22 +534,30 @@ _CHUNK_DOUBLES = 2**21
 # Steps of noise a stepping consumer draws at a time.
 _WINDOW = 32
 # Worker threads of one engine call. Each worker's buffer is allocated before
-# any chunk runs and holds up to 16 MiB of noise, so 64 workers may take 1 GiB
-# up front; a larger count buys nothing on a few cores and risks the memory.
+# any chunk runs and holds up to 16 MiB of noise (a tilted stepping run's
+# whole chunk block), so 64 workers may take 1 GiB up front; a larger count
+# buys nothing on a few cores and risks the memory.
 _MAX_THREADS = 64
+
+
+def _rows_view(buf: np.ndarray, rows: int, steps: int) -> np.ndarray:
+    """The first rows * steps slots of a worker's buffer as (rows, steps, nx-1)."""
+    return buf[: rows * steps].reshape(rows, steps, buf.shape[1])
 
 
 def _windows(drawer: _NoiseDrawer, buf: np.ndarray):
     """dw(m) for m = 0, 1, ..., nt-1, called in that order: step m's mode
-    increments of the drawer's rows, drawn buf.shape[1] steps at a time into
-    buf (len(rows), window, nx-1). A block the drawer has already drawn
-    whole into buf is read as it is."""
-    width = buf.shape[1]
+    increments of the drawer's rows, drawn into buf as many steps at a time
+    as it holds for those rows (at most nt). A block the drawer has already
+    drawn whole into buf is read as it is."""
+    rows = drawer.row_shape[0]
+    width = min(len(buf) // rows, drawer.nt)
+    window = _rows_view(buf, rows, width)
 
     def dw(m):
         if m == drawer.drawn:
-            drawer.fill(buf[:, : min(width, drawer.nt - m)])
-        return buf[:, m % width]
+            drawer.fill(window[:, : min(width, drawer.nt - m)])
+        return window[:, m % width]
 
     return dw
 
@@ -562,10 +576,12 @@ def _replica_engine(
     0..replicas-1.
 
     drawer is the chunk's _NoiseDrawer on the streams (master, r, stream),
-    zeroing mode columns k_noise: (none when k_noise is None), and buf its
-    (len(rows), min(window, nt), nx-1) window of the worker's buffer. work
-    draws its noise into buf, a whole block with window = nt or through
-    _windows, integrates and reduces it, writes only its own rows of its
+    zeroing mode columns k_noise: (none when k_noise is None), and buf the
+    worker's buffer: max(chunk * min(window, nt), nt) slots of nx-1 doubles,
+    room for min(window, nt) steps of every row of a chunk and for at least
+    one row's whole block. work draws its noise into buf (through _windows,
+    as a chunk's whole block, or as whole blocks of a group of rows at a
+    time), integrates and reduces it, writes only its own rows of its
     outputs, and returns the first non-finite step of each of its runs,
     shaped (..., len(rows)) (0 where a run stayed finite). The next chunk
     overwrites buf, so work may change the noise but must not keep it (or a
@@ -595,14 +611,14 @@ def _replica_engine(
     # leave the heap's peak depending on the order they happen to run in.
     buffers = queue.SimpleQueue()
     for _ in range(workers):
-        buffers.put(np.empty((chunk, min(window, nt), nxm)))
+        buffers.put(np.empty((max(chunk * min(window, nt), nt), nxm)))
 
     def run_chunk(start: int) -> np.ndarray:
         rows = range(start, min(start + chunk, replicas))
         buf = buffers.get()
         try:
             drawer = _NoiseDrawer(grid, master, rows, stream, k_noise)
-            return work(rows, drawer, buf[: len(rows)])
+            return work(rows, drawer, buf)
         finally:
             buffers.put(buf)
 
@@ -650,7 +666,10 @@ def _sample_replicas(
     replica's first non-finite step (0 if it stayed finite), and a blown
     replica's values are NaN. The caller decides whether partial loss is
     acceptable. Linear additive terminals (_Ops.diagonal) are contracted from
-    the noise; only a (run, replica) whose terminal is not finite is stepped.
+    the noise, drawn as the whole blocks of as many replicas at a time as the
+    engine's buffer holds (about _WINDOW / nt of a chunk); only a (run,
+    replica) whose terminal is not finite is stepped. An uncontracted tilted
+    run draws its chunk's whole block; other runs step through windows.
 
     psis, when given, holds each run's tilt (nt, nx-1), or None for an
     untilted run. A tilt psi shifts the white increments themselves,
@@ -705,31 +724,46 @@ def _sample_replicas(
         if shifts is not None:
             fixed += scale * np.einsum("rimk,mk->rik", shifts, weights)
 
-    # The contraction and the Girsanov weights read a chunk's whole block, so
-    # they draw it as one window; an untilted stepping run reads _WINDOW steps
-    # at a time.
-    whole = contract or shifts is not None
+    # The contraction reads whole blocks, drawn as many rows at a time as the
+    # worker's buffer holds; a tilted stepping run pairs its Girsanov weights
+    # with the chunk's whole block, drawn as one window; an untilted stepping
+    # run reads _WINDOW steps at a time.
+    whole = shifts is not None and not contract
     window = grid.nt if whole else _WINDOW
 
-    def work(rows: range, drawer: _NoiseDrawer, buf: np.ndarray) -> np.ndarray:
-        mine = slice(rows.start, rows.stop)
-        noise = drawer.fill(buf) if whole else None
+    def weigh(noise: np.ndarray, mine: slice) -> None:
         for i, tilt in enumerate(tilts):
             if tilt is not None:
                 log_weights[i, mine] = girsanov_log_weight(tilt, noise, eps)
+
+    def contracted(noise: np.ndarray, start: int) -> np.ndarray:
+        """Terminals of the replicas from start whose whole blocks are noise."""
+        mine = slice(start, start + len(noise))
+        weigh(noise, mine)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hat = fixed + scale * np.einsum("rmk,mk->rk", noise, weights)
+            terminal = from_modes(hat, grid)
+        blown = np.zeros((runs, len(noise)), dtype=int)
+        run, row = np.nonzero(~np.isfinite(terminal).all(axis=-1))
+        if run.size:  # stepped alone, each names its first non-finite step
+            shift = None if shifts is None else shifts[run, 0]
+            terminal[run, row], blown[run, row] = _integrate(
+                u_init[run], ops, lambda m: noise[row, m, :], shift
+            )
+        values[:, mine] = terminal
+        return blown
+
+    def work(rows: range, drawer: _NoiseDrawer, buf: np.ndarray) -> np.ndarray:
         if contract:
-            with np.errstate(over="ignore", invalid="ignore"):
-                hat = fixed + scale * np.einsum("rmk,mk->rk", noise, weights)
-                terminal = from_modes(hat, grid)
-            blown = np.zeros((runs, len(rows)), dtype=int)
-            run, row = np.nonzero(~np.isfinite(terminal).all(axis=-1))
-            if run.size:  # stepped alone, each names its first non-finite step
-                shift = None if shifts is None else shifts[run, 0]
-                terminal[run, row], blown[run, row] = _integrate(
-                    u_init[run], ops, lambda m: noise[row, m, :], shift
-                )
-            values[:, mine] = terminal
-            return blown
+            group = len(buf) // grid.nt
+            blown = []
+            for lo in range(0, len(rows), group):
+                noise = _rows_view(buf, min(group, len(rows) - lo), grid.nt)
+                blown.append(contracted(drawer.fill_blocks(noise, lo), rows.start + lo))
+            return np.concatenate(blown, axis=-1)
+        mine = slice(rows.start, rows.stop)
+        if whole:
+            weigh(drawer.fill(_rows_view(buf, len(rows), grid.nt)), mine)
         u0 = np.broadcast_to(u_init[:, None, :], (runs, len(rows), nxm))
         sup = observe = None
         if record == "sup_rho":

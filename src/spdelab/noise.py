@@ -25,7 +25,8 @@ _NoiseDrawer is the one Philox fill: it re-keys one Philox per replica,
 fills that replica's row of a caller's buffer in place and zeroes the
 inactive mode columns. It draws window after window, saving each row's
 generator state between windows, so the windows join to the rows' whole
-blocks bit for bit and a whole block is one window of nt steps. The replica
+blocks bit for bit and a whole block is one window of nt steps; or it draws
+the whole blocks of a group of rows at a time, saving no state. The replica
 engine draws every chunk with one drawer, and sample_sheet_expansion fills
 a single path's block with a one-row drawer. Distinct triples give
 independent streams regardless of scheduling; tests/test_noise.py pins the
@@ -156,7 +157,9 @@ class _NoiseDrawer:
     One Philox draws every row. A row's first window re-keys it to the row's
     key at counter zero; a later window restores the state saved when the
     row's previous window ended. No state is saved after a row's last window,
-    so a single window of nt steps costs what a plain fill costs.
+    so a single window of nt steps costs what a plain fill costs. Instead of
+    windows, fill_blocks draws the whole blocks of a range of rows, a group
+    at a time.
     """
 
     def __init__(self, grid: GridSpec, master: int, replicas: range, stream: int, k_noise: int):
@@ -190,9 +193,33 @@ class _NoiseDrawer:
             self.rng.standard_normal(out=row)
             if keep:
                 self.states[i] = self.bits.state
+        self.drawn = end
+        return self._finish(out)
+
+    def fill_blocks(self, out: np.ndarray, start: int) -> np.ndarray:
+        """Draw the whole (nt, nx-1) blocks of rows start..start+len(out) into
+        out, shaped (rows, nt, nx-1) with C-contiguous rows, and return it.
+
+        Saves no state, so groups of rows may be drawn in any order, but only
+        by a drawer that has drawn no window."""
+        n, nxm = self.row_shape
+        if out.ndim != 3 or out.shape[1:] != (self.nt, nxm):
+            raise ValueError(f"noise blocks {out.shape} are not shaped (rows, {self.nt}, {nxm})")
+        if not 0 <= start <= start + len(out) <= n:
+            raise ValueError(f"rows {start}..{start + len(out)} outside the drawer's 0..{n}")
+        if self.drawn:
+            raise ValueError(f"whole blocks asked for after a window of {self.drawn} steps")
+        for key, row in zip(self.keys[start:], out):
+            self.fresh["state"]["key"] = key
+            self.bits.state = self.fresh
+            self.rng.standard_normal(out=row)
+        return self._finish(out)
+
+    def _finish(self, out: np.ndarray) -> np.ndarray:
+        """Scale the standard normals drawn into out to Var dt and zero the
+        inactive mode columns."""
         out *= self.scale
         out[..., self.k_noise :] = 0.0
-        self.drawn = end
         return out
 
 

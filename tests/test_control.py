@@ -204,13 +204,20 @@ def test_girsanov_requires_positive_eps():
 
 
 def test_girsanov_batch_matches_single_realizations():
-    g = make_grid(16, 16, 0.25)
-    psi = Control(np.random.default_rng(6).standard_normal((16, 15)), g)
+    # At nt 256 / nx 64 einsum would sum a lone block along another path than
+    # a row of a batch; a row's weight must not depend on its batch.
+    g = make_grid(64, 256, 0.25)
+    psi = Control(np.random.default_rng(6).standard_normal((g.nt, g.n_interior)), g)
     noises = [sample_sheet_expansion(g, g.n_interior, 8, replica=r) for r in range(5)]
-    batch = girsanov_log_weight(psi, np.stack([nz.mode_increments for nz in noises]), 0.3)
+    blocks = np.stack([nz.mode_increments for nz in noises])
+    batch = girsanov_log_weight(psi, blocks, 0.3)
     single = [girsanov_log_weight(psi, nz, 0.3) for nz in noises]
     assert batch.shape == (5,)
-    np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0.0)
+    assert batch.tobytes() == np.array(single).tobytes()
+    for r in range(5):  # a one-row batch, alone or under a stacking axis
+        assert girsanov_log_weight(psi, blocks[r : r + 1], 0.3).tobytes() == batch[r : r + 1].tobytes()
+        assert girsanov_log_weight(psi, blocks[None, r : r + 1], 0.3).shape == (1, 1)
+    assert girsanov_log_weight(psi, blocks.reshape(5, 1, g.nt, -1), 0.3).tobytes() == batch.tobytes()
     with pytest.raises(TypeError, match="Control"):
         girsanov_log_weight(psi.values, noises[0].mode_increments, 0.3)
 

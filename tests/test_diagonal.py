@@ -133,22 +133,26 @@ def test_an_overflowing_replica_is_stepped_alone(monkeypatch, threads, chunk):
             super().__init__(grid, master, rows, stream, k_noise)
             self.rows = rows
 
-        def fill(self, out):
-            start = self.drawn
-            super().fill(out)
-            if blown_row in self.rows:  # scaled past the float range
-                out[self.rows.index(blown_row), max(step - start, 0) :] *= np.inf
+        def fill_blocks(self, out, start):
+            super().fill_blocks(out, start)
+            group = self.rows[start : start + len(out)]
+            if blown_row in group:  # scaled past the float range
+                out[group.index(blown_row), step:] *= np.inf
             return out
 
     monkeypatch.setattr(mild_solver, "_NoiseDrawer", Scaled)
     if chunk is not None:
         monkeypatch.setattr(mild_solver, "_CHUNK_DOUBLES", chunk * g.nt * g.n_interior)
-    v, w, b = _sample_replicas(*args, threads=threads)
-    assert b[:, blown_row].tolist() == [step + 1] * 2
-    assert np.all(np.isnan(v[:, blown_row]))
-    others = np.arange(40) != blown_row
-    for got, want in zip((v, w, b), ref):
-        assert got[:, others].tobytes() == want[:, others].tobytes()
+    # A 32-step buffer holds a chunk's whole blocks; an 8-step one holds a
+    # quarter of its rows, so the blown row's group is one of several.
+    for window in (32, 8):
+        monkeypatch.setattr(mild_solver, "_WINDOW", window)
+        v, w, b = _sample_replicas(*args, threads=threads)
+        assert b[:, blown_row].tolist() == [step + 1] * 2
+        assert np.all(np.isnan(v[:, blown_row]))
+        others = np.arange(40) != blown_row
+        for got, want in zip((v, w, b), ref):
+            assert got[:, others].tobytes() == want[:, others].tobytes()
 
 
 def test_mode_increments_record_each_rows_first_non_finite_step():

@@ -363,7 +363,8 @@ def test_windowed_draws_keep_the_bits(rows, width):
     grid = make_grid(16, 12, 0.25)
     block = draw_block(grid, 90125, rows, 2)
     for k in (grid.n_interior, 5, 0):
-        buf = np.full((len(rows), width, grid.n_interior), np.nan)
+        # A worker's buffer with room for width steps of every row.
+        buf = np.full((len(rows) * width, grid.n_interior), np.nan)
         drawer = mild_solver._NoiseDrawer(grid, 90125, rows, 2, k)
         dw = mild_solver._windows(drawer, buf)
         steps = np.stack([dw(m).copy() for m in range(grid.nt)], axis=1)
@@ -371,7 +372,7 @@ def test_windowed_draws_keep_the_bits(rows, width):
         expected[..., k:] = 0.0
         assert steps.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="overruns"):
-            drawer.fill(buf[:, :1])
+            drawer.fill(mild_solver._rows_view(buf, len(rows), 1))
 
 
 @pytest.mark.parametrize("threads,chunk", [(1, 4), (2, 4), (2, None)])
@@ -393,7 +394,7 @@ def test_engine_windows_are_the_block(monkeypatch, threads, chunk):
 
     # A window of nt steps is the chunk's whole block, drawn in one fill.
     def whole(rows, drawer, buf):
-        got[rows.start : rows.stop] = drawer.fill(buf)
+        got[rows.start : rows.stop] = drawer.fill(mild_solver._rows_view(buf, len(rows), grid.nt))
         return np.zeros(len(rows), dtype=int)
 
     got[:] = np.nan
@@ -428,6 +429,76 @@ def test_stepping_legs_hold_a_window_not_the_horizon(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(mild_solver, "_WINDOW", grid.nt)  # the whole block at once
             assert leg(40).tobytes() == result.tobytes(), name
+
+
+@pytest.mark.parametrize("rows", [range(0, 9), range(5, 14)], ids=["from_zero", "offset"])
+def test_row_groups_draw_whole_blocks(rows):
+    grid = make_grid(16, 12, 0.25)
+    block = draw_block(grid, 90125, rows, 2)
+    nxm = grid.n_interior
+    for k in (nxm, 5, 0):
+        expected = block.copy()
+        expected[..., k:] = 0.0
+        drawer = mild_solver._NoiseDrawer(grid, 90125, rows, 2, k)
+        # Groups of 4, 4 and 1 rows, drawn out of order through one buffer.
+        buf = np.empty((4, grid.nt, nxm))
+        got = np.full_like(block, np.nan)
+        for start in (4, 0, 8):
+            group = drawer.fill_blocks(buf[: min(4, len(rows) - start)], start)
+            assert np.shares_memory(group, buf)
+            got[start : start + len(group)] = group
+        assert got.tobytes() == expected.tobytes()
+        assert drawer.drawn == 0
+    # A range outside the drawer's rows, blocks of other steps or modes, and
+    # whole blocks after a window are refused before anything is drawn.
+    drawer = mild_solver._NoiseDrawer(grid, 90125, rows, 2, nxm)
+    buf = np.full((len(rows) + 1, grid.nt, nxm), np.nan)
+    bad = [
+        (buf[:2], -1, "rows -1..1 outside the drawer's 0..9"),
+        (buf[:2], len(rows) - 1, "rows 8..10 outside"),
+        (buf, 0, "rows 0..10 outside"),
+        (buf[:2, :5], 0, re.escape(f"(2, 5, {nxm}) are not shaped (rows, {grid.nt}, {nxm})")),
+        (buf[:2, :, :9], 0, "not shaped"),
+        (buf[0], 0, "not shaped"),
+    ]
+    for out, start, match in bad:
+        with pytest.raises(ValueError, match=match):
+            drawer.fill_blocks(out, start)
+    assert np.all(np.isnan(buf))
+    drawer.fill(np.empty((len(rows), 5, nxm)))
+    with pytest.raises(ValueError, match="after a window of 5 steps"):
+        drawer.fill_blocks(buf[:2], 0)
+    assert np.all(np.isnan(buf))
+
+
+def test_the_contraction_holds_a_window_not_the_horizon(monkeypatch):
+    # One chunk of 264 replicas x 256 steps x 31 modes is 16.8 MB of noise; the
+    # tilted linear contraction draws it 33 rows' whole blocks at a time into
+    # a buffer of 32 steps of each row.
+    grid = make_grid(32, 256, 0.25)
+    cf = make_coefficients("linear", f_slope=0.0, sigma0=1.0)
+    eta = eigenfunction(grid, 1, amplitude=0.5)
+    psi = np.tile(eigenfunction(grid, 1, amplitude=2.0).values, (grid.nt, 1))
+    replicas = mild_solver._CHUNK_DOUBLES // (grid.nt * grid.n_interior)
+    result_bytes = replicas * (grid.n_interior + 2) * 8  # terminals, log weights, blown
+    bound = mild_solver._CHUNK_DOUBLES * 8 * 32 / grid.nt + result_bytes + 1e6
+    assert replicas * grid.nt * grid.n_interior * 8 > 5 * bound
+
+    def sample(n):
+        return _sample_replicas([eta], cf, 0.1, grid, 3, n, 0, None, [psi])
+
+    sample(2)  # fills the transform caches
+    tracemalloc.start()
+    try:
+        result = sample(replicas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    with monkeypatch.context() as m:
+        m.setattr(mild_solver, "_WINDOW", grid.nt)  # the chunk's whole block at once
+        for got, want in zip(sample(replicas), result):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_noise_block_builds_no_seed_sequence(monkeypatch):
@@ -526,13 +597,26 @@ def run_outputs(tmp_path, command, config, threads):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("command", ["convergence", "mc-scaling"])
+# The golden (tilted) study at nt 256 on 3 replicas: 2 threads split it into
+# chunks of 2 rows and 1, and at this size einsum would pair a lone block along
+# another path than a row of a batch.
+LONE_ROW = {
+    "kind": "mc-scaling", "master_seed": "424242", "family": "linear", "f_slope": "0.0",
+    "sigma0": "1.0", "nx": "64", "nt": "256", "T": "0.25", "eps_list": "0.4, 0.2, 0.1",
+    "replicas": "3", "event_kind": "l2_norm", "event_threshold": "0.15", "tilt": "optimal",
+    "reference_action": "0.2224",
+}
+
+
+@pytest.mark.parametrize("command", ["convergence", "mc-scaling", "mc-scaling-lone-row"])
 def test_cli_outputs_do_not_depend_on_threads(tmp_path, command):
-    if command == "convergence":
-        config = tmp_path / "c.cfg"
-        config.write_text("".join(f"{k} = {v}\n" for k, v in CONVERGENCE.items()))
-    else:
+    if command == "mc-scaling":
         config = DATA / "golden_mc_scaling.cfg"
+    else:
+        config = tmp_path / "c.cfg"
+        raw = CONVERGENCE if command == "convergence" else LONE_ROW
+        config.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+        command = raw["kind"]
     one, two = (run_outputs(tmp_path, command, config, t) for t in (1, 2))
     assert sorted(one) == sorted(two) and "manifest.txt" in one
     for name in one:

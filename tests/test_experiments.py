@@ -358,33 +358,52 @@ def test_benchmark_workloads_parse(tmp_path, name, tiny):
 
 
 # The benchmark's chunk partitions (rows per noise block) under the engine's
-# memory bound and thread split, so a budget change that moves the benchmark
-# fails here first. burgers_action runs no replicas.
+# memory bound and thread split, and the doubles of each worker's buffer that
+# the workload's own study asks the engine for, so a budget change that moves
+# the benchmark fails here first. burgers_action runs no replicas.
 BENCH_PARTITIONS = {
-    "tilted_scaling": [1057, 1057, 1057, 829],
-    "burgers_convergence": [125, 125],
-    "burgers_blowup": [200],
+    "tilted_scaling": ([1057, 1057, 1057, 829], 1057 * 32 * 31),
+    "burgers_convergence": ([125, 125], 125 * 32 * 63),
+    "burgers_blowup": ([200], 200 * 32 * 31),
 }
+STUDIES = {"mc-scaling": run_eps_scaling, "convergence": run_convergence_studies}
+
+
+class FirstEngineCall(Exception):
+    """Stops a study once its sampler has asked the engine for buffers."""
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_PARTITIONS))
-def test_benchmark_workload_partitions(name):
+def test_benchmark_workload_partitions(monkeypatch, name):
     cfg = ExperimentConfig.from_raw({k: str(v) for k, v in BENCH_WORKLOADS[name].config.items()})
     grid = cfg.grid()
-    seen, buffers = [], set()
+    partition, doubles = BENCH_PARTITIONS[name]
+    seen, buffers, sizes = [], set(), set()
 
     def work(rows, drawer, buf):  # draws nothing
-        assert drawer.row_shape == (len(rows), grid.n_interior) and len(buf) == len(rows)
+        assert drawer.row_shape == (len(rows), grid.n_interior) and buf.shape[1:] == (grid.n_interior,)
         seen.append(rows)
         buffers.add(buf.ctypes.data)
+        sizes.add(buf.size)
         return np.zeros(len(rows), dtype=int)
 
-    blown = mild_solver._replica_engine(grid, cfg.master_seed, cfg.replicas, 0, work, cfg.threads)
+    engine = mild_solver._replica_engine
+    blown = engine(grid, cfg.master_seed, cfg.replicas, 0, work, cfg.threads)
     assert blown.shape == (cfg.replicas,)
     seen.sort(key=lambda rows: rows.start)
-    assert [len(rows) for rows in seen] == BENCH_PARTITIONS[name]
+    assert [len(rows) for rows in seen] == partition
     assert [r for rows in seen for r in rows] == list(range(cfg.replicas))
     assert len(buffers) <= min(cfg.threads, len(seen))  # one buffer per worker
+
+    def first_call(grid, master, replicas, stream, _work, *args):  # draws nothing
+        sizes.clear()
+        engine(grid, master, replicas, stream, work, *args)
+        raise FirstEngineCall
+
+    monkeypatch.setattr(mild_solver, "_replica_engine", first_call)
+    with pytest.raises(FirstEngineCall):
+        STUDIES[cfg.kind](cfg)
+    assert sizes == {doubles}
 
 
 def test_run_experiment_requires_out_dir(tmp_path):
