@@ -21,11 +21,15 @@ The tilt weight for one driving realization is
 
 whose exponential has unit mean: the pairing uses the same cells as the
 white increments, so the discrete identity is exact in distribution. The
-pairing is taken in sine modes, sum psi_hat_i dw_i over the driving block of
-mode increments (Parseval), for one realization and for a batch alike, and a
-row's weight has the same bits whatever batch it is paired in.
-girsanov_log_weight is the only implementation of this formula; the replica
-sampler of mild_solver calls it on whole replica batches of mode increments.
+pairing is taken in sine modes (Parseval): each step's dot
+sum_i psi_hat_mi dw_mi, then the sum of those dots over the steps. A dot
+reads one step of one row, so a row's weight has the same bits whatever
+batch or window its steps are paired in. _log_weight is the only
+implementation of this formula. girsanov_log_weight weighs a realization or
+a batch of driving blocks through it; the replica sampler of mild_solver
+takes the dots with _step_pairings, of each group of whole blocks that its
+linear additive contraction draws and of each window of a stepping run as
+it is drawn, and weighs them through it.
 """
 
 from __future__ import annotations
@@ -147,12 +151,9 @@ def girsanov_log_weight(
     (..., nt, nx-1) on psi's grid, inactive modes zeroed (psi must then be a
     Control); the weight is a float, or an array over the batch axes. psi is
     checked by Control.on against the realization's grid. The cell pairing
-    dx sum psi xi is taken in sine modes as sum psi_hat dw (Parseval), a
-    contraction over the (nt, nx-1) cells, so a batch costs no block-sized
-    temporary.
+    dx sum psi xi is taken in sine modes as sum psi_hat dw (Parseval), step
+    by step, so a batch costs no block-sized temporary.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if isinstance(noise, NoiseRealization):
         psi, dw = Control.on(psi, noise.grid), noise.mode_increments
     elif isinstance(psi, Control):
@@ -161,13 +162,18 @@ def girsanov_log_weight(
             raise ValueError("control and noise realization live on different grids")
     else:
         raise TypeError("a batch of mode increments needs psi as a Control")
-    psi_hat = to_modes(psi.values, psi.grid)
-    if dw.size == psi_hat.size:
-        # einsum sums a lone block along another path than a row of a batch;
-        # paired as a two-row view of itself it gets a batch row's bits.
-        pair = np.broadcast_to(dw.reshape(psi_hat.shape), (2,) + psi_hat.shape)
-        pairing = np.einsum("...ms,ms->...", pair, psi_hat)[0].reshape(dw.shape[:-2])
-    else:
-        pairing = np.einsum("...ms,ms->...", dw, psi_hat)
-    logw = -pairing / np.sqrt(eps) - psi.norm_sq / (2.0 * eps)
+    logw = _log_weight(_step_pairings(dw, to_modes(psi.values, psi.grid)), psi, eps)
     return float(logw) if logw.ndim == 0 else logw
+
+
+def _step_pairings(dw: np.ndarray, psi_hat: np.ndarray) -> np.ndarray:
+    """Each step's dot sum_i psi_hat_mi dw_mi of mode increments dw
+    (..., steps, nx-1) with the control's modes psi_hat (steps, nx-1)."""
+    return np.einsum("...mk,mk->...m", dw, psi_hat)
+
+
+def _log_weight(pairings: np.ndarray, psi: Control, eps: float) -> np.ndarray:
+    """log w of psi from the (..., nt) step pairings of each realization."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return -np.sum(pairings, axis=-1) / np.sqrt(eps) - psi.norm_sq / (2.0 * eps)

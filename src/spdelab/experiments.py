@@ -543,19 +543,28 @@ def _importance_result(cfg, grid, terminals, log_weights, blown) -> ISResult:
         for i in (0, -1)
     )
     weights = np.exp(log_weights[-1][valid])
-    stderr = float(_stderr(terms))
-    _warn_blown_bias(f"importance at eps {cfg.eps}", terms, log_weights[-1][~valid], stderr)
+    estimate, plain = float(np.mean(terms)), float(np.mean(plain_terms))
+    stderr, plain_stderr = float(_stderr(terms)), float(_stderr(plain_terms))
+    label = f"importance at eps {cfg.eps}"
+    _warn_blown_bias(label, terms, log_weights[-1][~valid], stderr)
+    # Both estimate the same probability; a gap of more than 3 combined
+    # stderr points at a biased weight or an unresolved rare event.
+    spread = float(np.hypot(stderr, plain_stderr))
+    if spread > 0 and abs(estimate - plain) > 3.0 * spread:
+        print(f"warning: {label}: the tilted estimate {estimate:.3g} and the plain estimate "
+              f"{plain:.3g} differ by z = {(estimate - plain) / spread:.2f} combined stderr "
+              f"({spread:.3g}), more than 3", file=sys.stderr)
 
     var_tilt = float(np.var(terms, ddof=1)) if n > 1 else 0.0
     var_plain = float(np.var(plain_terms, ddof=1)) if n > 1 else 0.0
     vrf = var_plain / var_tilt if var_tilt > 0 and var_plain > 0 else float("nan")
     return ISResult(
-        estimate=float(np.mean(terms)),
+        estimate=estimate,
         stderr=stderr,
         mean_weight=float(np.mean(weights)),
         mean_weight_stderr=float(_stderr(weights)),
-        plain_estimate=float(np.mean(plain_terms)),
-        plain_stderr=float(_stderr(plain_terms)),
+        plain_estimate=plain,
+        plain_stderr=plain_stderr,
         variance_reduction=vrf,
         replicas=n,
     )

@@ -55,15 +55,14 @@ once; min(threads, chunk count) workers run, at most _MAX_THREADS. Each
 worker draws its chunks into one buffer, allocated before the first chunk
 runs, with room for _WINDOW steps of each of a chunk's rows and for at least
 one row's whole block; a chunk's work must not keep its noise after it
-returns. The stepping legs (Galerkin coupled errors and untilted,
-uncontracted replica runs) read one step at a time through _windows, which
-draws a window of steps at a time. The linear additive contraction sums over
-the whole horizon, so it draws the whole blocks of as many rows as the
-buffer holds, and contracts and weighs each such group apart; a row's
-terminal and Girsanov weight have the same bits in any group. Tilted
-stepping runs (tilted, not contracted) step a chunk's rows in lockstep and
-pair their weights with the whole horizon, so they draw the chunk's block as
-one window of nt steps into a buffer of that size. The noise held at once is
+returns. The stepping legs (Galerkin coupled errors and every uncontracted
+replica run, tilted or not) read one step at a time through _windows, which
+draws a window of steps at a time; a tilted run pairs each window with its
+tilt as it is drawn. The linear additive contraction
+sums over the whole horizon, so it draws the whole blocks of as many rows
+as the buffer holds, and contracts and weighs each such group apart. The
+Girsanov weight is paired step by step, so a row's terminal and weight have
+the same bits in any group, window or chunk. The noise held at once is
 bounded by workers x buffer whatever the replica count.
 Its consumers are _sample_replicas (plain or Girsanov-tilted terminal and
 sup-norm samples, behind run_replicas and the experiment studies) and
@@ -350,8 +349,8 @@ def _integrate(u0: np.ndarray, ops: _Ops, dw=None, shift=None, psi=None, observe
     Returns (terminal, blown): terminal is the final nodal state, NaN in the
     rows that blew up; blown, shaped u0.shape[:-1], holds each row's first
     non-finite step (0 if the row stayed finite). A blown row is frozen at its
-    last finite state; stepping stops once every row has blown, so observe
-    then sees no further steps.
+    last finite state and steps on with the others, so dw is read for all nt
+    steps even when every row has blown.
     """
     grid = ops.grid
     if shift is not None:
@@ -381,8 +380,6 @@ def _integrate(u0: np.ndarray, ops: _Ops, dw=None, shift=None, psi=None, observe
             if bad.any():
                 blown[bad] = m + 1
                 alive &= ~bad
-                if not alive.any():
-                    break
             if not alive.all():
                 new = np.where(alive[..., None], new, state)
             state = new
@@ -534,9 +531,9 @@ _CHUNK_DOUBLES = 2**21
 # Steps of noise a stepping consumer draws at a time.
 _WINDOW = 32
 # Worker threads of one engine call. Each worker's buffer is allocated before
-# any chunk runs and holds up to 16 MiB of noise (a tilted stepping run's
-# whole chunk block), so 64 workers may take 1 GiB up front; a larger count
-# buys nothing on a few cores and risks the memory.
+# any chunk runs and holds a _WINDOW-step window of a chunk, up to 16 MiB of
+# noise when nt <= _WINDOW, so 64 workers may take 1 GiB up front; a larger
+# count buys nothing on a few cores and risks the memory.
 _MAX_THREADS = 64
 
 
@@ -545,18 +542,21 @@ def _rows_view(buf: np.ndarray, rows: int, steps: int) -> np.ndarray:
     return buf[: rows * steps].reshape(rows, steps, buf.shape[1])
 
 
-def _windows(drawer: _NoiseDrawer, buf: np.ndarray):
+def _windows(drawer: _NoiseDrawer, buf: np.ndarray, on_draw=None):
     """dw(m) for m = 0, 1, ..., nt-1, called in that order: step m's mode
     increments of the drawer's rows, drawn into buf as many steps at a time
-    as it holds for those rows (at most nt). A block the drawer has already
-    drawn whole into buf is read as it is."""
+    as it holds for those rows (at most nt). on_draw, when given, is called
+    as on_draw(m, window) with each window (rows, steps, nx-1) of steps from
+    m on as soon as it is drawn."""
     rows = drawer.row_shape[0]
     width = min(len(buf) // rows, drawer.nt)
     window = _rows_view(buf, rows, width)
 
     def dw(m):
         if m == drawer.drawn:
-            drawer.fill(window[:, : min(width, drawer.nt - m)])
+            drawn = drawer.fill(window[:, : min(width, drawer.nt - m)])
+            if on_draw is not None:
+                on_draw(m, drawn)
         return window[:, m % width]
 
     return dw
@@ -569,7 +569,6 @@ def _replica_engine(
     stream: int,
     work,
     threads: int = 1,
-    window: int = _WINDOW,
     k_noise: int | None = None,
 ) -> np.ndarray:
     """Run work(rows, drawer, buf) over consecutive chunks of replicas
@@ -577,13 +576,13 @@ def _replica_engine(
 
     drawer is the chunk's _NoiseDrawer on the streams (master, r, stream),
     zeroing mode columns k_noise: (none when k_noise is None), and buf the
-    worker's buffer: max(chunk * min(window, nt), nt) slots of nx-1 doubles,
-    room for min(window, nt) steps of every row of a chunk and for at least
-    one row's whole block. work draws its noise into buf (through _windows,
-    as a chunk's whole block, or as whole blocks of a group of rows at a
-    time), integrates and reduces it, writes only its own rows of its
-    outputs, and returns the first non-finite step of each of its runs,
-    shaped (..., len(rows)) (0 where a run stayed finite). The next chunk
+    worker's buffer: max(chunk * min(_WINDOW, nt), nt) slots of nx-1
+    doubles, room for min(_WINDOW, nt) steps of every row of a chunk and for
+    at least one row's whole block. work draws its noise into buf (through
+    _windows, or as whole blocks of a group of rows at a time), integrates
+    and reduces it, writes only its own rows of its outputs, and returns the
+    first non-finite step of each of its runs, shaped (..., len(rows)) (0
+    where a run stayed finite). The next chunk
     overwrites buf, so work may change the noise but must not keep it (or a
     view of it) after it returns.
 
@@ -611,7 +610,7 @@ def _replica_engine(
     # leave the heap's peak depending on the order they happen to run in.
     buffers = queue.SimpleQueue()
     for _ in range(workers):
-        buffers.put(np.empty((max(chunk * min(window, nt), nt), nxm)))
+        buffers.put(np.empty((max(chunk * min(_WINDOW, nt), nt), nxm)))
 
     def run_chunk(start: int) -> np.ndarray:
         rows = range(start, min(start + chunk, replicas))
@@ -668,8 +667,8 @@ def _sample_replicas(
     acceptable. Linear additive terminals (_Ops.diagonal) are contracted from
     the noise, drawn as the whole blocks of as many replicas at a time as the
     engine's buffer holds (about _WINDOW / nt of a chunk); only a (run,
-    replica) whose terminal is not finite is stepped. An uncontracted tilted
-    run draws its chunk's whole block; other runs step through windows.
+    replica) whose terminal is not finite is stepped. Every other run steps
+    through windows of _WINDOW steps.
 
     psis, when given, holds each run's tilt (nt, nx-1), or None for an
     untilted run. A tilt psi shifts the white increments themselves,
@@ -677,10 +676,13 @@ def _sample_replicas(
     integrated; paired with the Girsanov log weight of the unshifted
     increments (log_weights, 0 without a tilt) this is the exact discrete
     change of measure, so the reweighted estimator is unbiased for any sigma
-    (psi = 0 reproduces plain sampling bit for bit).
+    (psi = 0 reproduces plain sampling bit for bit). The weight pairs each
+    step's increments with the tilt as they are drawn, a group of whole
+    blocks or a window at a time, so it has the same bits in any group,
+    window or chunk.
     """
     # control imports this module, so its names are looked up at call time.
-    from .control import Control, girsanov_log_weight
+    from .control import Control, _log_weight, _step_pairings
 
     config = config or SolverConfig()
     if record not in ("terminal", "sup_rho"):
@@ -694,9 +696,9 @@ def _sample_replicas(
     ops = _Ops(cf, grid, config.k_modes, eps, config.cutoff_radius)
     u_init = np.stack([e.values for e in etas])
 
-    # tilts[i]: run i's tilt as a Control, or None; shifts: the tilts' shifts
-    # of the driving mode increments per step.
-    tilts = [None] * runs
+    # tilted: (run, tilt as a Control, its sine modes) of each tilted run;
+    # shifts: the tilts' shifts of the driving mode increments per step.
+    tilted = []
     shifts = None
     for i, p in enumerate(psis):
         if p is None:
@@ -707,7 +709,8 @@ def _sample_replicas(
             # change of measure to be exact.
             pm[:, k_noise:] = 0.0
             p = from_modes(pm, grid)
-        tilts[i] = Control(p, grid)
+        tilt = Control(p, grid)
+        tilted.append((i, tilt, to_modes(tilt.values, grid)))
         if shifts is None:
             # Each run's shift broadcasts over the chunk's replica rows.
             shifts = np.zeros((runs, 1, grid.nt, nxm))
@@ -724,22 +727,16 @@ def _sample_replicas(
         if shifts is not None:
             fixed += scale * np.einsum("rimk,mk->rik", shifts, weights)
 
-    # The contraction reads whole blocks, drawn as many rows at a time as the
-    # worker's buffer holds; a tilted stepping run pairs its Girsanov weights
-    # with the chunk's whole block, drawn as one window; an untilted stepping
-    # run reads _WINDOW steps at a time.
-    whole = shifts is not None and not contract
-    window = grid.nt if whole else _WINDOW
-
-    def weigh(noise: np.ndarray, mine: slice) -> None:
-        for i, tilt in enumerate(tilts):
-            if tilt is not None:
-                log_weights[i, mine] = girsanov_log_weight(tilt, noise, eps)
+    def weigh(pairings, mine: slice) -> None:
+        """Write the log weights of rows mine from each tilt's (rows, nt)
+        step pairings."""
+        for (i, tilt, _), pairing in zip(tilted, pairings):
+            log_weights[i, mine] = _log_weight(pairing, tilt, eps)
 
     def contracted(noise: np.ndarray, start: int) -> np.ndarray:
         """Terminals of the replicas from start whose whole blocks are noise."""
         mine = slice(start, start + len(noise))
-        weigh(noise, mine)
+        weigh([_step_pairings(noise, psi_hat) for *_, psi_hat in tilted], mine)
         with np.errstate(over="ignore", invalid="ignore"):
             hat = fixed + scale * np.einsum("rmk,mk->rk", noise, weights)
             terminal = from_modes(hat, grid)
@@ -762,18 +759,26 @@ def _sample_replicas(
                 blown.append(contracted(drawer.fill_blocks(noise, lo), rows.start + lo))
             return np.concatenate(blown, axis=-1)
         mine = slice(rows.start, rows.stop)
-        if whole:
-            weigh(drawer.fill(_rows_view(buf, len(rows), grid.nt)), mine)
+        pairings = np.empty((len(tilted), len(rows), grid.nt))
+
+        def pair(m: int, window: np.ndarray) -> None:
+            """Pair each tilt with a window of steps from m on as it is drawn."""
+            steps = slice(m, m + window.shape[1])
+            for j, (*_, psi_hat) in enumerate(tilted):
+                pairings[j, :, steps] = _step_pairings(window, psi_hat[steps])
+
         u0 = np.broadcast_to(u_init[:, None, :], (runs, len(rows), nxm))
         sup = observe = None
         if record == "sup_rho":
             sup = np.zeros((runs, len(rows)))
             observe = lambda u: np.maximum(sup, lp_norm_values(u, dx, rho) ** rho, out=sup)
-        terminal, blown = _integrate(u0, ops, _windows(drawer, buf), shifts, observe=observe)
+        dw = _windows(drawer, buf, pair if tilted else None)
+        terminal, blown = _integrate(u0, ops, dw, shifts, observe=observe)
+        weigh(pairings, mine)
         values[:, mine] = terminal if sup is None else np.where(blown > 0, np.nan, sup)
         return blown
 
-    blown = _replica_engine(grid, master, replicas, stream, work, threads, window, k_noise)
+    blown = _replica_engine(grid, master, replicas, stream, work, threads, k_noise)
     return values, log_weights, blown
 
 
@@ -844,7 +849,7 @@ def galerkin_coupled_errors(
         errors[rows.start : rows.stop] = sup.T
         return blown
 
-    blown = _replica_engine(grid, master, replicas, stream, work, threads, _WINDOW)
+    blown = _replica_engine(grid, master, replicas, stream, work, threads)
     # A replica blew up at the first step any of its stacked runs did.
     first = np.where(blown > 0, blown, grid.nt + 1).min(axis=0)
     _raise_first_blowup(np.where(first > grid.nt, 0, first), master, stream)

@@ -204,8 +204,10 @@ def test_girsanov_requires_positive_eps():
 
 
 def test_girsanov_batch_matches_single_realizations():
-    # At nt 256 / nx 64 einsum would sum a lone block along another path than
-    # a row of a batch; a row's weight must not depend on its batch.
+    # The weight is paired step by step, so a row's weight has the same bits
+    # alone, in a batch or under a stacking axis; nt 256 / nx 64 is a size at
+    # which a whole-block einsum sums a lone block along another path than a
+    # row of a batch.
     g = make_grid(64, 256, 0.25)
     psi = Control(np.random.default_rng(6).standard_normal((g.nt, g.n_interior)), g)
     noises = [sample_sheet_expansion(g, g.n_interior, 8, replica=r) for r in range(5)]

@@ -20,7 +20,7 @@ from spdelab.experiments import (
     run_importance_sampling,
 )
 from spdelab.coeffs import make_coefficients
-from spdelab.control import solve_controlled
+from spdelab.control import girsanov_log_weight, solve_controlled
 from spdelab.lattice import eigenfunction, make_field, make_grid
 from spdelab.mild_solver import (
     BlowUpError,
@@ -258,6 +258,28 @@ def test_importance_all_blown_names_replica_of_blown_set():
     assert err.value.seed == SeedDerivation(cfg.master_seed, r, 0)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_all_blown_tilted_weights_pair_every_step(threads):
+    # The strong tilt blows up every replica within its first window of 32
+    # steps; each log weight still pairs all 96 steps of the replica's noise.
+    raw = dict(BLOWUP, kind="importance", nt="96", eps="0.5", replicas="6", psi_amp="20.0")
+    del raw["eps_list"], raw["tilt"]
+    cfg = ExperimentConfig.from_raw(raw)
+    grid = cfg.grid()
+    psi = cfg.psi_control(grid)
+    _, (logw,), (blown,) = _sample_replicas(
+        [cfg.eta_field(grid)], cfg.coefficients(), cfg.eps, grid, cfg.master_seed,
+        cfg.replicas, 0, cfg.solver_config(), [psi.values], threads=threads,
+    )
+    assert np.all((blown > 0) & (blown <= mild_solver._WINDOW))
+    expected = [
+        girsanov_log_weight(psi, sample_sheet_expansion(grid, grid.n_interior, cfg.master_seed, r),
+                            cfg.eps)
+        for r in range(cfg.replicas)
+    ]
+    assert logw.tobytes() == np.array(expected).tobytes()
+
+
 @pytest.mark.parametrize("tilted", [False, True], ids=["plain", "tilted"])
 def test_threads_split_a_single_memory_chunk(monkeypatch, tilted):
     cfg, grid, cf, eta, scfg = blowup_setup()
@@ -386,38 +408,45 @@ def test_engine_windows_are_the_block(monkeypatch, threads, chunk):
 
     def work(rows, drawer, buf):
         dw = mild_solver._windows(drawer, buf)
-        got[rows.start : rows.stop] = np.stack([dw(m).copy() for m in range(grid.nt)], axis=1)
+        steps = [dw(0).copy()]
+        if mild_solver._WINDOW == grid.nt:  # the chunk's whole block in one fill
+            assert drawer.drawn == grid.nt
+        steps += [dw(m).copy() for m in range(1, grid.nt)]
+        got[rows.start : rows.stop] = np.stack(steps, axis=1)
         return np.zeros(len(rows), dtype=int)
 
-    mild_solver._replica_engine(grid, 90125, 11, 2, work, threads, window=5, k_noise=6)
-    assert got.tobytes() == expected.tobytes()
-
-    # A window of nt steps is the chunk's whole block, drawn in one fill.
-    def whole(rows, drawer, buf):
-        got[rows.start : rows.stop] = drawer.fill(mild_solver._rows_view(buf, len(rows), grid.nt))
-        return np.zeros(len(rows), dtype=int)
-
-    got[:] = np.nan
-    mild_solver._replica_engine(grid, 90125, 11, 2, whole, threads, window=grid.nt, k_noise=6)
-    assert got.tobytes() == expected.tobytes()
+    for window in (5, grid.nt):
+        monkeypatch.setattr(mild_solver, "_WINDOW", window)
+        got[:] = np.nan
+        mild_solver._replica_engine(grid, 90125, 11, 2, work, threads, k_noise=6)
+        assert got.tobytes() == expected.tobytes(), window
 
 
 def test_stepping_legs_hold_a_window_not_the_horizon(monkeypatch):
     # 40 replicas x 512 steps x 31 modes is 5.08 MB of noise in one chunk; the
-    # Galerkin and moment legs step through it holding one 32-step window.
+    # Galerkin, moment and plain+tilted legs step through it holding one
+    # 32-step window (0.32 MB). The tilted leg also holds its tilt's shift,
+    # modes and step pairings, 0.8 MB of (nt, nx-1) and (replicas, nt) arrays.
     grid = make_grid(32, 512, 0.25)
     cf = make_coefficients("burgers", sigma0=1.0, sigma1=0.2)
     eta = eigenfunction(grid, 1, amplitude=0.5)
     etas = [eta, eigenfunction(grid, 1, amplitude=1.0)]
+    psi = np.tile(eigenfunction(grid, 1, amplitude=2.0).values, (grid.nt, 1))
+    scfg = SolverConfig(k_modes=8)
     legs = {
-        "galerkin": lambda n: galerkin_coupled_errors(eta, cf, 0.1, grid, 3, n, [2, 4], k_modes=8),
-        "moments": lambda n: np.array([
+        "galerkin": (1.5e6, lambda n: galerkin_coupled_errors(eta, cf, 0.1, grid, 3, n, [2, 4],
+                                                              k_modes=8)),
+        "moments": (1.5e6, lambda n: np.array([
             (m.estimate, m.stderr, m.ratio)
-            for m in _moment_estimates(etas, cf, 0.1, 2.0, n, grid, SolverConfig(k_modes=8), 3)
-        ]),
+            for m in _moment_estimates(etas, cf, 0.1, 2.0, n, grid, scfg, 3)
+        ])),
+        "tilted": (2e6, lambda n: np.concatenate([
+            a.ravel() for a in _sample_replicas([eta, eta], cf, 0.1, grid, 3, n, 0, scfg,
+                                                [None, psi])
+        ])),
     }
     assert 40 * grid.nt * grid.n_interior * 8 > 5e6
-    for name, leg in legs.items():
+    for name, (bound, leg) in legs.items():
         leg(2)  # fills the transform caches
         tracemalloc.start()
         try:
@@ -425,7 +454,7 @@ def test_stepping_legs_hold_a_window_not_the_horizon(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5e6, name
+        assert peak < bound, name
         with monkeypatch.context() as m:
             m.setattr(mild_solver, "_WINDOW", grid.nt)  # the whole block at once
             assert leg(40).tobytes() == result.tobytes(), name
@@ -598,23 +627,33 @@ def run_outputs(tmp_path, command, config, threads):
 
 
 # The golden (tilted) study at nt 256 on 3 replicas: 2 threads split it into
-# chunks of 2 rows and 1, and at this size einsum would pair a lone block along
-# another path than a row of a batch.
+# chunks of 2 rows and 1, so the lone row's contraction and Girsanov weight
+# must have the bits they have in a group of rows.
 LONE_ROW = {
     "kind": "mc-scaling", "master_seed": "424242", "family": "linear", "f_slope": "0.0",
     "sigma0": "1.0", "nx": "64", "nt": "256", "T": "0.25", "eps_list": "0.4, 0.2, 0.1",
     "replicas": "3", "event_kind": "l2_norm", "event_threshold": "0.15", "tilt": "optimal",
     "reference_action": "0.2224",
 }
+# A tilted Burgers importance study at nt 256 on 3 replicas: 2 threads split
+# its stepping runs into chunks of 2 rows and 1, each paired window by window.
+IMPORTANCE = {
+    "kind": "importance", "master_seed": "321", "family": "burgers", "sigma0": "1.0",
+    "sigma1": "0.2", "k_modes": "8", "nx": "32", "nt": "256", "T": "0.25",
+    "eta_amp": "0.3", "eps": "0.1", "replicas": "3", "psi_amp": "0.5",
+    "event_threshold": "0.05",
+}
 
 
-@pytest.mark.parametrize("command", ["convergence", "mc-scaling", "mc-scaling-lone-row"])
+@pytest.mark.parametrize(
+    "command", ["convergence", "mc-scaling", "mc-scaling-lone-row", "importance"]
+)
 def test_cli_outputs_do_not_depend_on_threads(tmp_path, command):
     if command == "mc-scaling":
         config = DATA / "golden_mc_scaling.cfg"
     else:
         config = tmp_path / "c.cfg"
-        raw = CONVERGENCE if command == "convergence" else LONE_ROW
+        raw = {"convergence": CONVERGENCE, "importance": IMPORTANCE}.get(command, LONE_ROW)
         config.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
         command = raw["kind"]
     one, two = (run_outputs(tmp_path, command, config, t) for t in (1, 2))

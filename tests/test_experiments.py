@@ -254,6 +254,29 @@ def test_importance_mean_weight_and_agreement():
     assert abs(res.estimate - res.plain_estimate) <= 3 * comb
 
 
+def test_importance_warns_when_tilted_and_plain_disagree(capsys):
+    # Burgers at eps 1 with the criterion-11 threshold: the optimal tilt's
+    # estimate lies 4.0 combined stderr below the plain one at 4000 replicas,
+    # while a fixed mode-1 tilt of amplitude 0.5 agrees with it at 400.
+    threshold = np.sqrt(2.0 * (1.0 - np.exp(-2.0 * np.pi**2 * 0.3)) / np.pi**2)
+    raw = {"kind": "importance", "master_seed": "90125", "family": "burgers",
+           "sigma0": "1.0", "sigma1": "0.2", "k_modes": "8", "nx": "32", "nt": "64",
+           "T": "0.3", "eps": "1.0", "event_kind": "l2_norm",
+           "event_threshold": f"{threshold:.17g}"}
+    res = run_importance_sampling(
+        ExperimentConfig.from_raw(dict(raw, replicas="4000", tilt="optimal")))
+    out, err = capsys.readouterr()
+    assert (res.estimate - res.plain_estimate) / np.hypot(res.stderr, res.plain_stderr) < -3
+    assert out == "" and err == (
+        "warning: importance at eps 1.0: the tilted estimate 0.0328 and the plain estimate "
+        "0.0465 differ by z = -4.01 combined stderr (0.00342), more than 3\n"
+    )
+    res = run_importance_sampling(ExperimentConfig.from_raw(dict(raw, replicas="400",
+                                                                 psi_amp="0.5")))
+    assert abs(res.estimate - res.plain_estimate) < np.hypot(res.stderr, res.plain_stderr)
+    assert capsys.readouterr() == ("", "")
+
+
 def test_importance_variance_reduction_on_rare_event():
     raw = base_raw(kind="importance", nt="64", replicas="3000", eps="0.025",
                    event_kind="l2_norm", event_threshold="0.11", tilt="optimal")

@@ -97,3 +97,20 @@ def test_one_drawer_constructor(path):
         if name.split(".")[0] not in DRAWER_BUILDERS
     ]
     assert calls == [], f"{path.name}: _NoiseDrawer( outside {sorted(DRAWER_BUILDERS)}"
+
+
+# Stepping consumers read their noise through _windows and a single path's
+# block is filled by sample_sheet_expansion; the contraction draws whole
+# blocks with fill_blocks. No other code fills a drawer, so none can draw a
+# chunk's whole horizon at once.
+DRAWER_FILLS = {"_windows", "sample_sheet_expansion"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_drawer_filled_only_by_windows(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [
+        (name, line) for name, line in _draw_calls(tree, {"fill"})
+        if name.split(".")[0] not in DRAWER_FILLS
+    ]
+    assert calls == [], f"{path.name}: .fill( outside {sorted(DRAWER_FILLS)}"
