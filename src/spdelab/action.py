@@ -1,8 +1,14 @@
 """Minimum action method and path-space rate evaluation.
 
 minimize_action finds the cheapest control steering the deterministic
-controlled flow (skeleton dynamics) from eta to a terminal target: it
-minimizes the penalized objective
+controlled flow (skeleton dynamics) from eta to a terminal target. In the
+linear additive case (_Ops.diagonal) v_hat(T) = decay^nt eta_hat + sigma
+sum_m reach_m psi_hat_m per sine mode, with reach_m = decay^(nt-1-m) ed, and
+the action is (1/2) dt sum psi_hat^2. There it returns Kalman's
+minimum-energy control, psi_hat_m = reach_m gap / G with the mode's gap
+phi_hat - decay^nt eta_hat and Gramian G = sigma sum_m reach_m^2, without
+iterating; a mode with G = 0 (above k_modes, or sigma = 0) gets no control
+and keeps its gap in the residual. Every other problem minimizes
 
     F_mu(psi) = (1/2) iint psi^2 + (mu/2) |v(T;psi) - phi_target|_2^2
 
@@ -11,24 +17,18 @@ accepted objective is monotone), and penalty continuation that doubles mu
 whenever the terminal residual stalls above tolerance. The gradient comes
 from the exact transpose of the linearized one-step scheme
 (discretize-then-optimize), so it matches central finite differences of the
-discrete objective to near machine precision. In the linear additive case
-(_Ops.diagonal) the step is diagonal in the sine modes: the forward sweep
-builds only v(T), as decay^nt eta_hat plus the control modes of every step
-weighted by decay^(nt-1-m) ed, and the adjoint sweep gets every step's
-C p from the same weights, one batched transform each way.
+discrete objective to near machine precision.
 
 The forward sweep and the objective take a stack of controls and step its
 rows in lockstep, each row with the bits of its own sweep. The line search
 uses this: its first trial is one row, and after a rejection the next
 LADDER halvings of the step run as one stacked sweep, of which the first
 row to pass Armijo is taken, as the one-trial-at-a-time search would take
-it. A stepping sweep's time goes mostly into per-step calls: on the
-benchmark's burgers_action solve an objective of six rows takes 1.6 to 1.7
-times as long as one of one row (919 against 563 us, and 1107 against
-661 us, in two measurements on a shared 2-vCPU x86_64 host, each the
-minimum of 20 x 100 calls), far below six. A diagonal sweep is one batched
-transform whose cost grows with its rows, so there the search tries one row
-at a time.
+it. A sweep's time goes mostly into per-step calls: on the benchmark's
+burgers_action solve an objective of six rows takes 1.6 to 1.7 times as
+long as one of one row (919 against 563 us, and 1107 against 661 us, in two
+measurements on a shared 2-vCPU x86_64 host, each the minimum of 20 x 100
+calls), far below six.
 
 path_rate_function inverts the discrete dynamics along a given path: the
 one-step residual left over after the heat update, drift, and divergence
@@ -97,12 +97,6 @@ class _AdjointProblem:
         # Rows decay and ed: one synthesis of adjoint_factors * p_hat gives a
         # stepping adjoint sweep's S p and C p together.
         self.adjoint_factors = np.stack((self.ops.decay, self.ops.ed))
-        if self.ops.diagonal:
-            # Row m is decay^(nt-1-m) * ed: the weight with which the control
-            # modes of step m reach v(T), and the adjoint of v(T) reaches C p
-            # at step m. free is the heat flow of eta to T.
-            self.reach = self.ops.decay_powers() * self.ops.ed
-            self.free = self.ops.decay**grid.nt * to_modes(self.eta, grid)
 
     def forward(self, psi: np.ndarray):
         """Paths of the controlled deterministic flow under the controls psi
@@ -110,17 +104,10 @@ class _AdjointProblem:
 
         Every row steps through the same _Ops.step calls, so a stack of L
         controls costs nt calls of each transform, as one control does, and
-        each row's path has the bits of its own single sweep. When the step
-        is diagonal only v(T) is built, from one batched transform of the
-        control fields, and the returned array holds just that row per
-        control: the adjoint of a diagonal step never reads the states.
-        Non-finite states are returned as they are; objective flags them.
+        each row's path has the bits of its own single sweep. Non-finite
+        states are returned as they are; objective flags them.
         """
         grid, ops = self.grid, self.ops
-        if ops.diagonal:
-            c_hat = to_modes(ops.sigma(0.0, self.eta) * psi, grid)
-            v = from_modes(self.free + np.sum(self.reach * c_hat, axis=-2), grid)
-            return v[..., None, :]
         v = np.empty(psi.shape[:-2] + (grid.nt + 1, grid.n_interior))
         v[..., 0, :] = self.eta
         for m in range(grid.nt):
@@ -145,11 +132,6 @@ class _AdjointProblem:
         """Exact transpose of the linearized scheme, marched backwards."""
         grid, cf, ops = self.grid, self.cf, self.ops
         p = mu * self.dx * (v[-1] - self.target)
-        if ops.diagonal:
-            # The adjoint modes at step m are decay^(nt-1-m) p_hat(T), so every
-            # step's C p comes from one batched synthesis.
-            sCp = cf.sigma_const * from_modes(self.reach * to_modes(p, grid), grid)
-            return self.dtdx * psi + sCp
         # The coefficient factors of every step at once: row m is at (t_m, v[m]).
         t, u = grid.t[:-1, None], v[:-1]
 
@@ -182,12 +164,15 @@ def minimize_action(
 ) -> RateResult:
     """Cheapest control steering the skeleton flow to phi_target at time T.
 
-    Penalty continuation drives the terminal residual below
-    opts.residual_tol; the best (lowest residual, then lowest objective)
-    iterate is returned with the optimizer trace either way.
+    A linear additive problem is solved in closed form (module docstring),
+    with a one-row trace and 0 iterations. Any other problem runs penalty
+    continuation to a terminal residual below opts.residual_tol and returns
+    its best (lowest residual, then lowest objective) iterate and trace.
     """
     opts = opts or ActionOptions()
     prob = _AdjointProblem(phi_target, eta, cf, grid, opts)
+    if prob.ops.diagonal:
+        return _diagonal_minimum(prob, opts)
     psi = np.zeros((grid.nt, grid.n_interior))
     mu = MU0
 
@@ -244,17 +229,32 @@ def minimize_action(
     return _result(psi_b, grid, res_b, False, opts.max_iters, mu, trace)
 
 
+def _diagonal_minimum(prob: _AdjointProblem, opts: ActionOptions) -> RateResult:
+    """Minimum-energy control of a linear additive problem (module docstring)."""
+    grid, ops, sigma = prob.grid, prob.ops, prob.cf.sigma_const
+    reach = ops.decay_powers() * ops.ed
+    free = ops.decay**grid.nt * to_modes(prob.eta, grid)
+    gap = to_modes(prob.target, grid) - free
+    gram = sigma * np.sum(reach**2, axis=0)
+    psi = from_modes(reach * np.divide(gap, gram, out=np.zeros_like(gap), where=gram != 0), grid)
+    v_T = from_modes(free + sigma * np.sum(reach * to_modes(psi, grid), axis=0), grid)
+    res_sq = prob.dx * float(np.sum((v_T - prob.target) ** 2))
+    residual = float(np.sqrt(res_sq))
+    action = 0.5 * prob.dtdx * float(np.sum(psi**2))
+    trace = [(0, action + 0.5 * MU0 * res_sq, action, residual, MU0)]
+    return _result(psi, grid, residual, residual <= opts.residual_tol, 0, MU0, trace)
+
+
 def _backtrack(prob: _AdjointProblem, psi, grad, J: float, step: float, mu: float):
     """Armijo backtracking from step over at most 50 halvings, laddered as
     the module docstring says. Halving is exact, so each trial step is the
     float of the one-trial-at-a-time search. Returns (step, (psi, J, path,
     squared residual, action)) of the accepted trial, or (step halved past
     the last trial, None)."""
-    ladder = 1 if prob.ops.diagonal else LADDER
     g_sq = float(np.sum(grad * grad))
     tried = 0
     while tried < 50:
-        steps = step * 0.5 ** np.arange(min(ladder, 50 - tried) if tried else 1)
+        steps = step * 0.5 ** np.arange(min(LADDER, 50 - tried) if tried else 1)
         cands = psi - steps[:, None, None] * grad
         J_c, v_c, res_sq, action = prob.objective(cands, mu)
         passed = J_c <= J - ARMIJO * steps * g_sq

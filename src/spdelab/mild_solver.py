@@ -33,8 +33,8 @@ fixed linear map of the noise,
 
 and _sample_replicas draws terminal samples of that case as contractions of
 whole noise blocks, a group of rows at a time, against the table of
-_Ops.decay_powers; action's adjoint sweeps sum the same decay powers in one
-batched transform.
+_Ops.decay_powers; action's closed-form minimum of that case reads the same
+table.
 
 Cutoff runs multiply the drift, noise and divergence terms by
 chi_R(|u(t_m)|_rho) evaluated explicitly at the current step (an O(dt) lag
@@ -342,7 +342,8 @@ def _integrate(u0: np.ndarray, ops: _Ops, dw=None, shift=None, psi=None, observe
     increments, inactive noise modes zeroed), broadcasting against the state;
     shift: (..., nt, nx-1) mode-space tilt added to every step's increments;
     psi: (nt, nx-1) control. Each step's noise density is synthesized from
-    dw(m), the shift once per call. observe, when given, is called with the
+    dw(m) and its slice of the shift, one step at a time, so no nodal copy
+    of the whole shift is held. observe, when given, is called with the
     nodal state before the first step and after every step; a frozen row
     keeps showing its last finite state.
 
@@ -353,13 +354,11 @@ def _integrate(u0: np.ndarray, ops: _Ops, dw=None, shift=None, psi=None, observe
     steps even when every row has blown.
     """
     grid = ops.grid
-    if shift is not None:
-        shift = from_modes(shift, grid)
 
     def noise(m):
         """Step m's noise density, shifted."""
         w = from_modes(dw(m), grid)
-        return w if shift is None else w + shift[..., m, :]
+        return w if shift is None else w + from_modes(shift[..., m, :], grid)
 
     state = ops.project(np.asarray(u0, dtype=float))
     blown = np.zeros(state.shape[:-1], dtype=int)

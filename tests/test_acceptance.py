@@ -150,11 +150,12 @@ def test_criterion_07_minimum_action_vs_lq_oracle():
     q = np.linalg.solve(kkt, rhs)[: g.nt]
     oracle = 0.5 * dt * float(q @ q)
     rel = abs(res.action - closed) / oracle
+    rel_qp = abs(res.action - oracle) / oracle
     elapsed = time.time() - t0
     report(7, "minimum action vs LQ oracle",
-           res.converged and rel <= 0.02 and elapsed < 60.0,
-           f"I {res.action:.5f}, closed form {closed:.5f}, QP oracle {oracle:.5f}, "
-           f"rel {rel:.4f}, {elapsed:.0f}s")
+           res.converged and rel <= 0.02 and rel_qp <= 1e-9 and elapsed < 60.0,
+           f"I {res.action:.7f}, closed form {closed:.5f}, QP oracle {oracle:.7f}, "
+           f"rel {rel:.4f}, rel to QP {rel_qp:.1e} (tol 1e-9), {elapsed:.0f}s")
 
 
 def test_criterion_08_adjoint_gradient_check():

@@ -17,6 +17,8 @@ from spdelab.lattice import eigen_values, eigenfunction, make_field, make_grid
 from spdelab.mild_solver import SolverConfig
 
 ADDITIVE = make_coefficients("linear", f_slope=0.0, sigma0=1.0)
+# Linear but not additive-diagonal: its minimum runs the penalty iteration.
+SLOPED = make_coefficients("linear", f_slope=0.4, sigma0=1.0)
 BURGERS = make_coefficients("burgers", sigma0=1.0, sigma1=0.2)
 
 
@@ -112,6 +114,7 @@ def test_lq_single_mode_matches_oracle_and_closed_form():
     oracle = lq_oracle_action(g, [(1, 1.0)], 0.5)
     assert abs(oracle - closed) / closed <= 0.03  # discretization gap only
     assert abs(res.action - closed) / oracle <= 0.02
+    assert abs(res.action - oracle) / oracle <= 1e-9
 
 
 def test_lq_multimode_additivity():
@@ -128,6 +131,7 @@ def test_lq_multimode_additivity():
                            for (k, a), l in zip(amps, lam)]))
     oracle = lq_oracle_action(g, amps, 0.5)
     assert abs(res.action - closed) / oracle <= 0.02
+    assert abs(res.action - oracle) / oracle <= 1e-9
 
 
 def test_quadratic_scaling_law():
@@ -141,7 +145,7 @@ def test_quadratic_scaling_law():
 def test_objective_monotone_within_penalty_leg():
     g = make_grid(32, 64, 0.5)
     eta = make_field(g, np.zeros(g.n_interior))
-    res = minimize_action(eigenfunction(g, 1), eta, ADDITIVE, g)
+    res = minimize_action(eigenfunction(g, 1), eta, SLOPED, g)
     by_mu = {}
     for it, obj, action, residual, mu in res.trace:
         by_mu.setdefault(mu, []).append(obj)
@@ -161,7 +165,7 @@ def test_nonconvergence_returns_flagged_trace():
     g = make_grid(32, 32, 0.5)
     eta = make_field(g, np.zeros(g.n_interior))
     res = minimize_action(
-        eigenfunction(g, 1), eta, ADDITIVE, g,
+        eigenfunction(g, 1), eta, SLOPED, g,
         ActionOptions(residual_tol=1e-14, max_iters=5),
     )
     assert not res.converged

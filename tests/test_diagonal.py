@@ -1,12 +1,14 @@
 """The diagonal (linear additive) case: terminal samples contracted from the
-noise and adjoint sweeps built from decay-power tables must match the nodal
-stepping path, and a finite terminal sample must not step at all.
+noise must match the nodal stepping path, a finite terminal sample must not
+step at all, and the closed-form minimum action must reach its target
+through the stepped skeleton flow.
 
-The oracle is the same solve with cutoff_radius = 1e300: chi_R of any finite
-norm is then exactly 1.0, so the oracle steps every replica and adjoint step
+The sampling oracle is the same solve with cutoff_radius = 1e300: chi_R of
+any finite norm is then exactly 1.0, so the oracle steps every replica
 through _Ops.step, transforms and all, with the same dynamics.
 """
 
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from spdelab import mild_solver
-from spdelab.action import ActionOptions, _AdjointProblem, gradient_check
+from spdelab.action import ActionOptions, _AdjointProblem, gradient_check, minimize_action
 from spdelab.coeffs import make_coefficients
 from spdelab.control import Control, solve_skeleton
 from spdelab.experiments import (
@@ -23,7 +25,7 @@ from spdelab.experiments import (
     run_experiment,
     run_importance_sampling,
 )
-from spdelab.lattice import eigenfunction, from_modes, make_grid
+from spdelab.lattice import eigenfunction, from_modes, make_field, make_grid
 from spdelab.mild_solver import (
     SolverConfig,
     _integrate,
@@ -196,39 +198,42 @@ def test_diagonal_gradient_check():
 
 
 @pytest.mark.parametrize("k_modes", [None, 6])
-def test_diagonal_forward_and_gradient_match_the_stepping_sweeps(k_modes):
+def test_closed_form_control_reaches_the_target(k_modes):
+    # The closed-form control, stepped through the skeleton flow from a
+    # nonzero eta, lands on the target.
     g = make_grid(32, 48, 0.3)
-    eta = eigenfunction(g, 1, amplitude=0.4)
-    target = eigenfunction(g, 1, amplitude=1.2)
-    psi = tilt(g, amp=0.8)
-    opts = ActionOptions(k_modes=k_modes)
-    prob = _AdjointProblem(target, eta, ADDITIVE, g, opts)
-    v = prob.forward(psi)
-    assert v.shape == (1, g.n_interior)
-    skeleton = solve_skeleton(eta, ADDITIVE, psi, g, SolverConfig(k_modes))
-    close(v[-1], skeleton.terminal.values)
-    # The oracle problem steps the same flow through _Ops.step.
-    oracle = _AdjointProblem(target, eta, ADDITIVE, g, opts)
-    oracle.ops = _Ops(ADDITIVE, g, k_modes, cutoff_radius=ORACLE_RADIUS)
-    v_o = oracle.forward(psi)
-    close(v[-1], v_o[-1])
-    close(prob.gradient(psi, v, 10.0), oracle.gradient(psi, v_o, 10.0))
+    eta = make_field(g, eigenfunction(g, 1, amplitude=0.4).values
+                     - eigenfunction(g, 2, amplitude=0.3).values)
+    target = make_field(g, eigenfunction(g, 1, amplitude=1.2).values
+                        + eigenfunction(g, 3, amplitude=0.5).values)
+    res = minimize_action(target, eta, ADDITIVE, g, ActionOptions(k_modes=k_modes))
+    assert res.converged and res.iterations == 0 and len(res.trace) == 1
+    skeleton = solve_skeleton(eta, ADDITIVE, res.psi_star, g, SolverConfig(k_modes))
+    assert np.max(np.abs(skeleton.terminal.values - target.values)) <= 1e-10
+    assert res.residual <= 1e-12
 
 
-def test_diagonal_stacked_sweep_rows_equal_single_sweeps():
+def test_unreachable_gap_is_left_in_the_residual():
+    # A mode the control cannot reach (sigma = 0, or a mode above k_modes)
+    # gets no control: the residual is its gap, and the solve neither
+    # iterates nor warns.
     g = make_grid(32, 48, 0.3)
-    prob = _AdjointProblem(eigenfunction(g, 1, amplitude=1.2), eigenfunction(g, 1, amplitude=0.4),
-                           ADDITIVE, g, ActionOptions(k_modes=6))
-    assert prob.ops.diagonal
-    rng = np.random.default_rng(11)
-    psi = tilt(g) + 0.3 * rng.standard_normal((4, g.nt, g.n_interior))
-    v = prob.forward(psi)
-    assert v.shape == (4, 1, g.n_interior)
-    stacked = prob.objective(psi, 10.0)
-    for row, one in enumerate(psi):
-        assert v[row].tobytes() == prob.forward(one.copy()).tobytes()
-        for got, want in zip(stacked, prob.objective(one.copy(), 10.0)):
-            assert got[row].tobytes() == want.tobytes()
+    zero = make_field(g, np.zeros(g.n_interior))
+    reachable = eigenfunction(g, 1, amplitude=0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mute = minimize_action(eigenfunction(g, 1), zero,
+                               make_coefficients("linear", f_slope=0.0, sigma0=0.0), g)
+        high = minimize_action(make_field(g, reachable.values + eigenfunction(g, 8).values),
+                               zero, ADDITIVE, g, ActionOptions(k_modes=6))
+        low = minimize_action(reachable, zero, ADDITIVE, g, ActionOptions(k_modes=6))
+    assert not np.any(mute.psi_star.values) and mute.action == 0.0
+    for res in (mute, high):
+        assert not res.converged and res.iterations == 0 and len(res.trace) == 1
+        assert abs(res.residual - 1.0) <= 1e-12
+    # The reachable part of the target is still met at its exact cost.
+    assert low.converged
+    np.testing.assert_allclose(high.action, low.action, rtol=1e-12, atol=0.0)
 
 
 IMPORTANCE = {

@@ -60,18 +60,27 @@ DRAWS = {"standard_normal", "Philox"}
 DRAWER = ("noise.py", "_NoiseDrawer")
 
 
-def _draw_calls(node, names=DRAWS, scope=()):
-    """(enclosing qualified name, line) of every call named in names."""
+def _matches(node, match, scope=()):
+    """(enclosing qualified name, line) of every node for which match holds."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = scope + (child.name,)
-        if isinstance(child, ast.Call):
-            func = child.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in names:
-                yield ".".join(scope), child.lineno
-        yield from _draw_calls(child, names, inner)
+        if match(child):
+            yield ".".join(scope), child.lineno
+        yield from _matches(child, match, inner)
+
+
+def _draw_calls(node, names=DRAWS):
+    """(enclosing qualified name, line) of every call named in names."""
+
+    def named(n):
+        if not isinstance(n, ast.Call):
+            return False
+        func = n.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in names
+
+    return _matches(node, named)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -114,3 +123,22 @@ def test_drawer_filled_only_by_windows(path):
         if name.split(".")[0] not in DRAWER_FILLS
     ]
     assert calls == [], f"{path.name}: .fill( outside {sorted(DRAWER_FILLS)}"
+
+
+# Whether a problem is linear additive is decided once per solve: by
+# minimize_action, which takes the closed-form minimum there, and by
+# _sample_replicas, which contracts those terminals. No other code forks on
+# it, so every other path runs the one stepping scheme.
+DIAGONAL_READERS = {("action.py", "minimize_action"), ("mild_solver.py", "_sample_replicas")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_diagonal_decided_once(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [
+        (name, line)
+        for name, line in _matches(tree, lambda n: isinstance(n, ast.Attribute)
+                                   and n.attr == "diagonal")
+        if (path.name, name) not in DIAGONAL_READERS
+    ]
+    assert reads == [], f"{path.name}: .diagonal read outside {sorted(DIAGONAL_READERS)}"
