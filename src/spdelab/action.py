@@ -25,8 +25,8 @@ uses this: its first trial is one row, and after a rejection the next
 LADDER halvings of the step run as one stacked sweep, of which the first
 row to pass Armijo is taken, as the one-trial-at-a-time search would take
 it. A sweep's time goes mostly into per-step calls: on the benchmark's
-burgers_action solve an objective of six rows takes 1.6 to 1.7 times as
-long as one of one row (919 against 563 us, and 1107 against 661 us, in two
+burgers_action solve an objective of six rows takes 1.7 to 1.8 times as
+long as one of one row (940 against 533 us, and 971 against 580 us, in two
 measurements on a shared 2-vCPU x86_64 host, each the minimum of 20 x 100
 calls), far below six.
 
@@ -112,7 +112,7 @@ class _AdjointProblem:
         v[..., 0, :] = self.eta
         for m in range(grid.nt):
             modes = ops.step(v[..., m, :], m * self.dt, psi=psi[..., m, :])
-            v[..., m + 1, :] = from_modes(modes, grid)
+            from_modes(modes, grid, out=v[..., m + 1, :])
         return v
 
     def objective(self, psi: np.ndarray, mu: float):
@@ -138,21 +138,28 @@ class _AdjointProblem:
         def steps(values):
             return np.broadcast_to(np.asarray(values, dtype=float), u.shape)
 
+        # Loop invariants, each product in the order of the per-step formula;
+        # -g_r times a synthesis equals g_r times its negation bit for bit.
         sig = steps(ops.sigma(t, u))
-        sig_r = None if cf.sigma_const is not None else steps(cf.sigma_r(t, self.x, u))
+        sig_r_psi = None if cf.sigma_const is not None else steps(cf.sigma_r(t, self.x, u)) * psi
         f_r = None if cf.f_is_zero else 1.0 + self.dt * steps(cf.f_r(t, self.x, u))
-        g_r = None if cf.g_is_zero else steps(cf.g_r(t, self.x, u))
-        grad = np.empty_like(psi)
+        neg_g_r = None if cf.g_is_zero else -steps(cf.g_r(t, self.x, u))
+        # Row m is step m's [S p, C p]; sigma C p is paired after the loop.
+        factors = np.empty((grid.nt, 2, grid.n_interior))
+        work = None if neg_g_r is None else np.zeros((2, grid.nx + 1))
         for m in range(grid.nt - 1, -1, -1):
-            pm = to_modes(p, grid)
-            Sp, Cp = from_modes(self.adjoint_factors * pm, grid, overwrite=True)
-            grad[m] = self.dtdx * psi[m] + sig[m] * Cp
-            p = Sp if f_r is None else f_r[m] * Sp
-            if g_r is not None:
-                p = p + g_r[m] * (-cos_synthesis(ops.ed * pm, grid))
-            if sig_r is not None:
-                p = p + sig_r[m] * psi[m] * Cp
-        return grad
+            both = np.multiply(self.adjoint_factors, to_modes(p, grid), out=factors[m])
+            if neg_g_r is not None:  # row 1 is ed p_hat
+                g_term = neg_g_r[m] * cos_synthesis(both[1], grid, work)
+            from_modes(both, grid, overwrite=True)
+            p, Cp = both[0], both[1]
+            if f_r is not None:
+                p *= f_r[m]
+            if neg_g_r is not None:
+                p += g_term
+            if sig_r_psi is not None:
+                p += sig_r_psi[m] * Cp
+        return self.dtdx * psi + sig * factors[:, 1]
 
 
 def minimize_action(

@@ -181,28 +181,34 @@ _LAST = (-1,)
 
 
 def _check_length(arr: np.ndarray, grid: GridSpec) -> None:
-    if arr.shape[-1] != grid.n_interior:
+    if arr.shape[-1] != grid.nx - 1:
         raise ValueError(
             f"length mismatch: got {arr.shape[-1]}, grid has {grid.n_interior}"
         )
 
 
-def to_modes(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Forward sine coefficients of values along the last axis."""
+def to_modes(values: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward sine coefficients of values along the last axis, written into
+    out (a float array of values' shape, values itself allowed) when given."""
     _check_length(values, grid)
-    out = _dst(np.asarray(values, dtype=np.float64), 1, _LAST, 0, None, 1)
+    out = _dst(np.asarray(values, dtype=np.float64), 1, _LAST, 0, out, 1)
     out *= grid.dx / _SQRT2
     return out
 
 
-def from_modes(coeffs: np.ndarray, grid: GridSpec, overwrite: bool = False) -> np.ndarray:
+def from_modes(
+    coeffs: np.ndarray, grid: GridSpec, overwrite: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
     """Synthesis u_j = sum_k u_hat_k phi_k(x_j) along the last axis.
 
-    overwrite=True may reuse the memory of coeffs for the result.
+    overwrite=True may reuse the memory of coeffs for the result; out, when
+    given, is a float array of coeffs' shape, strided or not, that receives it.
     """
     _check_length(coeffs, grid)
     a = np.asarray(coeffs, dtype=np.float64)
-    out = _dst(a, 1, _LAST, 0, a if overwrite and a.flags.writeable else None, 1)
+    if overwrite and a.flags.writeable:
+        out = a
+    out = _dst(a, 1, _LAST, 0, out, 1)
     out /= _SQRT2
     return out
 
@@ -216,16 +222,22 @@ def cos_analysis(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     without changing the convergence order.
     """
     _check_length(values, grid)
-    padded = np.empty(values.shape[:-1] + (grid.nx + 1,), dtype=float)
+    nx = grid.nx
+    padded = np.empty(values.shape[:-1] + (nx + 1,))
     padded[..., 1:-1] = values
-    padded[..., 0] = values[..., 0]
-    padded[..., -1] = values[..., -1]
+    # Both end nodes at once: the first and last interior values (nx = 2 has one).
+    padded[..., ::nx] = values[..., :: nx - 2 or 1]
     d = _dct(padded, 1, _LAST, 0, padded, 1)
-    return d[..., 1 : grid.nx] * _cos_weights(grid.nx)[0]
+    return d[..., 1:nx] * _cos_weights(nx)[0]
 
 
-def cos_synthesis(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Exact transpose (up to the dx weight) of cos_analysis, for adjoint sweeps."""
+def cos_synthesis(
+    coeffs: np.ndarray, grid: GridSpec, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact transpose (up to the dx weight) of cos_analysis, for adjoint sweeps.
+
+    work: a zeroed (..., 2, nx + 1) float array that calls may share; a call
+    writes only its interior columns (the DCT's output is a new array)."""
     _check_length(coeffs, grid)
     nx = grid.nx
     # Row 0 is the padded DCT input r = coeffs * weight, row 1 is r times the
@@ -233,12 +245,11 @@ def cos_synthesis(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     # reduce. The endpoint-extension weights of the analysis map land those
     # sums on the first and last interior nodes in the transpose.
     # np.add.reduce is np.sum's summation without its dispatch.
-    padded = np.zeros(coeffs.shape[:-1] + (2, nx + 1))
+    padded = np.zeros(coeffs.shape[:-1] + (2, nx + 1)) if work is None else work
     rows = np.multiply(coeffs[..., None, :], _cos_weights(nx)[1], out=padded[..., 1:-1])
     ends = np.add.reduce(rows, axis=-1)
     ends *= 0.5
-    r = padded[..., 0, :]
-    d = _dct(r, 1, _LAST, 0, r, 1)
+    d = _dct(padded[..., 0, :], 1, _LAST, 0, None, 1)
     out = d[..., 1:nx] / 2.0
     if nx > 2:
         out[..., :: nx - 2] += ends

@@ -309,29 +309,39 @@ class _Ops:
 
         xi is the step's spatial noise density, psi the control slice
         psi(t, .), chi the cutoff weight of the drift, noise and divergence
-        terms. The coefficients are evaluated at u, or at `at` when given
-        (picard_solve passes its frozen iterate).
+        terms; each broadcasts against u. The coefficients are evaluated at
+        u, or at `at` when given (picard_solve passes its frozen iterate).
+
+        Sums and products run in their formula's order, in place on the
+        arrays the step allocates: the state, stacked over the control field
+        sigma(w) psi for one transform call, and cos_analysis's result.
+        _Ops keeps no scratch, so threads can share one.
         """
         cf, grid, x = self.cf, self.grid, self.x
         w = u if at is None else at
-        v = u
-        if not cf.f_is_zero:
-            v = v + self.dt * _apply_chi(cf.f(t, x, w), chi)
-        if xi is not None and self.sqrt_eps != 0.0:
-            v = v + self.sqrt_eps * _apply_chi(self.sigma(t, w) * xi, chi)
-        if psi is None:
-            v_hat = to_modes(v, grid)
-        else:
-            # One transform call for the state and the control field sigma(w) psi.
-            both = np.empty((2,) + v.shape)
-            both[0], both[1] = v, self.sigma(t, w) * psi
-            v_hat, c_hat = to_modes(both, grid)
-        modes = v_hat * self.decay
-        if not cf.g_is_zero:
-            gv = _apply_chi(cf.g1(t, x, w) + cf.g2(t, w), chi)
-            modes -= cos_analysis(gv, grid) * self.ed
+        noisy = xi is not None and self.sqrt_eps != 0.0
+        sig = self.sigma(t, w) if noisy or psi is not None else None
+        both = np.empty(u.shape if psi is None else (2,) + u.shape)
+        v = both if psi is None else both[0]
+        acc = u
+        if not cf.f_is_zero:  # + dt chi f
+            acc = np.add(acc, self.dt * _apply_chi(cf.f(t, x, w), chi), out=v)
+        if noisy:  # + sqrt(eps) chi sigma xi
+            acc = np.add(acc, self.sqrt_eps * _apply_chi(sig * xi, chi), out=v)
+        if acc is u:
+            v[...] = u
         if psi is not None:
-            modes += c_hat * self.ed
+            c_hat = np.multiply(sig, psi, out=both[1])
+        to_modes(both, grid, out=both)
+        modes = v  # the state's row, now its sine modes
+        modes *= self.decay
+        if not cf.g_is_zero:
+            c = cos_analysis(_apply_chi(cf.g1(t, x, w) + cf.g2(t, w), chi), grid)
+            c *= self.ed
+            modes -= c
+        if psi is not None:
+            c_hat *= self.ed
+            modes += c_hat
         return modes
 
 

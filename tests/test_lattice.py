@@ -223,6 +223,15 @@ def test_transforms_match_scipy_fft_formulas_bit_for_bit(nx, kind):
     assert np.shares_memory(out, x) == x.flags.writeable
     if not x.flags.writeable:
         assert np.array_equal(x, dense)
+    # out= receives the result, strided or not; cos_synthesis calls sharing
+    # one work buffer each give the bits of a call with its own.
+    for fn, ref in _PINNED[:2]:
+        target = np.empty(x.shape[:-1] + (2, g.n_interior))[..., 1, :]
+        assert fn(dense, g, out=target) is target
+        assert np.array_equal(target, ref(dense, g))
+    work = np.zeros(x.shape[:-1] + (2, nx + 1))
+    for _ in range(2):
+        assert np.array_equal(cos_synthesis(dense, g, work), _ref_cos_synthesis(dense, g))
 
 
 @pytest.mark.parametrize("nx", _PIN_NX)

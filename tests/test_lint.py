@@ -142,3 +142,24 @@ def test_diagonal_decided_once(path):
         if (path.name, name) not in DIAGONAL_READERS
     ]
     assert reads == [], f"{path.name}: .diagonal read outside {sorted(DIAGONAL_READERS)}"
+
+
+# The pocketfft kernels are private to lattice: every other module transforms
+# through lattice's public functions, which keep the scaling and checks.
+KERNELS = {"_dst", "_dct"}
+
+
+def _names_kernel(node):
+    if isinstance(node, ast.Name):
+        return node.id in KERNELS
+    if isinstance(node, ast.Attribute):
+        return node.attr in KERNELS
+    return isinstance(node, ast.alias) and node.name in KERNELS
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "lattice.py"], ids=lambda p: p.name
+)
+def test_transform_kernels_stay_in_lattice(path):
+    refs = list(_matches(ast.parse(path.read_text(encoding="utf-8")), _names_kernel))
+    assert refs == [], f"{path.name}: {sorted(KERNELS)} referenced outside lattice.py"

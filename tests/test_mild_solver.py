@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spdelab import lattice
 from spdelab.coeffs import make_coefficients, truncate_coefficients
 from spdelab.greenfn import apply_semigroup
 from spdelab.lattice import (
@@ -69,6 +70,67 @@ def test_step_noise_linearity():
     one = step_mild(zero, LINEAR, dW, 1.0, 0.01).values
     two = step_mild(zero, LINEAR, 2.0 * dW, 1.0, 0.01).values
     assert np.array_equal(two - base, 2.0 * (one - base))
+
+
+def lattice_step(ops, u, t, xi=None, psi=None, chi=None, at=None):
+    """The scheme's step as the plain composition of lattice's transforms:
+    each term allocated afresh, as the kernel was first written."""
+    cf, grid, x = ops.cf, ops.grid, ops.x
+
+    def weigh(values):
+        return values if chi is None else chi * values
+
+    w = u if at is None else at
+    v = u
+    if not cf.f_is_zero:
+        v = v + ops.dt * weigh(cf.f(t, x, w))
+    if xi is not None and ops.sqrt_eps != 0.0:
+        v = v + ops.sqrt_eps * weigh(ops.sigma(t, w) * xi)
+    if psi is None:
+        v_hat = lattice.to_modes(v, grid)
+    else:
+        both = np.empty((2,) + v.shape)
+        both[0], both[1] = v, ops.sigma(t, w) * psi
+        v_hat, c_hat = lattice.to_modes(both, grid)
+    modes = v_hat * ops.decay
+    if not cf.g_is_zero:
+        gv = weigh(cf.g1(t, x, w) + cf.g2(t, w))
+        modes -= lattice.cos_analysis(gv, grid) * ops.ed
+    if psi is not None:
+        modes += c_hat * ops.ed
+    return modes
+
+
+STEP_FAMILIES = {
+    "additive": make_coefficients("linear", f_slope=0.0, sigma0=0.7),
+    "linear drift": make_coefficients("linear", f_slope=0.4, sigma0=1.0),
+    "burgers": make_coefficients("burgers", sigma0=1.0, sigma1=0.2),
+    "burgers constant sigma": make_coefficients("burgers", sigma0=0.8),
+    "reaction": make_coefficients("reaction", f_slope=0.3, g1_slope=0.2, g2_quad=0.1,
+                                  sigma0=1.0, sigma1=0.1),
+}
+
+
+def test_step_bits_match_the_lattice_composition():
+    # Every branch of the step (drift, noise at eps 0 and > 0, control,
+    # cutoff, Picard's frozen iterate, divergence term, constant and
+    # multiplicative sigma) on one row and on stacks, at grids small enough
+    # that the cosine padding's end nodes are next to each other.
+    rng = np.random.default_rng(5)
+    for nx in (4, 5, 32):
+        g = make_grid(nx, 16, 0.5)
+        for name, cf in STEP_FAMILIES.items():
+            for eps in (0.0, 0.3):
+                ops = _Ops(cf, g, max(1, nx // 4), eps, cutoff_radius=0.5)
+                for shape in ((nx - 1,), (6, nx - 1), (2, 3, nx - 1)):
+                    u, xi, psi, at = 0.5 * rng.standard_normal((4,) + shape)
+                    chi = ops.cutoff(u)
+                    for kw in ({}, {"xi": xi}, {"psi": psi}, {"chi": chi}, {"at": at},
+                               {"xi": xi, "psi": psi, "chi": chi, "at": at}):
+                        got = ops.step(u, 0.25, **kw)
+                        want = lattice_step(ops, u, 0.25, **kw)
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes(), (nx, name, eps, shape, sorted(kw))
 
 
 def test_zero_initial_zero_forcing_fixed_point():
