@@ -1,8 +1,12 @@
 """Replica engine: per-replica blow-up masking, chunk and thread independence,
 the stacked moment leg, and the errors that name a blown replica."""
 
+import ctypes
 import hashlib
+import os
 import re
+import resource
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -11,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spdelab
 from spdelab import mild_solver
 from spdelab.cli import main as cli_main
 from spdelab.experiments import (
@@ -665,3 +670,68 @@ def test_cli_outputs_do_not_depend_on_threads(tmp_path, command):
             a.remove(b"threads = 1")
             b.remove(b"threads = 2")
         assert a == b, name
+
+
+def on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (ValueError, OSError):
+        return False
+
+
+# The threaded Galerkin leg at a small size: each step frees a dozen
+# temporaries of 5 runs x 125 rows x 63 nodes, past glibc's first thresholds.
+PINNED = {
+    "kind": "convergence", "master_seed": "321", "family": "burgers", "sigma0": "1.0",
+    "sigma1": "0.2", "k_modes": "16", "nx": "64", "nt": "32", "T": "0.25",
+    "eta_amp": "1.0", "psi_amp": "0.5", "k_list": "4, 8, 16, 32", "eps_list": "0.1, 0.05",
+    "replicas": "250", "threads": "2",
+}
+
+
+def child_minor_faults(args):
+    """Minor page faults of one fresh interpreter running args."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spdelab.__file__).parents[1]),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
+@pytest.mark.skipif(not on_glibc(), reason="the malloc pin is glibc's mallopt")
+def test_cli_pins_malloc_so_a_fresh_threaded_study_stops_refaulting(tmp_path):
+    config = tmp_path / "c.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in PINNED.items()))
+    cli, lib = tmp_path / "cli", tmp_path / "lib"
+    pinned = child_minor_faults(["-m", "spdelab", "convergence", "--config", str(config),
+                                 "--out", str(cli)])
+    unpinned = child_minor_faults([
+        "-c", "from spdelab.experiments import run_experiment; "
+        f"run_experiment({str(config)!r}, out_dir={str(lib)!r})",
+    ])
+    names = sorted(p.name for p in cli.iterdir())
+    assert names == sorted(p.name for p in lib.iterdir()) and "galerkin.csv" in names
+    for name in names:
+        assert (cli / name).read_bytes() == (lib / name).read_bytes(), name
+    assert pinned < unpinned / 2, (pinned, unpinned)
+
+
+def test_cli_off_glibc_skips_mallopt_and_writes_the_same_bytes(tmp_path, monkeypatch):
+    config = tmp_path / "c.cfg"
+    config.write_text("kind = simulate\nmaster_seed = 7\nnx = 16\nnt = 32\nT = 0.25\n"
+                      "family = linear\nf_slope = 0.0\nsigma0 = 1.0\n")
+
+    def simulate(out):
+        assert cli_main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def no_glibc(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    def no_cdll(*args, **kwargs):
+        raise AssertionError("ctypes.CDLL called off glibc")
+
+    pinned = simulate(tmp_path / "pinned")
+    monkeypatch.setattr(os, "confstr", no_glibc)
+    monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+    assert simulate(tmp_path / "off-glibc") == pinned and "manifest.txt" in pinned
